@@ -130,12 +130,12 @@ def _load_second(path):
     return nl.parse_netlist(text), None
 
 
-def _anchor_solution(orig_graph, opt):
+def _anchor_solution(orig_graph, opt, objective="min-removals"):
     """Removal locations, either via the retiming ILP (netlist pair) or
     straight from a placement's anchor annotations."""
     if isinstance(opt, nl.Circuit):
         return retime_extract.extract_removals(
-            orig_graph, nl.to_gate_graph(opt))
+            orig_graph, nl.to_gate_graph(opt), objective=objective)
     sol = retime_extract.RetimeSolution()
     for e in orig_graph.edges:
         key = (e.src, e.dst, e.dst_pin)
@@ -179,11 +179,7 @@ def cmd_optimize(args):
 def cmd_extract(args):
     orig = nl.to_gate_graph(nl.parse_netlist(_read(args.orig)))
     opt, _ = _load_second(args.opt)
-    if isinstance(opt, nl.Circuit):
-        sol = retime_extract.extract_removals(
-            orig, nl.to_gate_graph(opt), objective=args.retime_objective)
-    else:
-        sol = _anchor_solution(orig, opt)
+    sol = _anchor_solution(orig, opt, args.retime_objective)
     _write(args, "retime.txt", sol.text())
     sys.stdout.write(sol.text())
     return EXIT_OK

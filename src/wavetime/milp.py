@@ -92,9 +92,6 @@ class MilpModel:
         self.obj_const = float(const)
         self.sense = sense
 
-    def add_obj_term(self, var, coeff):
-        self.obj[var] = self.obj.get(var, 0.0) + coeff
-
     # -- linearization helpers ---------------------------------------------
 
     def linearize_product(self, x, v, name=None):

@@ -105,16 +105,10 @@ class Config:
         fractions of T (phases, delay-bound schedule, big_M, replacement
         threshold) scale along, absolute delays stay put."""
         k = T / self.T
-        return Config(T=T, duty=self.duty, r_u=self.r_u, r_l=self.r_l,
-                      phases=tuple(p * k for p in self.phases),
-                      t_stable=self.t_stable, alpha=self.alpha,
-                      beta=self.beta, gamma=self.gamma,
-                      dth_schedule=tuple(d * k for d in self.dth_schedule),
-                      big_M=self.big_M * k, eps=self.eps,
-                      buffer_delay=self.buffer_delay,
-                      replace_threshold=self.replace_threshold * k,
-                      milp_nodes=self.milp_nodes,
-                      milp_time_ms=self.milp_time_ms)
+        return replace(self, T=T, phases=tuple(p * k for p in self.phases),
+                       dth_schedule=tuple(d * k for d in self.dth_schedule),
+                       big_M=self.big_M * k,
+                       replace_threshold=self.replace_threshold * k)
 
 
 @dataclass(frozen=True)
@@ -149,15 +143,6 @@ class Circuit:
     ffs: dict
     inputs: list
     outputs: list  # (name, src) pairs
-
-    def node_kind(self, name):
-        if name in self.gates:
-            return "gate"
-        if name in self.ffs:
-            return "ff"
-        if name in self.inputs:
-            return "input"
-        return None
 
     def readers(self):
         """Map driver name -> list of (reader name, input pin index)."""
@@ -344,27 +329,26 @@ class GGEdge:
 
 @dataclass
 class GateGraph:
+    """Collapsed graph with an adjacency index built once at construction;
+    `edges` must not be mutated afterwards, and the lists that in_edges /
+    out_edges return are shared and must not be mutated either."""
     circuit: Circuit
     gates: dict          # name -> Gate, combinational nodes
     terminals: dict      # name -> kind in {"input", "output", "bff"}
     edges: list          # GGEdge list
 
-    def nodes(self):
-        return list(self.gates) + list(self.terminals)
+    def __post_init__(self):
+        # per-node edge lists, each in edge-list order
+        self._in, self._out = {}, {}
+        for e in self.edges:
+            self._in.setdefault(e.dst, []).append(e)
+            self._out.setdefault(e.src, []).append(e)
 
     def in_edges(self, node):
-        return [e for e in self.edges if e.dst == node]
+        return self._in.get(node, [])
 
     def out_edges(self, node):
-        return [e for e in self.edges if e.src == node]
-
-    def sources(self):
-        """Terminals that launch signals into the region."""
-        return [n for n, k in self.terminals.items() if k in ("input", "bff")]
-
-    def sinks(self):
-        """Terminals that capture signals."""
-        return [n for n, k in self.terminals.items() if k in ("output", "bff")]
+        return self._out.get(node, [])
 
     def total_weight(self):
         return sum(e.w for e in self.edges)
@@ -377,8 +361,8 @@ class GateGraph:
 
         def visit(n):
             state[n] = 1
-            for e in self.edges:
-                if e.dst == n and e.w == 0 and e.src in self.gates:
+            for e in self.in_edges(n):
+                if e.w == 0 and e.src in self.gates:
                     if state.get(e.src) == 1:
                         raise NetlistError("zero-weight cycle through " + e.src)
                     if state.get(e.src) is None:

@@ -9,7 +9,7 @@ chains for sequential units where that saves area.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import milp, sta, vsmodel
 from .sta import EdgeDecision, OptimizedCircuit
@@ -118,7 +118,7 @@ def run_flow(graph, cfg):
     arts = vsmodel.build_relaxed_model(graph, cfg)
     sol = _solve_stage(arts, cfg, "relaxed")
     _, S = vsmodel.decode_solution(arts, sol)
-    S = set(S.sites)
+    S = set(S)
     report.stages.append(StageInfo("stage1", sol.status, len(S),
                                    sol.objective))
 
@@ -131,7 +131,7 @@ def run_flow(graph, cfg):
         arts2 = vsmodel.build_cdq_model(graph, cfg, S, d_th)
         sol2 = _solve_stage(arts2, cfg, "cdq")
         _, hot = vsmodel.decode_solution(arts2, sol2)
-        new = set(hot.sites) - S
+        new = hot - S
         S |= new
         if i >= len(schedule) - 1 and not new:
             break
@@ -153,7 +153,7 @@ def run_flow(graph, cfg):
         unit_sites = {k[0] for k, d in placed.decisions.items()
                       if d.unit != "none"}
         invalid = S_d - unit_sites
-        pad_sites = set(hot3.sites) - S_d
+        pad_sites = hot3 - S_d
         if not invalid and not pad_sites:
             break
         S_d = (S_d - invalid) | pad_sites
@@ -183,13 +183,7 @@ def run_flow(graph, cfg):
 
 def _snap(value, lib):
     """Nearest library entry, ties to the smaller value."""
-    best = lib[0]
-    for x in lib:
-        if abs(x - value) < abs(best - value) - 1e-12:
-            best = x
-        elif abs(x - value) <= abs(best - value) + 1e-12 and x < best:
-            best = x
-    return best
+    return min(lib, key=lambda x: (abs(x - value), x))
 
 
 def discretize_delays(placed, cfg, libs=None):
@@ -227,7 +221,6 @@ def discretize_delays(placed, cfg, libs=None):
 def replace_buffers(placed, cfg):
     """Swap buffer chains longer than the replacement threshold for a
     single sequential unit when that is timing-clean and not larger."""
-    graph = placed.graph
     rejected = set()
     while True:
         candidates = [(dec.xi, k) for k, dec in placed.decisions.items()
@@ -241,26 +234,20 @@ def replace_buffers(placed, cfg):
         if buffer_count(dec, cfg) < FF_AREA:
             rejected.add(k)
             continue
-        committed = False
-        for unit in ("flipflop", "latch"):
-            for n in range(-2, 3):
-                for phi in cfg.phases:
-                    trial_dec = EdgeDecision(xi=0.0, unit=unit, n_cycle=n,
-                                             phi=phi)
-                    old = placed.decisions[k]
-                    placed.decisions[k] = trial_dec
-                    _, violations = sta.propagate_windows(placed, cfg)
-                    if violations:
-                        placed.decisions[k] = old
-                    else:
-                        committed = True
-                        break
-                if committed:
-                    break
-            if committed:
-                break
-        if not committed:
+        trials = (EdgeDecision(xi=0.0, unit=unit, n_cycle=n, phi=phi)
+                  for unit in ("flipflop", "latch")
+                  for n in range(-2, 3) for phi in cfg.phases)
+
+        def clean(trial_dec):
+            trial = replace(placed,
+                            decisions={**placed.decisions, k: trial_dec})
+            return not sta.propagate_windows(trial, cfg)[1]
+
+        found = next(filter(clean, trials), None)
+        if found is None:
             rejected.add(k)
+        else:
+            placed.decisions[k] = found
 
 
 def sweep_clock_period(graph, cfg, step_fraction=0.005):

@@ -11,6 +11,7 @@ defined here so that both the optimizer and the independent wave
 simulator can use them without depending on each other.
 """
 
+import heapq
 from dataclasses import dataclass, field
 
 
@@ -18,9 +19,6 @@ from dataclasses import dataclass, field
 class ArrivalWindow:
     s: float        # latest arrival
     s_prime: float  # earliest arrival
-
-    def shifted(self, dt):
-        return ArrivalWindow(self.s + dt, self.s_prime + dt)
 
     def width(self):
         return self.s - self.s_prime
@@ -165,23 +163,27 @@ def _edge_window(win, dec, lam, cfg, p):
 
 def _gate_order(placed):
     """Topological order of gates over connections that carry no
-    sequential unit (unit outputs do not depend on their inputs)."""
+    sequential unit (unit outputs do not depend on their inputs); Kahn's
+    algorithm, smallest ready name first."""
     g = placed.graph
-    deps = {n: set() for n in g.gates}
-    for e in g.edges:
-        if e.dst in g.gates and e.src in g.gates:
-            if placed.decision(e).unit == "none":
-                deps[e.dst].add(e.src)
-    order, ready = [], sorted(n for n, d in deps.items() if not d)
-    done = set()
+
+    def combinational(e):
+        return (e.src in g.gates and e.dst in g.gates
+                and placed.decision(e).unit == "none")
+
+    pending = {n: sum(map(combinational, g.in_edges(n))) for n in g.gates}
+    ready = [n for n, k in pending.items() if k == 0]
+    heapq.heapify(ready)
+    order = []
     while ready:
-        n = ready.pop(0)
+        n = heapq.heappop(ready)
         order.append(n)
-        done.add(n)
-        newly = sorted(m for m, d in deps.items()
-                       if m not in done and m not in ready and d <= done)
-        ready = sorted(ready + newly)
-    if len(order) != len(deps):
+        for e in g.out_edges(n):
+            if combinational(e):
+                pending[e.dst] -= 1
+                if pending[e.dst] == 0:
+                    heapq.heappush(ready, e.dst)
+    if len(order) != len(pending):
         raise ValueError("unresolved placement: combinational cycle without "
                          "a sequential delay unit")
     return order

@@ -26,20 +26,6 @@ X_COST = 1e-6
 
 
 @dataclass
-class PlacementSet:
-    sites: set
-
-    def __len__(self):
-        return len(self.sites)
-
-    def __iter__(self):
-        return iter(self.sites)
-
-    def __contains__(self, g):
-        return g in self.sites
-
-
-@dataclass
 class ModelArtifacts:
     model: MilpModel
     graph: object
@@ -53,7 +39,6 @@ class ModelArtifacts:
     delta_p: dict = field(default_factory=dict)
     x: dict = field(default_factory=dict)        # site -> presence binary
     site: dict = field(default_factory=dict)     # site -> legalization vars
-    sites: set = field(default_factory=set)
 
 
 def _base(graph, cfg, kind):
@@ -63,9 +48,8 @@ def _base(graph, cfg, kind):
     lo, hi = -2 * T, 3 * T
     # terminal sources launch at a constant; only capture points (gates
     # and terminals with in-edges) get arrival variables
-    sinks = {e.dst for e in graph.edges}
     for n in sorted(graph.gates) + sorted(t for t in graph.terminals
-                                          if t in sinks):
+                                          if graph.in_edges(t)):
         arts.s[n] = m.add_var(CONTINUOUS, lb=lo, ub=hi, name=f"s_{n}")
         arts.sp[n] = m.add_var(CONTINUOUS, lb=lo, ub=hi, name=f"sp_{n}")
     for g in sorted(graph.gates):
@@ -100,36 +84,40 @@ def _pads(arts, gates):
                      name=f"pad_order_{g}")
 
 
+def _arrival_rows(arts, e, s, sp, add_s, add_sp):
+    """Latest/earliest propagation rows of one edge into the arrival
+    variables s/sp of its destination; add_s/add_sp are the extra
+    linear terms of the destination's pad/unit."""
+    m, g, cfg = arts.model, arts.graph, arts.cfg
+    k = edge_key(e)
+    (sv, sc), (spv, spc) = _src_terms(arts, e)
+    cs = {s: 1.0, arts.xi[k]: -cfg.r_u}
+    csp = {sp: 1.0, arts.xi[k]: -cfg.r_l}
+    if sv is not None:
+        cs[sv] = cs.get(sv, 0.0) - 1.0
+        csp[spv] = csp.get(spv, 0.0) - 1.0
+    if e.dst in g.gates:
+        cs[arts.d[e.dst]] = cs.get(arts.d[e.dst], 0.0) - cfg.r_u
+        csp[arts.d[e.dst]] = csp.get(arts.d[e.dst], 0.0) - cfg.r_l
+    for v, a in add_s.items():
+        cs[v] = cs.get(v, 0.0) - a
+    for v, a in add_sp.items():
+        csp[v] = csp.get(v, 0.0) - a
+    m.add_constr(cs, ">=", sc - e.w * cfg.T,
+                 name=f"arr_{e.src}_{e.dst}_{e.dst_pin}")
+    m.add_constr(csp, "<=", spc - e.w * cfg.T,
+                 name=f"arrp_{e.src}_{e.dst}_{e.dst_pin}")
+
+
 def _arrival_constraints(arts, pad_terms):
     """Per in-edge propagation constraints.  pad_terms maps a gate to a
     pair of extra linear terms (for s and s') realizing its pad/unit, or
     None when the gate's output variable is constrained elsewhere."""
-    m, g, cfg = arts.model, arts.graph, arts.cfg
-    T = cfg.T
+    g = arts.graph
     for e in g.edges:
-        k = edge_key(e)
-        dst_is_gate = e.dst in g.gates
-        terms = pad_terms.get(e.dst) if dst_is_gate else ({}, {})
-        if terms is None:
-            continue
-        add_s, add_sp = terms
-        (sv, sc), (spv, spc) = _src_terms(arts, e)
-        cs = {arts.s[e.dst]: 1.0, arts.xi[k]: -cfg.r_u}
-        csp = {arts.sp[e.dst]: 1.0, arts.xi[k]: -cfg.r_l}
-        if sv is not None:
-            cs[sv] = cs.get(sv, 0.0) - 1.0
-            csp[spv] = csp.get(spv, 0.0) - 1.0
-        if dst_is_gate:
-            cs[arts.d[e.dst]] = cs.get(arts.d[e.dst], 0.0) - cfg.r_u
-            csp[arts.d[e.dst]] = csp.get(arts.d[e.dst], 0.0) - cfg.r_l
-        for v, a in add_s.items():
-            cs[v] = cs.get(v, 0.0) - a
-        for v, a in add_sp.items():
-            csp[v] = csp.get(v, 0.0) - a
-        m.add_constr(cs, ">=", sc - e.w * T,
-                     name=f"arr_{e.src}_{e.dst}_{e.dst_pin}")
-        m.add_constr(csp, "<=", spc - e.w * T,
-                     name=f"arrp_{e.src}_{e.dst}_{e.dst_pin}")
+        terms = pad_terms.get(e.dst) if e.dst in g.gates else ({}, {})
+        if terms is not None:
+            _arrival_rows(arts, e, arts.s[e.dst], arts.sp[e.dst], *terms)
 
 
 def _loop_order_constraints(arts, gates):
@@ -205,9 +193,8 @@ def build_cdq_model(graph, cfg, S, d_th):
     """Stage-2 formulation: sites in S additionally model the inherent
     clock/data-to-q delay of a unit, present only when x = 1, and any
     exercised site must pad at least d_th."""
-    sites = set(S.sites if isinstance(S, PlacementSet) else S)
+    sites = set(S)
     arts = _base(graph, cfg, "cdq")
-    arts.sites = sites
     gates = set(graph.gates)
     _pads(arts, gates)
     m = arts.model
@@ -238,9 +225,8 @@ def build_legalization_model(graph, cfg, S_d):
     """Stage-3 formulation: sites get the exact unit model (Case 1 no
     unit / Case 2 flip-flop / Case 3 latch) over the configured phases;
     everything else keeps the relaxed pads."""
-    sites = set(S_d.sites if isinstance(S_d, PlacementSet) else S_d)
+    sites = set(S_d)
     arts = _base(graph, cfg, "legalized")
-    arts.sites = sites
     gates = set(graph.gates)
     relaxed = gates - sites
     _pads(arts, relaxed)
@@ -300,22 +286,8 @@ def build_legalization_model(graph, cfg, S_d):
                         "phases": phase_sel, "cases": sels}
         # in-edge propagation lands on w instead of t
         pad_terms[g] = None
-        for e in graph.edges:
-            if e.dst != g:
-                continue
-            k = edge_key(e)
-            (sv, sc), (spv, spc) = _src_terms(arts, e)
-            cs = {sw: 1.0, arts.xi[k]: -cfg.r_u}
-            csp = {swp: 1.0, arts.xi[k]: -cfg.r_l}
-            if sv is not None:
-                cs[sv] = cs.get(sv, 0.0) - 1.0
-                csp[spv] = csp.get(spv, 0.0) - 1.0
-            cs[arts.d[g]] = cs.get(arts.d[g], 0.0) - cfg.r_u
-            csp[arts.d[g]] = csp.get(arts.d[g], 0.0) - cfg.r_l
-            m.add_constr(cs, ">=", sc - e.w * T,
-                         name=f"arr_{e.src}_{e.dst}_{e.dst_pin}")
-            m.add_constr(csp, "<=", spc - e.w * T,
-                         name=f"arrp_{e.src}_{e.dst}_{e.dst_pin}")
+        for e in graph.in_edges(g):
+            _arrival_rows(arts, e, sw, swp, {}, {})
         extra_stable.append((f"w_{g}", sw, swp))
     _arrival_constraints(arts, pad_terms)
     _loop_order_constraints(arts, relaxed)
@@ -326,7 +298,7 @@ def build_legalization_model(graph, cfg, S_d):
 
 
 def decode_solution(arts, sol, pad_eps=1e-6):
-    """Turn solver values into per-edge decisions plus the set of
+    """Turn solver values into per-edge decisions plus the frozenset of
     locations whose pads indicate (or realize) a sequential unit."""
     if sol.status not in ("optimal", "feasible"):
         raise ValueError(f"cannot decode a {sol.status} solution")
@@ -368,4 +340,4 @@ def decode_solution(arts, sol, pad_eps=1e-6):
         decisions[k] = dec
     placed = OptimizedCircuit(g, decisions=decisions,
                               gate_delays=gate_delays)
-    return placed, PlacementSet(hot)
+    return placed, frozenset(hot)

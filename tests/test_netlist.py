@@ -144,3 +144,42 @@ def test_apply_selection_round_trip(fig_c):
     c2 = netlist.apply_selection(fig_c, {"F6"})
     assert not c2.ffs["F6"].boundary
     assert all(f.boundary for n, f in c2.ffs.items() if n != "F6")
+
+
+def _scan_in(graph, node):
+    return [e for e in graph.edges if e.dst == node]
+
+
+def _scan_out(graph, node):
+    return [e for e in graph.edges if e.src == node]
+
+
+def _assert_adjacency_matches_scan(graph):
+    nodes = set(graph.gates) | set(graph.terminals)
+    nodes |= {e.src for e in graph.edges} | {e.dst for e in graph.edges}
+    for n in sorted(nodes) + ["no_such_node"]:
+        assert list(graph.in_edges(n)) == _scan_in(graph, n)
+        assert list(graph.out_edges(n)) == _scan_out(graph, n)
+
+
+def test_adjacency_matches_edge_scan_goldens():
+    import pathlib
+    data = pathlib.Path(__file__).parent / "data"
+    for path in sorted(data.glob("*.net")):
+        _assert_adjacency_matches_scan(
+            to_gate_graph(parse_netlist(path.read_text())))
+
+
+def test_adjacency_matches_edge_scan_random_and_positional():
+    rng = random.Random(23)
+    for _ in range(100):
+        g = to_gate_graph(random_circuit(rng, max_gates=10, max_ffs=5,
+                                         with_loop=rng.random() < 0.5))
+        _assert_adjacency_matches_scan(g)
+        # a positionally built graph with reversed edges indexes its own
+        # edge list, in its own order
+        edges = [netlist.GGEdge(e.src, e.dst, e.w, e.dst_pin)
+                 for e in reversed(g.edges)]
+        h = netlist.GateGraph(g.circuit, dict(g.gates), dict(g.terminals),
+                              edges)
+        _assert_adjacency_matches_scan(h)

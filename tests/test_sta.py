@@ -190,3 +190,48 @@ def test_report_format(fig_chain):
     text = sta.format_report(placed, windows, violations)
     assert text.splitlines()[0].startswith("node")
     assert any(line.startswith("z\t5") for line in text.splitlines())
+
+
+def _gate_order_reference(placed):
+    """The straightforward quadratic form: re-collect and re-sort every
+    ready gate after each pick."""
+    g = placed.graph
+    deps = {n: set() for n in g.gates}
+    for e in g.edges:
+        if e.dst in g.gates and e.src in g.gates:
+            if placed.decision(e).unit == "none":
+                deps[e.dst].add(e.src)
+    order, ready = [], sorted(n for n, d in deps.items() if not d)
+    done = set()
+    while ready:
+        n = ready.pop(0)
+        order.append(n)
+        done.add(n)
+        newly = sorted(m for m, d in deps.items()
+                       if m not in done and m not in ready and d <= done)
+        ready = sorted(ready + newly)
+    if len(order) != len(deps):
+        raise ValueError("cycle")
+    return order
+
+
+def test_gate_order_matches_reference():
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(150):
+        c = random_circuit(rng, max_gates=12, max_ffs=5,
+                           with_loop=rng.random() < 0.5)
+        placed = sta.as_placed(to_gate_graph(c))
+        for e in placed.graph.edges:
+            if e.src in placed.graph.gates and rng.random() < 0.2:
+                placed.decisions[sta.edge_key(e)] = EdgeDecision(
+                    unit=rng.choice(["flipflop", "latch"]))
+        try:
+            want = _gate_order_reference(placed)
+        except ValueError:
+            with pytest.raises(ValueError, match="unresolved placement"):
+                sta._gate_order(placed)
+            continue
+        assert sta._gate_order(placed) == want
+        checked += 1
+    assert checked > 100

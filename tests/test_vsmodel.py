@@ -95,7 +95,7 @@ def test_cdq_site_binaries_only_on_sites(fig_c):
     sol = milp.solve(arts.model)
     assert sol.status == "optimal"
     placed, hot = vsmodel.decode_solution(arts, sol)
-    assert hot.sites <= set(g.gates)
+    assert hot <= set(g.gates)
 
 
 def test_cdq_indicator_enforces_pad_bound(fig_chain):
@@ -185,3 +185,30 @@ def test_structure_invariant_random_corpus():
         assert sum(n.startswith("arr_") for n in names) == len(g.edges)
         assert sum(n.startswith("pad_order_") for n in names) == len(g.gates)
         assert sum(n.startswith("stable_") for n in names) == len(arts.s)
+
+
+def test_legalization_structure_arrival_rows():
+    """One arr_/arrp_ pair per edge; a site's in-edge rows land on its
+    pre-unit point sw/swp and never on its post-unit s/sp."""
+    _, g = deep_chain_graph()
+    cfg = Config(T=10.0, r_u=1.1, r_l=0.9, t_stable=1.0)
+    sites = {"g1", "g2"}
+    arts = vsmodel.build_legalization_model(g, cfg, sites)
+    names = constraint_names(arts)
+    for e in g.edges:
+        tag = f"{e.src}_{e.dst}_{e.dst_pin}"
+        assert names.count(f"arr_{tag}") == 1
+        assert names.count(f"arrp_{tag}") == 1
+    assert sum(n.startswith("arr_") for n in names) == len(g.edges)
+    assert sum(n.startswith("arrp_") for n in names) == len(g.edges)
+    by_name = {c.name: c for c in arts.model.constraints}
+    var_names = [v.name for v in arts.model.vars]
+    for site in sites:
+        in_edges = g.in_edges(site)
+        assert in_edges
+        for e in in_edges:
+            tag = f"{e.src}_{e.dst}_{e.dst_pin}"
+            cs = {var_names[v] for v in by_name[f"arr_{tag}"].coeffs}
+            csp = {var_names[v] for v in by_name[f"arrp_{tag}"].coeffs}
+            assert f"sw_{site}" in cs and f"s_{site}" not in cs
+            assert f"swp_{site}" in csp and f"sp_{site}" not in csp
