@@ -25,40 +25,44 @@ def build_parser():
         description="flip-flop removal and wave-pipelining toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, paths):
-        for name in paths:
-            p.add_argument(name)
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--T", type=float, help="clock period override")
-        p.add_argument("--ru", type=float, help="upper guard band")
-        p.add_argument("--rl", type=float, help="lower guard band")
-        p.add_argument("--phases", help="comma-separated unit clock phases")
-        p.add_argument("--duty", type=float)
-        p.add_argument("--tstable", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--dth-start", type=float,
-                       help="first delay bound of the refinement schedule")
-        p.add_argument("--dth-step", type=float,
-                       help="decrement between delay bounds")
-        p.add_argument("--sweep-step", type=float, default=0.005,
-                       help="period sweep step as a fraction of T")
-        p.add_argument("--milp-nodes", type=int)
-        p.add_argument("--milp-time-ms", type=int)
-        p.add_argument("--dump-model", action="store_true",
-                       help="write solver models in LP format")
-        p.add_argument("--replace-threshold", type=float)
-        p.add_argument("--retime-objective", default="min-removals",
-                       choices=["min-removals", "min-lags"])
+    def command(name, paths, config=True):
+        p = sub.add_parser(name)
+        for path in paths:
+            p.add_argument(path)
+        if config:
+            p.add_argument("--config", help="flat key=value config file")
+            p.add_argument("--T", type=float, help="clock period override")
+            p.add_argument("--ru", type=float, help="upper guard band")
+            p.add_argument("--rl", type=float, help="lower guard band")
+            p.add_argument("--phases",
+                           help="comma-separated unit clock phases")
+            p.add_argument("--duty", type=float)
+            p.add_argument("--tstable", type=float)
+            p.add_argument("--alpha", type=float)
+            p.add_argument("--beta", type=float)
+            p.add_argument("--gamma", type=float)
+            p.add_argument("--dth-start", type=float,
+                           help="first delay bound of the refinement schedule")
+            p.add_argument("--dth-step", type=float,
+                           help="decrement between delay bounds")
+            p.add_argument("--milp-nodes", type=int)
+            p.add_argument("--milp-time-ms", type=int)
+            p.add_argument("--replace-threshold", type=float)
         p.add_argument("--out-dir", default=".")
         return p
 
-    common(sub.add_parser("analyze"), ["netlist"])
-    common(sub.add_parser("optimize"), ["netlist"])
-    common(sub.add_parser("extract"), ["orig", "opt"])
-    common(sub.add_parser("sdc"), ["orig", "opt"])
-    common(sub.add_parser("verify"), ["orig", "opt"])
+    command("analyze", ["netlist"])
+    opt = command("optimize", ["netlist"])
+    opt.add_argument("--sweep-step", type=float, default=0.005,
+                     help="period sweep step as a fraction of T")
+    opt.add_argument("--dump-model", action="store_true",
+                     help="write solver models in LP format")
+    # extract reads no configuration: its retiming ILP has no period
+    command("extract", ["orig", "opt"], config=False).add_argument(
+        "--retime-objective", default="min-removals",
+        choices=["min-removals", "min-lags"])
+    command("sdc", ["orig", "opt"])
+    command("verify", ["orig", "opt"])
     return ap
 
 

@@ -44,7 +44,7 @@ class Constraint:
 
 @dataclass
 class Solution:
-    status: str       # optimal | feasible | infeasible | bound_reached
+    status: str       # optimal | infeasible | bound_reached
     values: dict
     objective: float
 
@@ -167,41 +167,40 @@ class MilpModel:
 
 def _pivot(tab, basis, row, col):
     tab[row] /= tab[row, col]
-    for r in range(tab.shape[0]):
-        if r != row and abs(tab[r, col]) > 0:
-            tab[r] -= tab[r, col] * tab[row]
+    # only rows with a nonzero entry in col change: subtracting 0 * tab[row]
+    # from the others could turn -0.0 into 0.0
+    rows = tab[:, col].nonzero()[0]
+    rows = rows[rows != row]
+    tab[rows] -= np.outer(tab[rows, col], tab[row])
     basis[row] = col
 
 
-def _simplex(tab, basis, allowed):
-    """Minimize the cost row of a feasible tableau with Bland's rule."""
-    m = tab.shape[0] - 1
+def _simplex(tab, basis, ncols):
+    """Minimize the cost row of a feasible tableau with Bland's rule,
+    entering only among its first ncols columns."""
     while True:
-        cost = tab[-1, :-1]
-        enter = -1
-        for j in range(len(cost)):
-            if allowed[j] and cost[j] < -PIVOT_EPS:
-                enter = j
-                break
-        if enter < 0:
+        improving = (tab[-1, :ncols] < -PIVOT_EPS).nonzero()[0]
+        if not improving.size:
             return True
+        enter = improving[0]
+        # the tie-break depends on the rows seen before, so the ratio test
+        # stays a loop over the rows with a positive entry, not an argmin
         leave, best = -1, np.inf
-        for r in range(m):
-            a = tab[r, enter]
-            if a > PIVOT_EPS:
-                ratio = tab[r, -1] / a
-                if leave < 0 or ratio < best - PIVOT_EPS or \
-                        (abs(ratio - best) <= PIVOT_EPS and
-                         basis[r] < basis[leave]):
-                    leave = r
-                    best = min(best, ratio)
+        for r in (tab[:-1, enter] > PIVOT_EPS).nonzero()[0]:
+            ratio = tab[r, -1] / tab[r, enter]
+            if leave < 0 or ratio < best - PIVOT_EPS or \
+                    (abs(ratio - best) <= PIVOT_EPS and
+                     basis[r] < basis[leave]):
+                leave = r
+                best = min(best, ratio)
         if leave < 0:
             return False  # unbounded
         _pivot(tab, basis, leave, enter)
 
 
-def lp_solve(c, rows, lb, ub):
-    """Minimize c.x subject to rows (coeff array, rel, rhs) and bounds.
+def lp_solve(c, A, rel, b, lb, ub):
+    """Minimize c.x subject to A x rel b (rel[i] in "<=", ">=", "=") and
+    lb <= x <= ub.
 
     Returns (status, x, objective) with status in
     {"optimal", "infeasible", "unbounded"}.
@@ -211,90 +210,59 @@ def lp_solve(c, rows, lb, ub):
     ub = np.asarray(ub, float)
     if np.any(ub - lb < -FEAS_EPS):
         return "infeasible", None, None
-    # shift to y = x - lb >= 0
-    conv = []
-    for a, rel, b in rows:
-        conv.append((np.asarray(a, float), rel,
-                     float(b) - float(np.dot(a, lb))))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        conv.append((e, "<=", ub[i] - lb[i]))
-    m = len(conv)
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    rels = []
-    for i, (a, rel, rhs) in enumerate(conv):
-        if rhs < 0:
-            a, rhs = -a, -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        A[i], b[i] = a, rhs
-        rels.append(rel)
-    slack_cols, art_cols = [], []
-    extra = []
-    basis = [-1] * m
-    col = n
-    for i, rel in enumerate(rels):
-        if rel == "<=":
-            e = np.zeros(m)
-            e[i] = 1.0
-            extra.append(e)
-            basis[i] = col
-            slack_cols.append(col)
-            col += 1
-        elif rel == ">=":
-            e = np.zeros(m)
-            e[i] = -1.0
-            extra.append(e)
-            slack_cols.append(col)
-            col += 1
-    for i, rel in enumerate(rels):
-        if basis[i] < 0:
-            e = np.zeros(m)
-            e[i] = 1.0
-            extra.append(e)
-            basis[i] = col
-            art_cols.append(col)
-            col += 1
-    full = np.hstack([A] + [np.array(extra).T.reshape(m, -1)]) \
-        if extra else A.copy()
-    ncols = full.shape[1]
+    b = np.asarray(b, float)
+    rel = np.asarray(rel, "U2")
+    # shift to y = x - lb >= 0, one np.dot per row: A @ lb rounds
+    # differently, and the solver's values end up printed with repr
+    shifted = b - np.array([np.dot(a, lb) for a in A], float)
+    # the bounds y <= ub - lb are an identity block under the constraints
+    full = np.vstack([A, np.eye(n)])
+    rhs = np.concatenate([shifted, ub - lb])
+    sign = np.concatenate([np.select([rel == "<=", rel == ">="],
+                                     [1.0, -1.0], 0.0), np.ones(n)])
+    # rows with a negative right-hand side are negated so that the
+    # starting basis below is feasible
+    flip = rhs < 0
+    full[flip], rhs[flip], sign[flip] = -full[flip], -rhs[flip], -sign[flip]
+    # a slack column (+1 for "<=", -1 for ">=") per inequality row, then an
+    # artificial column per ">=" or "=" row, both in row order
+    m = len(rhs)
+    slack = sign.nonzero()[0]
+    art = (sign <= 0).nonzero()[0]
+    n_real = n + len(slack)
+    ncols = n_real + len(art)
     tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, :ncols] = full
-    tab[:m, -1] = b
-    allowed = np.ones(ncols, bool)
+    tab[:m, :n] = full
+    tab[slack, n + np.arange(len(slack))] = sign[slack]
+    tab[art, n_real + np.arange(len(art))] = 1.0
+    tab[:m, -1] = rhs
+    basis = np.zeros(m, int)
+    basis[slack] = n + np.arange(len(slack))
+    basis[art] = n_real + np.arange(len(art))
 
-    if art_cols:
-        for j in art_cols:
-            tab[-1, j] = 1.0
-        for r in range(m):
-            if basis[r] in art_cols:
-                tab[-1] -= tab[r]
-        if not _simplex(tab, basis, allowed):
-            return "infeasible", None, None
-        if tab[-1, -1] < -FEAS_EPS:
+    if len(art):
+        tab[-1, n_real:ncols] = 1.0
+        # row by row: the rounding of the cost row depends on the order
+        for r in art:
+            tab[-1] -= tab[r]
+        if not _simplex(tab, basis, ncols) or tab[-1, -1] < -FEAS_EPS:
             return "infeasible", None, None
         # drive leftover zero-valued artificials out of the basis
-        for r in range(m):
-            if basis[r] in art_cols:
-                piv = next((j for j in range(ncols)
-                            if j not in art_cols and abs(tab[r, j]) > 1e-7),
-                           None)
-                if piv is not None:
-                    _pivot(tab, basis, r, piv)
-        for j in art_cols:
-            allowed[j] = False
+        for r in (basis >= n_real).nonzero()[0]:
+            piv = (np.abs(tab[r, :n_real]) > 1e-7).nonzero()[0]
+            if piv.size:
+                _pivot(tab, basis, r, piv[0])
 
-    tab[-1, :] = 0.0
+    tab[-1] = 0.0
     tab[-1, :n] = c
+    # row by row, as in phase 1
     for r in range(m):
         if tab[-1, basis[r]] != 0.0:
             tab[-1] -= tab[-1, basis[r]] * tab[r]
-    if not _simplex(tab, basis, allowed):
+    if not _simplex(tab, basis, n_real):
         return "unbounded", None, None
     y = np.zeros(ncols)
-    for r in range(m):
-        y[basis[r]] = tab[r, -1]
+    y[basis] = tab[:m, -1]
     x = y[:n] + lb
     return "optimal", x, float(np.dot(c, y[:n]) + np.dot(c, lb))
 
@@ -302,65 +270,56 @@ def lp_solve(c, rows, lb, ub):
 # -- branch and bound --------------------------------------------------------
 
 def _model_arrays(m):
+    """(c, A, rel, b, lb, ub) of the model, with c negated for "max"."""
     n = len(m.vars)
     c = np.zeros(n)
     for v, a in m.obj.items():
         c[v] = a
     if m.sense == "max":
         c = -c
-    rows = []
-    for ct in m.constraints:
-        a = np.zeros(n)
+    A = np.zeros((len(m.constraints), n))
+    for i, ct in enumerate(m.constraints):
         for v, coef in ct.coeffs.items():
-            a[v] = coef
-        rows.append((a, ct.rel, ct.rhs))
+            A[i, v] = coef
+    rel = np.array([ct.rel for ct in m.constraints], "U2")
+    b = np.array([ct.rhs for ct in m.constraints], float)
     lb = np.array([v.lb for v in m.vars])
     ub = np.array([v.ub for v in m.vars])
-    return c, rows, lb, ub
+    return c, A, rel, b, lb, ub
 
 
-def solve(m, max_nodes=100000, time_ms=120000, int_eps=FEAS_EPS,
-          gap=1e-6):
-    """Branch-and-bound; deterministic for a fixed model."""
-    c, rows, lb0, ub0 = _model_arrays(m)
+def solve(m, max_nodes=100000, time_ms=120000, int_eps=FEAS_EPS):
+    """Best-first branch-and-bound; deterministic for a fixed model.
+
+    Nodes leave the queue in order of their LP bound, so the first node
+    with an integral solution is optimal and no incumbent is ever kept:
+    a node or time budget hit returns "bound_reached" with no values.
+    """
+    c, A, rel, b, lb0, ub0 = _model_arrays(m)
     int_vars = [v.id for v in m.vars if v.kind != CONTINUOUS]
-
-    def finish(status, x, obj):
-        if x is None:
-            return Solution(status, {}, float("nan"))
-        values = {v.id: float(x[v.id]) for v in m.vars}
-        for v in int_vars:
-            values[v] = float(round(values[v]))
-        return Solution(status, values, m.objective_value(values))
-
-    status, x, obj = lp_solve(c, rows, lb0, ub0)
+    status, x, obj = lp_solve(c, A, rel, b, lb0, ub0)
     if status != "optimal":
         return Solution("infeasible", {}, float("nan"))
 
-    heap = []
+    heap = [(obj, 0, lb0, ub0, x)]
     seq = 0
-    heapq.heappush(heap, (obj, seq, lb0, ub0, x))
-    incumbent, inc_obj = None, np.inf
     nodes = 0
     deadline = time.monotonic() + time_ms / 1000.0
     while heap:
-        bound, _, lb, ub, x = heapq.heappop(heap)
-        if incumbent is not None and \
-                bound >= inc_obj - gap * max(1.0, abs(inc_obj)):
-            continue
+        _, _, lb, ub, x = heapq.heappop(heap)
         nodes += 1
         if nodes > max_nodes or time.monotonic() > deadline:
-            return finish("bound_reached", incumbent,
-                          inc_obj if incumbent is not None else None)
+            return Solution("bound_reached", {}, float("nan"))
         frac_var, frac = -1, 0.0
         for v in int_vars:
             f = abs(x[v] - round(x[v]))
             if f > int_eps and f > frac + 1e-12:
                 frac_var, frac = v, f
         if frac_var < 0:
-            if bound < inc_obj - 1e-12:
-                incumbent, inc_obj = x, bound
-            continue
+            values = {v.id: float(x[v.id]) for v in m.vars}
+            for v in int_vars:
+                values[v] = float(round(values[v]))
+            return Solution("optimal", values, m.objective_value(values))
         lo = float(np.floor(x[frac_var]))
         for side in (0, 1):
             nlb, nub = lb.copy(), ub.copy()
@@ -368,17 +327,11 @@ def solve(m, max_nodes=100000, time_ms=120000, int_eps=FEAS_EPS,
                 nub[frac_var] = lo
             else:
                 nlb[frac_var] = lo + 1.0
-            st, nx, nobj = lp_solve(c, rows, nlb, nub)
-            if st != "optimal":
-                continue
-            if incumbent is not None and \
-                    nobj >= inc_obj - gap * max(1.0, abs(inc_obj)):
-                continue
-            seq += 1
-            heapq.heappush(heap, (nobj, seq, nlb, nub, nx))
-    if incumbent is None:
-        return Solution("infeasible", {}, float("nan"))
-    return finish("optimal", incumbent, inc_obj)
+            st, nx, nobj = lp_solve(c, A, rel, b, nlb, nub)
+            if st == "optimal":
+                seq += 1
+                heapq.heappush(heap, (nobj, seq, nlb, nub, nx))
+    return Solution("infeasible", {}, float("nan"))
 
 
 # -- LP-file export ----------------------------------------------------------

@@ -66,8 +66,7 @@ class OptimizationReport:
 def _solve_stage(arts, cfg, stage):
     sol = milp.solve(arts.model, max_nodes=cfg.milp_nodes,
                      time_ms=cfg.milp_time_ms)
-    if sol.status == "infeasible" or (sol.status == "bound_reached"
-                                      and not sol.values):
+    if sol.status != "optimal":
         raise InfeasibleError(stage, sol.status)
     bad = arts.model.violated(sol.values)
     if bad:

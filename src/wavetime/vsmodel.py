@@ -300,7 +300,7 @@ def build_legalization_model(graph, cfg, S_d):
 def decode_solution(arts, sol, pad_eps=1e-6):
     """Turn solver values into per-edge decisions plus the frozenset of
     locations whose pads indicate (or realize) a sequential unit."""
-    if sol.status not in ("optimal", "feasible"):
+    if sol.status != "optimal":
         raise ValueError(f"cannot decode a {sol.status} solution")
     g, cfg = arts.graph, arts.cfg
     vals = sol.values

@@ -82,6 +82,15 @@ def test_extract_mismatch_is_infeasible(tmp_path, capsys):
     assert code == 3
 
 
+def test_ignored_options_are_usage_errors(tmp_path, capsys):
+    # extract reads no configuration; --sweep-step is optimize's alone
+    assert run(capsys, "extract", DATA / "loop_orig.net",
+               DATA / "loop_opt.net", "--T", "5",
+               "--out-dir", tmp_path)[0] == 2
+    assert run(capsys, "analyze", DATA / "fig_a.net",
+               "--sweep-step", "0.1")[0] == 2
+
+
 def test_sdc_subcommand(tmp_path, capsys):
     code, out, _ = run(capsys, "sdc", DATA / "entangled_orig.net",
                        DATA / "entangled_opt.net", "--out-dir", tmp_path)

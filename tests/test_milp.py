@@ -88,25 +88,25 @@ def random_model(rng, max_bin=8, max_cont=6):
 
 def test_lp_kernel_closed_forms():
     # box-constrained: optimum at the corner
-    st, x, obj = milp.lp_solve(np.array([1.0, -2.0]), [], [0, 0], [3, 4])
+    st, x, obj = milp.lp_solve(np.array([1.0, -2.0]), np.zeros((0, 2)), [],
+                               [], [0, 0], [3, 4])
     assert st == "optimal" and obj == pytest.approx(-8.0, abs=1e-9)
     assert x[1] == pytest.approx(4.0, abs=1e-9)
     # 2x2 transport problem: supplies (3, 2), demands (2, 3),
     # costs [[1, 4], [2, 1]]; optimum ships 2+1 on the diagonal-ish plan
     c = np.array([1.0, 4.0, 2.0, 1.0])
-    rows = [
-        (np.array([1.0, 1.0, 0.0, 0.0]), "=", 3.0),
-        (np.array([0.0, 0.0, 1.0, 1.0]), "=", 2.0),
-        (np.array([1.0, 0.0, 1.0, 0.0]), "=", 2.0),
-        (np.array([0.0, 1.0, 0.0, 1.0]), "=", 3.0),
-    ]
-    st, x, obj = milp.lp_solve(c, rows, [0] * 4, [10] * 4)
+    A = np.array([[1.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 1.0],
+                  [1.0, 0.0, 1.0, 0.0],
+                  [0.0, 1.0, 0.0, 1.0]])
+    st, x, obj = milp.lp_solve(c, A, ["="] * 4, [3.0, 2.0, 2.0, 3.0],
+                               [0] * 4, [10] * 4)
     assert st == "optimal" and obj == pytest.approx(8.0, abs=1e-9)
 
 
 def test_lp_kernel_infeasible():
-    rows = [(np.array([1.0]), ">=", 5.0), (np.array([1.0]), "<=", 1.0)]
-    st, _, _ = milp.lp_solve(np.array([0.0]), rows, [0], [10])
+    st, _, _ = milp.lp_solve(np.array([0.0]), np.array([[1.0], [1.0]]),
+                             [">=", "<="], [5.0, 1.0], [0], [10])
     assert st == "infeasible"
 
 
@@ -114,8 +114,7 @@ def test_lp_kernel_vs_scipy_random():
     rng = random.Random(21)
     for _ in range(100):
         m = random_model(rng)
-        c, rows, lb, ub = milp._model_arrays(m)
-        st, x, obj = milp.lp_solve(c, rows, lb, ub)
+        st, x, obj = milp.lp_solve(*milp._model_arrays(m))
         oracle = scipy_lp(m, fixed=None)
         # make both pure relaxations: scipy_lp ignores integrality too
         if oracle is None:
@@ -276,6 +275,21 @@ def test_bound_reached_status():
     m = random_model(rng, max_bin=8, max_cont=4)
     sol = milp.solve(m, max_nodes=1)
     assert sol.status in ("bound_reached", "optimal", "infeasible")
+
+
+def test_bound_reached_carries_no_values():
+    # best-first search: the first integral node is optimal, so a budget
+    # hit never leaves an incumbent behind
+    rng = random.Random(5)
+    hits = 0
+    for _ in range(100):
+        m = random_model(rng)
+        for max_nodes in range(1, 6):
+            sol = milp.solve(m, max_nodes=max_nodes)
+            if sol.status == "bound_reached":
+                hits += 1
+                assert sol.values == {} and np.isnan(sol.objective)
+    assert hits > 0
 
 
 # -- LP export ---------------------------------------------------------------

@@ -212,3 +212,78 @@ def test_legalization_structure_arrival_rows():
             csp = {var_names[v] for v in by_name[f"arrp_{tag}"].coeffs}
             assert f"sw_{site}" in cs and f"s_{site}" not in cs
             assert f"swp_{site}" in csp and f"sp_{site}" not in csp
+
+
+def highs(model):
+    """(status, objective) of a MilpModel solved by scipy's HiGHS, with
+    the arrays built here rather than by milp._model_arrays."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint
+    from scipy.optimize import milp as scipy_milp
+
+    n = len(model.vars)
+    sign = -1.0 if model.sense == "max" else 1.0
+    c = np.zeros(n)
+    for v, a in model.obj.items():
+        c[v] = sign * a
+    A = np.zeros((len(model.constraints), n))
+    lo = np.full(len(model.constraints), -np.inf)
+    hi = np.full(len(model.constraints), np.inf)
+    for i, ct in enumerate(model.constraints):
+        for v, a in ct.coeffs.items():
+            A[i, v] = a
+        if ct.rel != ">=":
+            hi[i] = ct.rhs
+        if ct.rel != "<=":
+            lo[i] = ct.rhs
+    res = scipy_milp(c, constraints=[LinearConstraint(A, lo, hi)],
+                     integrality=[v.kind != milp.CONTINUOUS
+                                  for v in model.vars],
+                     bounds=Bounds([v.lb for v in model.vars],
+                                   [v.ub for v in model.vars]),
+                     options={"mip_rel_gap": 1e-9})
+    if res.status == 2:
+        return "infeasible", None
+    assert res.status == 0, res.message
+    return "optimal", sign * res.fun + model.obj_const
+
+
+def stage_models(graph, cfg):
+    """The stage-1 relaxed model, then, when it solves, the cdq models at
+    d_th = 7T/8 and 0 and the legalization model on its sites."""
+    arts = vsmodel.build_relaxed_model(graph, cfg)
+    yield "relaxed", arts.model
+    sol = milp.solve(arts.model)
+    if sol.status != "optimal":
+        return
+    _, sites = vsmodel.decode_solution(arts, sol)
+    for d_th in (7 * cfg.T / 8, 0.0):
+        yield f"cdq@{d_th}", vsmodel.build_cdq_model(graph, cfg, set(sites),
+                                                     d_th).model
+    yield "legal", vsmodel.build_legalization_model(graph, cfg,
+                                                    set(sites)).model
+
+
+def test_stage_models_agree_with_highs():
+    """milp.solve against HiGHS on the real stage models, which with
+    big_M = 8T and FREE_BOUND = 1e6 are worse conditioned than the random
+    models of test_milp."""
+    import pathlib
+    from wavetime import netlist
+    data = pathlib.Path(__file__).parent / "data"
+    circuits = [(p.stem, netlist.parse_netlist(p.read_text()))
+                for p in sorted(data.glob("*.net"))]
+    circuits += [(f"rand{seed}", random_circuit(random.Random(seed),
+                                                max_gates=8, max_ffs=4))
+                 for seed in (101, 102, 103)]
+    solved = 0
+    for name, c in circuits:
+        for label, model in stage_models(to_gate_graph(c), Config(T=c.T)):
+            ours = milp.solve(model)
+            status, obj = highs(model)
+            assert ours.status == status, (name, label)
+            if status == "optimal":
+                solved += 1
+                tol = 1e-6 * max(1.0, abs(obj))
+                assert abs(ours.objective - obj) <= tol, (name, label)
+    assert solved >= 10

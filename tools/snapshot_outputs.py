@@ -1,0 +1,136 @@
+"""Write every observable output of the toolkit to OUTDIR, one file each.
+
+    python3 tools/snapshot_outputs.py OUTDIR
+
+Run it in two checkouts and compare with `diff -r OUT_A OUT_B`: an empty
+diff means the two produce byte-identical outputs.  The script imports
+`wavetime` from the `src/` next to it and the random circuit generator
+from `tests/gen.py`, so copy it into a checkout that lacks it.
+
+Inputs: every `tests/data/*.net` plus eight seeded `gen.random_circuit`
+designs.  Per design: the window report, the reference wave simulation,
+the gate order, the LP text and raw solver values of the relaxed, cdq
+(d_th = 7T/8 and 0) and legalization models, and at the file period and
+1.2 times it the `run_flow` report, placement, equivalence text and SDC.
+Then the CLI `extract`, `sdc` and `verify` outputs on both netlist pairs.
+"""
+
+import contextlib
+import io
+import pathlib
+import random
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from gen import random_circuit  # noqa: E402
+from wavetime import (cli, milp, netlist as nl, optimizer,  # noqa: E402
+                      sdcgen, sta, verify, vsmodel)
+
+DATA = ROOT / "tests" / "data"
+PAIRS = (("loop_orig", "loop_opt"), ("entangled_orig", "entangled_opt"))
+
+
+def designs():
+    for path in sorted(DATA.glob("*.net")):
+        yield path.stem, nl.parse_netlist(path.read_text())
+    for seed in range(8):
+        rng = random.Random(7000 + seed)
+        yield f"rand{seed}", random_circuit(rng, max_gates=8, max_ffs=4,
+                                            with_loop=seed % 2 == 1)
+
+
+def guarded(fn):
+    """The output of fn, or the exception it raised, as text."""
+    try:
+        return fn()
+    except Exception as e:  # every failure is itself an output
+        return f"{type(e).__name__}: {e}\n"
+
+
+def models(graph, cfg):
+    """(label, model) for the relaxed model, the cdq models on its sites
+    and the legalization model on its sites."""
+    relaxed = vsmodel.build_relaxed_model(graph, cfg)
+    yield "relaxed", relaxed.model
+    sol = milp.solve(relaxed.model, max_nodes=cfg.milp_nodes,
+                     time_ms=cfg.milp_time_ms)
+    if sol.status != "optimal":
+        return
+    _, sites = vsmodel.decode_solution(relaxed, sol)
+    for label, d_th in (("cdq_hi", 7 * cfg.T / 8), ("cdq_0", 0.0)):
+        yield label, vsmodel.build_cdq_model(graph, cfg, set(sites),
+                                             d_th).model
+    yield "legal", vsmodel.build_legalization_model(graph, cfg,
+                                                    set(sites)).model
+
+
+def flow_outputs(circuit, graph, cfg):
+    placed, report = optimizer.run_flow(graph, cfg)
+    base = nl.serialize(circuit)
+    ok, diff = verify.check_equivalence(circuit, placed, cfg)
+    classes = sdcgen.classify_paths(graph, cli._anchor_solution(graph, placed))
+    sdcgen.find_differentiating_pins(classes, graph)
+    return {"report": report.text(),
+            "placement": optimizer.placement_to_text(placed, cfg, base),
+            "equiv": f"{ok}\n{diff}",
+            "sdc": sdcgen.emit_sdc(classes, cfg)}
+
+
+def snapshot(name, circuit):
+    out = {}
+    graph = nl.to_gate_graph(circuit)
+    cfg = nl.Config(T=circuit.T)
+    placed = sta.as_placed(graph)
+    out["format_report"] = guarded(lambda: sta.format_report(
+        placed, *sta.propagate_windows(placed, cfg)))
+    out["simulate"] = guarded(lambda: repr(verify.simulate_waves(
+        circuit, verify.reference_config(circuit, cfg))) + "\n")
+    out["topo"] = guarded(lambda: repr(graph.topo_gates()) + "\n")
+    for label, model in models(graph, cfg):
+        out[f"{label}.lp"] = milp.export_lp(model)
+        sol = milp.solve(model, max_nodes=cfg.milp_nodes,
+                         time_ms=cfg.milp_time_ms)
+        out[f"{label}.values"] = f"{sol.status} {sol.objective!r}\n" \
+            f"{sol.values!r}\n"
+    for tag, T in (("T", circuit.T), ("T1.2", 1.2 * circuit.T)):
+        try:
+            texts = flow_outputs(circuit, graph, cfg.with_period(T))
+        except optimizer.InfeasibleError as e:
+            texts = {"error": f"{e}\n"}
+        for key, text in texts.items():
+            out[f"flow_{tag}.{key}"] = text
+    return {f"{name}.{key}": text for key, text in out.items()}
+
+
+def cli_outputs():
+    out = {}
+    for orig, opt in PAIRS:
+        for cmd in ("extract", "sdc", "verify"):
+            buf = io.StringIO()
+            with tempfile.TemporaryDirectory() as tmp, \
+                    contextlib.redirect_stdout(buf), \
+                    contextlib.redirect_stderr(buf):
+                code = cli.main([cmd, str(DATA / f"{orig}.net"),
+                                 str(DATA / f"{opt}.net"), "--out-dir", tmp])
+            out[f"cli.{cmd}.{orig}"] = f"exit {code}\n{buf.getvalue()}"
+    return out
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    outdir = pathlib.Path(argv[1])
+    outdir.mkdir(parents=True, exist_ok=True)
+    files = cli_outputs()
+    for name, circuit in designs():
+        files.update(snapshot(name, circuit))
+    for name, text in files.items():
+        (outdir / name).write_text(text)
+    print(f"{len(files)} files in {outdir}")
+
+
+if __name__ == "__main__":
+    main(sys.argv)
