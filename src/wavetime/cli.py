@@ -48,9 +48,9 @@ def build_parser():
             p.add_argument("--milp-nodes", type=int)
             p.add_argument("--milp-time-ms", type=int)
             p.add_argument("--replace-threshold", type=float)
-        p.add_argument("--out-dir", default=".")
         return p
 
+    # analyze only prints, so it takes no --out-dir
     command("analyze", ["netlist"])
     opt = command("optimize", ["netlist"])
     opt.add_argument("--sweep-step", type=float, default=0.005,
@@ -58,11 +58,12 @@ def build_parser():
     opt.add_argument("--dump-model", action="store_true",
                      help="write solver models in LP format")
     # extract reads no configuration: its retiming ILP has no period
-    command("extract", ["orig", "opt"], config=False).add_argument(
-        "--retime-objective", default="min-removals",
-        choices=["min-removals", "min-lags"])
-    command("sdc", ["orig", "opt"])
-    command("verify", ["orig", "opt"])
+    ext = command("extract", ["orig", "opt"], config=False)
+    ext.add_argument("--retime-objective", default="min-removals",
+                     choices=["min-removals", "min-lags"])
+    for p in (opt, ext, command("sdc", ["orig", "opt"]),
+              command("verify", ["orig", "opt"])):
+        p.add_argument("--out-dir", default=".")
     return ap
 
 
@@ -212,8 +213,9 @@ def cmd_verify(args):
     if period is not None and args.T is None:
         cfg = cfg.with_period(period)
     ok, diff = verify.check_equivalence(orig, opt, cfg)
-    print("PASS" if ok else "FAIL")
-    sys.stdout.write(diff)
+    text = ("PASS\n" if ok else "FAIL\n") + diff
+    _write(args, "verify.txt", text)
+    sys.stdout.write(text)
     return EXIT_OK if ok else EXIT_FAIL
 
 

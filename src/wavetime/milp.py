@@ -50,8 +50,7 @@ class Solution:
 
 
 class MilpModel:
-    def __init__(self, name="model"):
-        self.name = name
+    def __init__(self):
         self.vars = []
         self.constraints = []
         self.obj = {}
@@ -288,7 +287,7 @@ def _model_arrays(m):
     return c, A, rel, b, lb, ub
 
 
-def solve(m, max_nodes=100000, time_ms=120000, int_eps=FEAS_EPS):
+def solve(m, max_nodes=100000, time_ms=120000):
     """Best-first branch-and-bound; deterministic for a fixed model.
 
     Nodes leave the queue in order of their LP bound, so the first node
@@ -313,7 +312,7 @@ def solve(m, max_nodes=100000, time_ms=120000, int_eps=FEAS_EPS):
         frac_var, frac = -1, 0.0
         for v in int_vars:
             f = abs(x[v] - round(x[v]))
-            if f > int_eps and f > frac + 1e-12:
+            if f > FEAS_EPS and f > frac + 1e-12:
                 frac_var, frac = v, f
         if frac_var < 0:
             values = {v.id: float(x[v.id]) for v in m.vars}

@@ -90,6 +90,8 @@ class Config:
             raise ValueError("duty cycle must be in (0,1)")
         if not (self.r_u >= 1 >= self.r_l > 0):
             raise ValueError("guard bands must satisfy r_u >= 1 >= r_l > 0")
+        if not (self.phases and self.dth_schedule):
+            raise ValueError("phases and dth_schedule must not be empty")
         for phi in self.phases:
             if not (0 <= phi < self.T):
                 raise ValueError("phases must lie in [0, T)")

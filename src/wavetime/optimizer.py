@@ -5,11 +5,14 @@ Stage 2 refines S with unit presence binaries while lowering the pad
 bound d_th.  Stage 3 legalizes the surviving sites S_d with the exact
 flip-flop/latch model, dropping sites that legalize to "no unit".
 Stage 4 snaps gate delays to their libraries and trades long buffer
-chains for sequential units where that saves area.
+chains for sequential units where that saves area.  Stages 2 and 3
+with no sites would solve the relaxed model again, so they reuse the
+stage-1 solution instead.
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 
 from . import milp, sta, vsmodel
 from .sta import EdgeDecision, OptimizedCircuit
@@ -96,9 +99,10 @@ def area(placed, cfg):
     return FF_AREA * (len(ffs) + len(latches)) + BUFFER_AREA * bufs
 
 
-def _absorb_equal_pads(placed, eps=1e-6):
+def _absorb_equal_pads(placed):
     """Equal pads emulate buffers: realize them as extra buffer delay on
     every outgoing connection of the gate."""
+    eps = vsmodel.PAD_EPS
     for k in sorted(placed.decisions):
         dec = placed.decisions[k]
         if dec.delta_prime > eps and dec.delta_prime - dec.delta <= eps:
@@ -121,19 +125,18 @@ def run_flow(graph, cfg):
     report.stages.append(StageInfo("stage1", sol.status, len(S),
                                    sol.objective))
 
-    sol2, arts2 = None, None
-    schedule = list(cfg.dth_schedule)
-    if not schedule or schedule[-1] != 0.0:
-        schedule.append(0.0)
-    extra = len(graph.gates) + 1
-    for i, d_th in enumerate(schedule + [0.0] * extra):
-        arts2 = vsmodel.build_cdq_model(graph, cfg, S, d_th)
-        sol2 = _solve_stage(arts2, cfg, "cdq")
-        _, hot = vsmodel.decode_solution(arts2, sol2)
-        new = hot - S
-        S |= new
-        if i >= len(schedule) - 1 and not new:
-            break
+    arts2, sol2 = arts, sol
+    if S:
+        # a zero round that does not stop grows S, so zeros cannot run out
+        for d_th in chain(cfg.dth_schedule,
+                          repeat(0.0, len(graph.gates) + 1)):
+            arts2 = vsmodel.build_cdq_model(graph, cfg, S, d_th)
+            sol2 = _solve_stage(arts2, cfg, "cdq")
+            _, hot = vsmodel.decode_solution(arts2, sol2)
+            new = hot - S
+            S |= new
+            if d_th == 0.0 and not new:
+                break
     S_d = {g for g, x in arts2.x.items() if sol2.values[x] > 0.5}
     report.stages.append(StageInfo("stage2", sol2.status, len(S_d),
                                    sol2.objective))
@@ -146,8 +149,10 @@ def run_flow(graph, cfg):
             raise InfeasibleError("legalization",
                                   "site set oscillates without converging")
         seen.add(key)
-        arts3 = vsmodel.build_legalization_model(graph, cfg, S_d)
-        sol3 = _solve_stage(arts3, cfg, "legalization")
+        arts3, sol3 = arts, sol
+        if S_d:
+            arts3 = vsmodel.build_legalization_model(graph, cfg, S_d)
+            sol3 = _solve_stage(arts3, cfg, "legalization")
         placed, hot3 = vsmodel.decode_solution(arts3, sol3)
         unit_sites = {k[0] for k, d in placed.decisions.items()
                       if d.unit != "none"}
@@ -185,13 +190,13 @@ def _snap(value, lib):
     return min(lib, key=lambda x: (abs(x - value), x))
 
 
-def discretize_delays(placed, cfg, libs=None):
+def discretize_delays(placed, cfg):
     """Snap solved gate delays to library entries, with one repair pass
     nudging gates toward the violation-reducing neighbor."""
     graph = placed.graph
-    libs = libs or {g: gate.lib for g, gate in graph.gates.items()}
+    libs = {g: sorted(gate.lib) for g, gate in graph.gates.items()}
     cont = {g: placed.delay(g) for g in graph.gates}
-    snapped = {g: _snap(cont[g], sorted(libs[g])) for g in graph.gates}
+    snapped = {g: _snap(cont[g], libs[g]) for g in graph.gates}
     trial = OptimizedCircuit(graph, decisions=placed.decisions,
                              lam=placed.lam, gate_delays=snapped)
     _, violations = sta.propagate_windows(trial, cfg)
@@ -202,7 +207,7 @@ def discretize_delays(placed, cfg, libs=None):
     early = any(v.kind == "hold" for v in violations)
     repaired = dict(snapped)
     for g in sorted(graph.gates):
-        lib = sorted(libs[g])
+        lib = libs[g]
         i = lib.index(repaired[g])
         if late and repaired[g] > cont[g] and i > 0:
             repaired[g] = lib[i - 1]

@@ -131,14 +131,8 @@ def classify_paths(graph, sol, limit=100000):
     for mkey in sorted(by_anchor):
         cls = by_anchor[mkey]
         cls.sources = tuple(sorted({lp[0] for lp in cls.paths}))
-        sinks = set()
-        for _, path in cls.paths:
-            last = path[-1]
-            if wprime[last] >= 1 or last[1] in graph.gates:
-                sinks.add(f"{last[0]}>{last[1]}")
-            else:
-                sinks.add(last[1])
-        cls.sinks = tuple(sorted(sinks))
+        cls.sinks = tuple(sorted({_path_sink(graph, path)
+                                  for _, path in cls.paths}))
         classes.append(cls)
 
     for cls in classes:

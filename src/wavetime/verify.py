@@ -71,7 +71,7 @@ def _unit_transfer(s, sp, dec, cfg, p):
     return s2, sp2
 
 
-def simulate_waves(target, cfg, horizon=None):
+def simulate_waves(target, cfg):
     """Propagate wave windows to a fixed point and collect per-output
     capture cycles; returns a CaptureReport."""
     placed_mode = not isinstance(target, Circuit)
@@ -87,8 +87,7 @@ def simulate_waves(target, cfg, horizon=None):
         delay = lambda g: graph.gates[g].d
     p = graph.circuit.ff_params
     T = cfg.T
-    if horizon is None:
-        horizon = graph.total_weight() + 4
+    horizon = graph.total_weight() + 4
 
     rep = CaptureReport()
     win = {}
@@ -248,11 +247,11 @@ def reference_config(orig, cfg):
     return replace(cfg.with_period(T_ref), r_u=1.0, r_l=1.0, t_stable=0.0)
 
 
-def check_equivalence(orig, opt, cfg, horizon=None):
+def check_equivalence(orig, opt, cfg):
     """Compare capture-cycle behavior of the placed (or retimed) circuit
     against the original; returns (equivalent, report_text)."""
-    ref = simulate_waves(orig, reference_config(orig, cfg), horizon)
-    out = simulate_waves(opt, cfg, horizon)
+    ref = simulate_waves(orig, reference_config(orig, cfg))
+    out = simulate_waves(opt, cfg)
     lines = []
     ok = True
     if ref.violations:

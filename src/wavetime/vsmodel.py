@@ -9,6 +9,9 @@ Three builders share one variable layout:
 * legalized -- candidate sites get the exact flip-flop/latch model as an
                either-or over the three insertion cases and the phases.
 
+With no sites, the cdq (built by the same body) and legalization models
+are the relaxed model.
+
 The arrival variable s of a gate denotes the latest arrival at the gate
 output after its own pad/unit, before the anchor shifts of the outgoing
 connections; s' is the earliest counterpart.
@@ -24,13 +27,15 @@ from .sta import EdgeDecision, OptimizedCircuit, edge_key
 # only where a pad is actually exercised
 X_COST = 1e-6
 
+# pads differing by more than this indicate a unit, not a buffer chain
+PAD_EPS = 1e-6
+
 
 @dataclass
 class ModelArtifacts:
     model: MilpModel
     graph: object
     cfg: object
-    kind: str                    # relaxed | cdq | legalized
     s: dict = field(default_factory=dict)        # node -> var id
     sp: dict = field(default_factory=dict)
     d: dict = field(default_factory=dict)        # gate -> var id
@@ -41,9 +46,9 @@ class ModelArtifacts:
     site: dict = field(default_factory=dict)     # site -> legalization vars
 
 
-def _base(graph, cfg, kind):
-    m = MilpModel(name=kind)
-    arts = ModelArtifacts(m, graph, cfg, kind)
+def _base(graph, cfg):
+    m = MilpModel()
+    arts = ModelArtifacts(m, graph, cfg)
     T = cfg.T
     lo, hi = -2 * T, 3 * T
     # terminal sources launch at a constant; only capture points (gates
@@ -73,15 +78,20 @@ def _src_terms(arts, e):
 
 
 def _pads(arts, gates):
-    m, T = arts.model, arts.cfg.T
+    """Pads on gates; returns their arrival terms, which scale with the
+    guard bands so equal pads are exactly realizable as buffers later."""
+    m, cfg = arts.model, arts.cfg
+    terms = {}
     for g in sorted(gates):
-        arts.delta[g] = m.add_var(CONTINUOUS, lb=0.0, ub=2 * T,
+        arts.delta[g] = m.add_var(CONTINUOUS, lb=0.0, ub=2 * cfg.T,
                                   name=f"delta_{g}")
-        arts.delta_p[g] = m.add_var(CONTINUOUS, lb=0.0, ub=2 * T,
+        arts.delta_p[g] = m.add_var(CONTINUOUS, lb=0.0, ub=2 * cfg.T,
                                     name=f"deltap_{g}")
         # fast signals get at least as much padding as slow ones
         m.add_constr({arts.delta_p[g]: 1.0, arts.delta[g]: -1.0}, ">=", 0.0,
                      name=f"pad_order_{g}")
+        terms[g] = ({arts.delta[g]: cfg.r_u}, {arts.delta_p[g]: cfg.r_l})
+    return terms
 
 
 def _arrival_rows(arts, e, s, sp, add_s, add_sp):
@@ -173,46 +183,34 @@ def _objective(arts, pad_gates):
 
 
 def build_relaxed_model(graph, cfg):
-    """Stage-1 formulation: every gate output carries emulated pads."""
-    arts = _base(graph, cfg, "relaxed")
-    gates = set(graph.gates)
-    _pads(arts, gates)
-    # pads scale with the guard bands so an equal pair (delta = delta')
-    # is exactly realizable as a buffer chain later
-    pad_terms = {g: ({arts.delta[g]: cfg.r_u}, {arts.delta_p[g]: cfg.r_l})
-                 for g in gates}
-    _arrival_constraints(arts, pad_terms)
-    _loop_order_constraints(arts, gates)
-    _stability(arts)
-    _boundary(arts)
-    _objective(arts, sorted(gates))
-    return arts
+    """Stage-1 formulation: every gate output carries emulated pads.  It
+    is the cdq model with no sites."""
+    return _pad_model(graph, cfg, (), None)
 
 
 def build_cdq_model(graph, cfg, S, d_th):
     """Stage-2 formulation: sites in S additionally model the inherent
     clock/data-to-q delay of a unit, present only when x = 1, and any
     exercised site must pad at least d_th."""
+    return _pad_model(graph, cfg, S, d_th)
+
+
+def _pad_model(graph, cfg, S, d_th):
     sites = set(S)
-    arts = _base(graph, cfg, "cdq")
+    arts = _base(graph, cfg)
     gates = set(graph.gates)
-    _pads(arts, gates)
+    pad_terms = _pads(arts, gates)
     m = arts.model
     t_cdq = graph.circuit.ff_params.t_cq
-    pad_terms = {}
-    for g in sorted(gates):
-        if g in sites:
-            x = m.add_var(BINARY, name=f"x_{g}")
-            arts.x[g] = x
-            z = m.linearize_product(x, arts.delta[g], name=f"xd_{g}")
-            zp = m.linearize_product(x, arts.delta_p[g], name=f"xdp_{g}")
-            pad_terms[g] = ({z: cfg.r_u, x: t_cdq * cfg.r_u},
-                            {zp: cfg.r_l, x: t_cdq * cfg.r_l})
-            m.add_indicator(x, {arts.delta_p[g]: 1.0, arts.delta[g]: -1.0},
-                            d_th, cfg.big_M)
-        else:
-            pad_terms[g] = ({arts.delta[g]: cfg.r_u},
-                            {arts.delta_p[g]: cfg.r_l})
+    for g in sorted(gates & sites):
+        x = m.add_var(BINARY, name=f"x_{g}")
+        arts.x[g] = x
+        z = m.linearize_product(x, arts.delta[g], name=f"xd_{g}")
+        zp = m.linearize_product(x, arts.delta_p[g], name=f"xdp_{g}")
+        pad_terms[g] = ({z: cfg.r_u, x: t_cdq * cfg.r_u},
+                        {zp: cfg.r_l, x: t_cdq * cfg.r_l})
+        m.add_indicator(x, {arts.delta_p[g]: 1.0, arts.delta[g]: -1.0},
+                        d_th, cfg.big_M)
     _arrival_constraints(arts, pad_terms)
     _loop_order_constraints(arts, gates)
     _stability(arts)
@@ -226,15 +224,12 @@ def build_legalization_model(graph, cfg, S_d):
     unit / Case 2 flip-flop / Case 3 latch) over the configured phases;
     everything else keeps the relaxed pads."""
     sites = set(S_d)
-    arts = _base(graph, cfg, "legalized")
-    gates = set(graph.gates)
-    relaxed = gates - sites
-    _pads(arts, relaxed)
+    arts = _base(graph, cfg)
+    relaxed = set(graph.gates) - sites
+    pad_terms = _pads(arts, relaxed)
     m = arts.model
     T = cfg.T
     p = graph.circuit.ff_params
-    pad_terms = {g: ({arts.delta[g]: cfg.r_u}, {arts.delta_p[g]: cfg.r_l})
-                 for g in relaxed}
     extra_stable = []
     for g in sorted(sites):
         # w: gate output before the unit; the site's s variable is the
@@ -250,11 +245,11 @@ def build_legalization_model(graph, cfg, S_d):
         # PHI = sum(phi_k * y_k); REF = N*T + PHI as linear coefficients
         phi = {v: ph for v, ph in zip(phase_sel, cfg.phases)}
 
-        def ref(vec, scale=1.0):
+        def ref(vec):
             out = dict(vec)
-            out[N] = out.get(N, 0.0) + scale * T
+            out[N] = out.get(N, 0.0) + T
             for v, ph in phi.items():
-                out[v] = out.get(v, 0.0) + scale * ph
+                out[v] = out.get(v, 0.0) + ph
             return out
 
         region = [
@@ -297,7 +292,7 @@ def build_legalization_model(graph, cfg, S_d):
     return arts
 
 
-def decode_solution(arts, sol, pad_eps=1e-6):
+def decode_solution(arts, sol):
     """Turn solver values into per-edge decisions plus the frozenset of
     locations whose pads indicate (or realize) a sequential unit."""
     if sol.status != "optimal":
@@ -313,7 +308,7 @@ def decode_solution(arts, sol, pad_eps=1e-6):
         gate_delays[name] = vals[vid]
     hot = set()
     for name in arts.delta:
-        if vals[arts.delta_p[name]] - vals[arts.delta[name]] > pad_eps:
+        if vals[arts.delta_p[name]] - vals[arts.delta[name]] > PAD_EPS:
             hot.add(name)
     for name, x in arts.x.items():
         if vals[x] > 0.5:

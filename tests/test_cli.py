@@ -52,6 +52,7 @@ def test_verify_against_placement_roundtrip(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "PASS"
     assert "captures wave n at cycle" in out
+    assert (tmp_path / "verify.txt").read_text() == out
 
 
 def test_verify_fail_exit_code(tmp_path, capsys):
@@ -64,6 +65,7 @@ def test_verify_fail_exit_code(tmp_path, capsys):
                        "--out-dir", tmp_path)
     assert code == 1
     assert out.splitlines()[0] == "FAIL"
+    assert (tmp_path / "verify.txt").read_text() == out
 
 
 def test_extract_netlist_pair(tmp_path, capsys):
@@ -89,6 +91,9 @@ def test_ignored_options_are_usage_errors(tmp_path, capsys):
                "--out-dir", tmp_path)[0] == 2
     assert run(capsys, "analyze", DATA / "fig_a.net",
                "--sweep-step", "0.1")[0] == 2
+    # analyze only prints, so it has no output directory
+    assert run(capsys, "analyze", DATA / "fig_a.net",
+               "--out-dir", tmp_path)[0] == 2
 
 
 def test_sdc_subcommand(tmp_path, capsys):

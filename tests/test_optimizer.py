@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wavetime import netlist, optimizer, sta, verify
+from wavetime import milp, netlist, optimizer, sta, verify, vsmodel
 from wavetime.netlist import Config, to_gate_graph
 from wavetime.optimizer import (InfeasibleError, _snap, area, buffer_count,
                                 discretize_delays, placement_from_text,
@@ -63,6 +63,44 @@ def test_flow_deep_chain_places_units():
     assert violations == []
     ok, diff = verify.check_equivalence(c, placed, cfg)
     assert ok, diff
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one entry per call of module.name."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_flow_without_sites_solves_once(fig_c, monkeypatch):
+    """With no stage-1 sites the cdq and legalization models are the
+    relaxed model, so the flow reuses its one solution."""
+    solves = count_calls(monkeypatch, milp, "solve")
+    _, report = run_flow(to_gate_graph(fig_c), Config(T=fig_c.T))
+    assert report.stages[0].n_sites == 0
+    assert len(solves) == 1
+
+
+def test_flow_with_sites_keeps_stage2_rounds(monkeypatch):
+    import pathlib
+    c = netlist.parse_netlist((pathlib.Path(__file__).parent / "data" /
+                               "deep_chain.net").read_text())
+    cfg = Config(T=10.0, r_u=1.1, r_l=0.9, t_stable=1.0)
+    solves = count_calls(monkeypatch, milp, "solve")
+    cdq = count_calls(monkeypatch, vsmodel, "build_cdq_model")
+    legal = count_calls(monkeypatch, vsmodel, "build_legalization_model")
+    _, report = run_flow(to_gate_graph(c), cfg)
+    assert report.stages[0].n_sites > 0
+    # one round per schedule entry, down to the first d_th = 0
+    assert len(cdq) == len(cfg.dth_schedule)
+    assert len(legal) == 1
+    assert len(solves) == 1 + len(cdq) + len(legal)
 
 
 def test_report_text_format(fig_c):
@@ -223,3 +261,9 @@ def test_with_period_scales_relative_knobs():
     assert half.replace_threshold == cfg.replace_threshold / 2
     assert half.t_stable == cfg.t_stable
     assert half.r_u == cfg.r_u
+
+
+def test_config_rejects_empty_tuples():
+    for name in ("phases", "dth_schedule"):
+        with pytest.raises(ValueError, match=name):
+            Config(T=5.0, **{name: ()})

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wavetime import netlist, sdcgen
+from wavetime import cli, netlist, sdcgen
 from wavetime.netlist import Config, to_gate_graph
 from wavetime.retime_extract import RetimeSolution, extract_removals
 from wavetime.sdcgen import (PathLimitError, classify_paths, emit_sdc,
@@ -180,3 +180,43 @@ def test_random_pairs_bounds_invariant():
             waves = bound / cfg.T
             assert waves == pytest.approx(round(waves))
             assert round(waves) >= (1 if line.startswith("set_min") else 2)
+
+
+# F1 and F3 removed, F2 kept: the path g1 -> g2 -> o ends at the kept
+# flip-flop F2 on an edge into the terminal o
+KEPT_SINK_ORIG = """circuit sink
+clock period=10 duty=0.5
+ffparams tcq=1 tsu=1 th=0.5 tdq=1
+input a
+gate g1 fn=buf delay=1 in=a
+ff F1 from=g1
+gate g2 fn=buf delay=1 in=F1
+ff F2 from=g2
+ff F3 from=g2
+gate g3 fn=buf delay=1 in=F3
+output o from=F2
+output o2 from=g3
+"""
+KEPT_SINK_OPT = """circuit sink
+clock period=10 duty=0.5
+ffparams tcq=1 tsu=1 th=0.5 tdq=1
+input a
+gate g1 fn=buf delay=1 in=a
+gate g2 fn=buf delay=1 in=g1
+ff F2 from=g2
+gate g3 fn=buf delay=1 in=g2
+output o from=F2
+output o2 from=g3
+"""
+
+
+def test_kept_flipflop_sink_into_terminal(tmp_path):
+    """An entangled class whose path ends at a kept flip-flop on an edge
+    into a terminal gets a -to constraint on that terminal."""
+    orig, opt = tmp_path / "orig.net", tmp_path / "opt.net"
+    orig.write_text(KEPT_SINK_ORIG)
+    opt.write_text(KEPT_SINK_OPT)
+    assert cli.main(["sdc", str(orig), str(opt),
+                     "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "out.sdc").read_text().splitlines()
+    assert any(line.endswith("-to o/D") for line in lines)

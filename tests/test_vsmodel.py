@@ -264,10 +264,8 @@ def stage_models(graph, cfg):
                                                     set(sites)).model
 
 
-def test_stage_models_agree_with_highs():
-    """milp.solve against HiGHS on the real stage models, which with
-    big_M = 8T and FREE_BOUND = 1e6 are worse conditioned than the random
-    models of test_milp."""
+def stage_corpus():
+    """(name, circuit) for every golden and three seeded random designs."""
     import pathlib
     from wavetime import netlist
     data = pathlib.Path(__file__).parent / "data"
@@ -276,8 +274,15 @@ def test_stage_models_agree_with_highs():
     circuits += [(f"rand{seed}", random_circuit(random.Random(seed),
                                                 max_gates=8, max_ffs=4))
                  for seed in (101, 102, 103)]
+    return circuits
+
+
+def test_stage_models_agree_with_highs():
+    """milp.solve against HiGHS on the real stage models, which with
+    big_M = 8T and FREE_BOUND = 1e6 are worse conditioned than the random
+    models of test_milp."""
     solved = 0
-    for name, c in circuits:
+    for name, c in stage_corpus():
         for label, model in stage_models(to_gate_graph(c), Config(T=c.T)):
             ours = milp.solve(model)
             status, obj = highs(model)
@@ -287,3 +292,18 @@ def test_stage_models_agree_with_highs():
                 tol = 1e-6 * max(1.0, abs(obj))
                 assert abs(ours.objective - obj) <= tol, (name, label)
     assert solved >= 10
+
+
+def test_siteless_stage_models_are_the_relaxed_model():
+    """With no sites the cdq model at any d_th and the legalization model
+    have the relaxed model's arrays, so the flow may reuse its solution."""
+    import numpy as np
+    for name, c in stage_corpus():
+        g, cfg = to_gate_graph(c), Config(T=c.T)
+        want = milp._model_arrays(vsmodel.build_relaxed_model(g, cfg).model)
+        for arts in (vsmodel.build_cdq_model(g, cfg, set(), 7 * cfg.T / 8),
+                     vsmodel.build_cdq_model(g, cfg, set(), 0.0),
+                     vsmodel.build_legalization_model(g, cfg, set())):
+            got = milp._model_arrays(arts.model)
+            for a, b in zip(want, got):
+                assert np.array_equal(a, b), name

@@ -10,9 +10,11 @@ from `tests/gen.py`, so copy it into a checkout that lacks it.
 Inputs: every `tests/data/*.net` plus eight seeded `gen.random_circuit`
 designs.  Per design: the window report, the reference wave simulation,
 the gate order, the LP text and raw solver values of the relaxed, cdq
-(d_th = 7T/8 and 0) and legalization models, and at the file period and
-1.2 times it the `run_flow` report, placement, equivalence text and SDC.
-Then the CLI `extract`, `sdc` and `verify` outputs on both netlist pairs.
+(d_th = 7T/8 and 0) and legalization models, at the file period and
+1.2 times it the `run_flow` report, placement, equivalence text and SDC,
+and the report and placement of a `sweep_clock_period` from the file
+period in steps of 5%.  Then the CLI `extract`, `sdc` and `verify`
+outputs on both netlist pairs.
 """
 
 import contextlib
@@ -102,6 +104,15 @@ def snapshot(name, circuit):
             texts = {"error": f"{e}\n"}
         for key, text in texts.items():
             out[f"flow_{tag}.{key}"] = text
+    try:
+        placed, report, best = optimizer.sweep_clock_period(graph, cfg, 0.05)
+        texts = {"report": report.text(),
+                 "placement": optimizer.placement_to_text(
+                     placed, best, nl.serialize(circuit))}
+    except optimizer.InfeasibleError as e:
+        texts = {"error": f"{e}\n"}
+    for key, text in texts.items():
+        out[f"sweep.{key}"] = text
     return {f"{name}.{key}": text for key, text in out.items()}
 
 
