@@ -5,6 +5,12 @@ simplex kernel, and CPLEX-LP text export.
 The solver is deterministic: Bland's rule in the LP kernel, best-bound
 node selection with insertion-order tie-breaks, branching on the most
 fractional integer variable with lowest-id ties.
+
+The kernel keeps its tableau transposed, one contiguous array row per
+tableau column, so that a pivot rewrites only the columns where the pivot
+row is nonzero.  It makes the same pivots and returns the same values as
+the row-major textbook tableau, which tests/test_milp.py keeps as its
+reference.
 """
 
 import heapq
@@ -17,8 +23,8 @@ CONTINUOUS = "continuous"
 INTEGER = "integer"
 BINARY = "binary"
 
-# substitute for missing bounds on continuous variables; kept moderate so
-# the simplex tableau stays well conditioned
+# substitute for missing or infinite bounds on continuous variables; kept
+# moderate so the simplex tableau stays well conditioned
 FREE_BOUND = 1e6
 
 FEAS_EPS = 1e-6
@@ -60,22 +66,25 @@ class MilpModel:
     def add_var(self, kind=CONTINUOUS, lb=None, ub=None, name=None):
         if kind == BINARY:
             lb, ub = 0.0, 1.0
-        if kind == INTEGER and (lb is None or ub is None or
-                                not np.isfinite([lb, ub]).all()):
+        lb = -np.inf if lb is None else float(lb)
+        ub = np.inf if ub is None else float(ub)
+        if np.isnan(lb) or np.isnan(ub):
+            raise ValueError("variable bounds must not be NaN")
+        if kind == INTEGER and not np.isfinite([lb, ub]).all():
             raise ValueError("integer variables need finite bounds")
-        if lb is None:
+        if lb == -np.inf:
             lb = -FREE_BOUND
-        if ub is None:
+        if ub == np.inf:
             ub = FREE_BOUND
         if lb > ub:
             raise ValueError(f"empty domain [{lb}, {ub}]")
         vid = len(self.vars)
-        self.vars.append(Var(vid, kind, float(lb), float(ub),
-                             name or f"v{vid}"))
+        self.vars.append(Var(vid, kind, lb, ub, name or f"v{vid}"))
         return vid
 
     def add_constr(self, coeffs, rel, rhs, name=None):
-        assert rel in ("<=", ">=", "=")
+        if rel not in ("<=", ">=", "="):
+            raise ValueError(f"unknown relation {rel!r}")
         for v in coeffs:
             if not (0 <= v < len(self.vars)):
                 raise ValueError(f"unknown variable {v}")
@@ -86,7 +95,8 @@ class MilpModel:
                        name or f"c{len(self.constraints)}"))
 
     def set_objective(self, coeffs, sense="min", const=0.0):
-        assert sense in ("min", "max")
+        if sense not in ("min", "max"):
+            raise ValueError(f"unknown objective sense {sense!r}")
         self.obj = dict(coeffs)
         self.obj_const = float(const)
         self.sense = sense
@@ -96,10 +106,9 @@ class MilpModel:
     def linearize_product(self, x, v, name=None):
         """New variable z equal to x*v for binary x and bounded v."""
         xv, vv = self.vars[x], self.vars[v]
-        assert xv.kind == BINARY
+        if xv.kind != BINARY:
+            raise ValueError("product linearization needs a binary x")
         L, U = vv.lb, vv.ub
-        if not np.isfinite([L, U]).all():
-            raise ValueError("product linearization needs bounded v")
         z = self.add_var(CONTINUOUS, lb=min(L, 0.0), ub=max(U, 0.0),
                          name=name or f"prod_{xv.name}_{vv.name}")
         self.add_constr({z: 1.0, x: -U}, "<=", 0.0)
@@ -112,7 +121,8 @@ class MilpModel:
         """One binary selector per branch, exactly one active; inactive
         branches are relaxed by big_M.  Each branch is a list of
         (coeffs, rel, rhs) with rel in {"<=", ">="}."""
-        assert len(branches) >= 2
+        if len(branches) < 2:
+            raise ValueError("either-or needs at least two branches")
         sels = [self.add_var(BINARY, name=f"sel{len(self.vars)}")
                 for _ in branches]
         self.add_constr({s: 1.0 for s in sels}, "=", 1.0)
@@ -132,7 +142,8 @@ class MilpModel:
 
     def add_indicator(self, x, coeffs, rhs, big_M):
         """expr >= rhs whenever binary x is 1 (big-M relaxed otherwise)."""
-        assert self.vars[x].kind == BINARY
+        if self.vars[x].kind != BINARY:
+            raise ValueError("an indicator needs a binary x")
         c = dict(coeffs)
         c[x] = c.get(x, 0.0) - big_M
         self.add_constr(c, ">=", rhs - big_M)
@@ -163,38 +174,53 @@ class MilpModel:
 
 
 # -- LP kernel ---------------------------------------------------------------
+#
+# The tableau is stored transposed: cols[j] is tableau column j, cols[-1]
+# the right-hand side and cols[:, -1] the cost row.  A pivot divides the
+# pivot row and then updates only the columns where it is nonzero, each
+# with the product-then-difference of the row-major update.  The entries
+# this skips are exactly those from which the row-major update would
+# subtract a signed zero, so at most the sign of a zero differs.  No zero
+# sign reaches a decision: pivot choices compare against +-PIVOT_EPS and
+# nonzero() ignores -0.0.  Nor a result: x = y + lb turns -0.0 into 0.0
+# unless lb is -0.0 itself, and likewise for the objective sum.
 
-def _pivot(tab, basis, row, col):
-    tab[row] /= tab[row, col]
-    # only rows with a nonzero entry in col change: subtracting 0 * tab[row]
-    # from the others could turn -0.0 into 0.0
-    rows = tab[:, col].nonzero()[0]
-    rows = rows[rows != row]
-    tab[rows] -= np.outer(tab[rows, col], tab[row])
+def _pivot(cols, basis, row, col):
+    prow = cols[:, row]
+    prow /= prow[col]
+    touched = prow.nonzero()[0]
+    factor = cols[col].copy()
+    factor[row] = 0.0
+    cols[touched] -= prow[touched, None] * factor
     basis[row] = col
 
 
-def _simplex(tab, basis, ncols):
-    """Minimize the cost row of a feasible tableau with Bland's rule,
-    entering only among its first ncols columns."""
+def _simplex(cols, basis):
+    """Minimize the cost row of a feasible tableau with Bland's rule."""
+    m = len(basis)
+    # views: _pivot updates cols in place
+    cost, rhs = cols[:-1, m], cols[-1, :m]
     while True:
-        improving = (tab[-1, :ncols] < -PIVOT_EPS).nonzero()[0]
+        improving = (cost < -PIVOT_EPS).nonzero()[0]
         if not improving.size:
             return True
         enter = improving[0]
+        column = cols[enter, :m]
+        rows = (column > PIVOT_EPS).nonzero()[0]
+        if not rows.size:
+            return False  # unbounded
         # the tie-break depends on the rows seen before, so the ratio test
         # stays a loop over the rows with a positive entry, not an argmin
-        leave, best = -1, np.inf
-        for r in (tab[:-1, enter] > PIVOT_EPS).nonzero()[0]:
-            ratio = tab[r, -1] / tab[r, enter]
-            if leave < 0 or ratio < best - PIVOT_EPS or \
+        ratios = (rhs[rows] / column[rows]).tolist()
+        rows = rows.tolist()
+        leave, best = rows[0], ratios[0]
+        for r, ratio in zip(rows, ratios):
+            if ratio < best - PIVOT_EPS or \
                     (abs(ratio - best) <= PIVOT_EPS and
                      basis[r] < basis[leave]):
                 leave = r
                 best = min(best, ratio)
-        if leave < 0:
-            return False  # unbounded
-        _pivot(tab, basis, leave, enter)
+        _pivot(cols, basis, leave, enter)
 
 
 def lp_solve(c, A, rel, b, lb, ub):
@@ -230,38 +256,43 @@ def lp_solve(c, A, rel, b, lb, ub):
     art = (sign <= 0).nonzero()[0]
     n_real = n + len(slack)
     ncols = n_real + len(art)
-    tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, :n] = full
-    tab[slack, n + np.arange(len(slack))] = sign[slack]
-    tab[art, n_real + np.arange(len(art))] = 1.0
-    tab[:m, -1] = rhs
+    cols = np.zeros((ncols + 1, m + 1))
+    cols[:n, :m] = full.T
+    cols[n + np.arange(len(slack)), slack] = sign[slack]
+    cols[n_real + np.arange(len(art)), art] = 1.0
+    cols[-1, :m] = rhs
     basis = np.zeros(m, int)
     basis[slack] = n + np.arange(len(slack))
     basis[art] = n_real + np.arange(len(art))
+    basis = basis.tolist()
 
     if len(art):
-        tab[-1, n_real:ncols] = 1.0
+        cols[n_real:ncols, m] = 1.0
         # row by row: the rounding of the cost row depends on the order
         for r in art:
-            tab[-1] -= tab[r]
-        if not _simplex(tab, basis, ncols) or tab[-1, -1] < -FEAS_EPS:
+            cols[:, m] -= cols[:, r]
+        if not _simplex(cols, basis) or cols[-1, m] < -FEAS_EPS:
             return "infeasible", None, None
         # drive leftover zero-valued artificials out of the basis
-        for r in (basis >= n_real).nonzero()[0]:
-            piv = (np.abs(tab[r, :n_real]) > 1e-7).nonzero()[0]
+        for r in [r for r in range(m) if basis[r] >= n_real]:
+            piv = (np.abs(cols[:n_real, r]) > 1e-7).nonzero()[0]
             if piv.size:
-                _pivot(tab, basis, r, piv[0])
+                _pivot(cols, basis, r, piv[0])
+        # artificial columns never enter in phase 2, and no other entry
+        # depends on them
+        cols = np.concatenate([cols[:n_real], cols[-1:]])
 
-    tab[-1] = 0.0
-    tab[-1, :n] = c
-    # row by row, as in phase 1
+    cols[:, m] = 0.0
+    cols[:n, m] = c
+    # row by row, as in phase 1; an artificial left basic at zero has a
+    # unit column, so its cost entry stays zero and it is skipped
     for r in range(m):
-        if tab[-1, basis[r]] != 0.0:
-            tab[-1] -= tab[-1, basis[r]] * tab[r]
-    if not _simplex(tab, basis, n_real):
+        if basis[r] < n_real and cols[basis[r], m] != 0.0:
+            cols[:, m] -= cols[basis[r], m] * cols[:, r]
+    if not _simplex(cols, basis):
         return "unbounded", None, None
     y = np.zeros(ncols)
-    y[basis] = tab[:m, -1]
+    y[basis] = cols[-1, :m]
     x = y[:n] + lb
     return "optimal", x, float(np.dot(c, y[:n]) + np.dot(c, lb))
 

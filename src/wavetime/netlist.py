@@ -15,6 +15,7 @@ A gate's output net shares the gate's name.  Primary inputs and outputs
 are modeled as boundary flip-flops sharing the circuit's FlipFlopParams.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 
@@ -84,8 +85,8 @@ class Config:
         self.validate()
 
     def validate(self):
-        if self.T <= 0:
-            raise ValueError("clock period must be positive")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError("clock period must be positive and finite")
         if not (0 < self.duty < 1):
             raise ValueError("duty cycle must be in (0,1)")
         if not (self.r_u >= 1 >= self.r_l > 0):

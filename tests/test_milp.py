@@ -86,6 +86,134 @@ def random_model(rng, max_bin=8, max_cont=6):
 
 # -- LP kernel ---------------------------------------------------------------
 
+def _reference_pivot(tab, basis, row, col):
+    tab[row] /= tab[row, col]
+    rows = tab[:, col].nonzero()[0]
+    rows = rows[rows != row]
+    tab[rows] -= np.outer(tab[rows, col], tab[row])
+    basis[row] = col
+
+
+def _reference_simplex(tab, basis, ncols):
+    while True:
+        improving = (tab[-1, :ncols] < -milp.PIVOT_EPS).nonzero()[0]
+        if not improving.size:
+            return True
+        enter = improving[0]
+        leave, best = -1, np.inf
+        for r in (tab[:-1, enter] > milp.PIVOT_EPS).nonzero()[0]:
+            ratio = tab[r, -1] / tab[r, enter]
+            if leave < 0 or ratio < best - milp.PIVOT_EPS or \
+                    (abs(ratio - best) <= milp.PIVOT_EPS and
+                     basis[r] < basis[leave]):
+                leave = r
+                best = min(best, ratio)
+        if leave < 0:
+            return False
+        _reference_pivot(tab, basis, leave, enter)
+
+
+def reference_lp_solve(c, A, rel, b, lb, ub):
+    """The textbook row-major two-phase tableau that milp.lp_solve must
+    match bit for bit: tab[i] is tableau row i, every pivot rewrites whole
+    rows, and the artificial columns stay through phase 2."""
+    n = len(c)
+    lb = np.asarray(lb, float)
+    ub = np.asarray(ub, float)
+    if np.any(ub - lb < -milp.FEAS_EPS):
+        return "infeasible", None, None
+    b = np.asarray(b, float)
+    rel = np.asarray(rel, "U2")
+    shifted = b - np.array([np.dot(a, lb) for a in A], float)
+    full = np.vstack([A, np.eye(n)])
+    rhs = np.concatenate([shifted, ub - lb])
+    sign = np.concatenate([np.select([rel == "<=", rel == ">="],
+                                     [1.0, -1.0], 0.0), np.ones(n)])
+    flip = rhs < 0
+    full[flip], rhs[flip], sign[flip] = -full[flip], -rhs[flip], -sign[flip]
+    m = len(rhs)
+    slack = sign.nonzero()[0]
+    art = (sign <= 0).nonzero()[0]
+    n_real = n + len(slack)
+    ncols = n_real + len(art)
+    tab = np.zeros((m + 1, ncols + 1))
+    tab[:m, :n] = full
+    tab[slack, n + np.arange(len(slack))] = sign[slack]
+    tab[art, n_real + np.arange(len(art))] = 1.0
+    tab[:m, -1] = rhs
+    basis = np.zeros(m, int)
+    basis[slack] = n + np.arange(len(slack))
+    basis[art] = n_real + np.arange(len(art))
+    if len(art):
+        tab[-1, n_real:ncols] = 1.0
+        for r in art:
+            tab[-1] -= tab[r]
+        if not _reference_simplex(tab, basis, ncols) or \
+                tab[-1, -1] < -milp.FEAS_EPS:
+            return "infeasible", None, None
+        for r in (basis >= n_real).nonzero()[0]:
+            piv = (np.abs(tab[r, :n_real]) > 1e-7).nonzero()[0]
+            if piv.size:
+                _reference_pivot(tab, basis, r, piv[0])
+    tab[-1] = 0.0
+    tab[-1, :n] = c
+    for r in range(m):
+        if tab[-1, basis[r]] != 0.0:
+            tab[-1] -= tab[-1, basis[r]] * tab[r]
+    if not _reference_simplex(tab, basis, n_real):
+        return "unbounded", None, None
+    y = np.zeros(ncols)
+    y[basis] = tab[:m, -1]
+    x = y[:n] + lb
+    return "optimal", x, float(np.dot(c, y[:n]) + np.dot(c, lb))
+
+
+def recorded_lp_calls(monkeypatch, models):
+    """(arguments, result) of every lp_solve call that milp.solve makes
+    on the models: the root and every branch-and-bound node."""
+    calls = []
+    kernel = milp.lp_solve
+
+    def record(*args):
+        result = kernel(*args)
+        calls.append((args, result))
+        return result
+
+    with monkeypatch.context() as mp:
+        mp.setattr(milp, "lp_solve", record)
+        for m in models:
+            milp.solve(m)
+    return calls
+
+
+def bits(result):
+    status, x, obj = result
+    return status, None if x is None else x.tobytes(), repr(obj)
+
+
+def assert_matches_reference(calls):
+    for args, result in calls:
+        assert bits(result) == bits(reference_lp_solve(*args))
+
+
+def test_lp_kernel_matches_reference_on_stage_models(monkeypatch):
+    from test_vsmodel import stage_corpus, stage_models
+    from wavetime.netlist import Config, to_gate_graph
+    models = [model for _, c in stage_corpus()
+              for _, model in stage_models(to_gate_graph(c), Config(T=c.T))]
+    calls = recorded_lp_calls(monkeypatch, models)
+    assert len(calls) > len(models)  # branch-and-bound nodes too
+    assert_matches_reference(calls)
+
+
+def test_lp_kernel_matches_reference_on_random_models(monkeypatch):
+    rng = random.Random(99)
+    calls = recorded_lp_calls(monkeypatch,
+                              [random_model(rng) for _ in range(200)])
+    assert {r[0] for _, r in calls} == {"optimal", "infeasible"}
+    assert_matches_reference(calls)
+
+
 def test_lp_kernel_closed_forms():
     # box-constrained: optimum at the corner
     st, x, obj = milp.lp_solve(np.array([1.0, -2.0]), np.zeros((0, 2)), [],
@@ -123,6 +251,42 @@ def test_lp_kernel_vs_scipy_random():
             assert st == "optimal"
             sign = -1.0 if m.sense == "max" else 1.0
             assert sign * obj + m.obj_const == pytest.approx(oracle, abs=1e-6)
+
+
+# -- model checks ------------------------------------------------------------
+
+def test_infinite_bound_is_free_bound():
+    m = MilpModel()
+    y = m.add_var(CONTINUOUS, lb=0, ub=float("inf"))
+    w = m.add_var(CONTINUOUS, lb=-float("inf"), ub=0)
+    m.set_objective({y: -1.0, w: 1.0})
+    sol = milp.solve(m)
+    assert sol.status == "optimal"
+    assert sol.values == {y: milp.FREE_BOUND, w: -milp.FREE_BOUND}
+    assert sol.objective == -2 * milp.FREE_BOUND
+
+
+@pytest.mark.parametrize("bounds", [(float("nan"), 1.0), (0.0, float("nan")),
+                                    (None, float("nan"))])
+def test_nan_bound_is_rejected(bounds):
+    with pytest.raises(ValueError, match="NaN"):
+        MilpModel().add_var(CONTINUOUS, *bounds)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, x, v: m.add_constr({v: 1.0}, "<", 1.0),
+    lambda m, x, v: m.set_objective({v: 1.0}, sense="maximize"),
+    lambda m, x, v: m.linearize_product(v, x),
+    lambda m, x, v: m.add_indicator(v, {x: 1.0}, 1.0, big_M=10.0),
+    lambda m, x, v: m.add_either_or([[({v: 1.0}, ">=", 1.0)]], big_M=10.0),
+], ids=["relation", "sense", "product", "indicator", "either_or"])
+def test_bad_arguments_raise_value_error(call):
+    # ValueError, not assert: the checks must hold under python -O
+    m = MilpModel()
+    x = m.add_var(BINARY)
+    v = m.add_var(CONTINUOUS, lb=0, ub=10)
+    with pytest.raises(ValueError):
+        call(m, x, v)
 
 
 # -- linearizations ----------------------------------------------------------

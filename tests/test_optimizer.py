@@ -267,3 +267,9 @@ def test_config_rejects_empty_tuples():
     for name in ("phases", "dth_schedule"):
         with pytest.raises(ValueError, match=name):
             Config(T=5.0, **{name: ()})
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0, -1.0])
+def test_config_rejects_non_finite_period(T):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Config(T=T)

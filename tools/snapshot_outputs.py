@@ -10,7 +10,9 @@ from `tests/gen.py`, so copy it into a checkout that lacks it.
 Inputs: every `tests/data/*.net` plus eight seeded `gen.random_circuit`
 designs.  Per design: the window report, the reference wave simulation,
 the gate order, the LP text and raw solver values of the relaxed, cdq
-(d_th = 7T/8 and 0) and legalization models, at the file period and
+(d_th = 7T/8 and 0) and legalization models, the raw result of every LP
+the solver solved for each of those models (the root and every
+branch-and-bound node), at the file period and
 1.2 times it the `run_flow` report, placement, equivalence text and SDC,
 and the report and placement of a `sweep_clock_period` from the file
 period in steps of 5%.  Then the CLI `extract`, `sdc` and `verify`
@@ -69,6 +71,27 @@ def models(graph, cfg):
                                                     set(sites)).model
 
 
+def solve_recording(model, cfg):
+    """milp.solve on the model, and the text of every lp_solve result it
+    got on the way, with exact float reprs."""
+    lines = []
+    kernel = milp.lp_solve
+
+    def record(*args):
+        status, x, obj = result = kernel(*args)
+        lines.append(f"{status} {obj!r} "
+                     f"{None if x is None else x.tolist()!r}\n")
+        return result
+
+    milp.lp_solve = record
+    try:
+        sol = milp.solve(model, max_nodes=cfg.milp_nodes,
+                         time_ms=cfg.milp_time_ms)
+    finally:
+        milp.lp_solve = kernel
+    return sol, "".join(lines)
+
+
 def flow_outputs(circuit, graph, cfg):
     placed, report = optimizer.run_flow(graph, cfg)
     base = nl.serialize(circuit)
@@ -93,8 +116,7 @@ def snapshot(name, circuit):
     out["topo"] = guarded(lambda: repr(graph.topo_gates()) + "\n")
     for label, model in models(graph, cfg):
         out[f"{label}.lp"] = milp.export_lp(model)
-        sol = milp.solve(model, max_nodes=cfg.milp_nodes,
-                         time_ms=cfg.milp_time_ms)
+        sol, out[f"{label}.lps"] = solve_recording(model, cfg)
         out[f"{label}.values"] = f"{sol.status} {sol.objective!r}\n" \
             f"{sol.values!r}\n"
     for tag, T in (("T", circuit.T), ("T1.2", 1.2 * circuit.T)):
