@@ -1,21 +1,27 @@
 """Mixed-integer linear programming: model container, big-M linearization
-helpers, an embedded branch-and-bound solver over a dense two-phase
-simplex kernel, and CPLEX-LP text export.
+helpers, an embedded branch-and-bound solver over a dense simplex
+kernel, and CPLEX-LP text export.
 
-The solver is deterministic: Bland's rule in the LP kernel, best-bound
-node selection with insertion-order tie-breaks, branching on the most
-fractional integer variable with lowest-id ties.
+The kernel solves a root LP cold, by the two-phase method from the
+slack/artificial basis.  It re-solves warm, by dual simplex from a kept
+optimal tableau, wherever only bounds or right-hand sides changed: each
+branch-and-bound child from its parent's tableau, and a root from the
+root of an earlier solve of the same model (the stage-2 d_th rounds).
+
+The solver is deterministic: Bland's rule in the primal and the dual
+simplex, best-bound node selection with insertion-order tie-breaks,
+branching on the most fractional integer variable with lowest-id ties.
 
 The kernel keeps its tableau transposed, one contiguous array row per
 tableau column, so that a pivot rewrites only the columns where the pivot
-row is nonzero.  It makes the same pivots and returns the same values as
-the row-major textbook tableau, which tests/test_milp.py keeps as its
-reference.
+row is nonzero.  A cold solve makes the same pivots and returns the same
+values as the row-major textbook tableau, which tests/test_milp.py keeps
+as its reference.
 """
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +35,8 @@ FREE_BOUND = 1e6
 
 FEAS_EPS = 1e-6
 PIVOT_EPS = 1e-9
+# a basic value below -DUAL_EPS makes its row leave in dual simplex
+DUAL_EPS = 1e-7
 
 
 @dataclass
@@ -53,6 +61,7 @@ class Solution:
     status: str       # optimal | infeasible | bound_reached
     values: dict
     objective: float
+    root: object = None   # the root LP's Tableau, a start for a re-solve
 
 
 class MilpModel:
@@ -90,6 +99,8 @@ class MilpModel:
                 raise ValueError(f"unknown variable {v}")
             if not np.isfinite(coeffs[v]):
                 raise ValueError("non-finite coefficient")
+        if not np.isfinite(rhs):
+            raise ValueError("non-finite right-hand side")
         self.constraints.append(
             Constraint(dict(coeffs), rel, float(rhs),
                        name or f"c{len(self.constraints)}"))
@@ -97,6 +108,8 @@ class MilpModel:
     def set_objective(self, coeffs, sense="min", const=0.0):
         if sense not in ("min", "max"):
             raise ValueError(f"unknown objective sense {sense!r}")
+        if not np.isfinite([const, *coeffs.values()]).all():
+            raise ValueError("non-finite objective coefficient")
         self.obj = dict(coeffs)
         self.obj_const = float(const)
         self.sense = sense
@@ -184,6 +197,9 @@ class MilpModel:
 # sign reaches a decision: pivot choices compare against +-PIVOT_EPS and
 # nonzero() ignores -0.0.  Nor a result: x = y + lb turns -0.0 into 0.0
 # unless lb is -0.0 itself, and likewise for the objective sum.
+#
+# Columns are updated independently of each other, so the columns kept
+# for warm starts (an equality row's artificial) change no other entry.
 
 def _pivot(cols, basis, row, col):
     prow = cols[:, row]
@@ -195,11 +211,12 @@ def _pivot(cols, basis, row, col):
     basis[row] = col
 
 
-def _simplex(cols, basis):
-    """Minimize the cost row of a feasible tableau with Bland's rule."""
+def _simplex(cols, basis, n_enter):
+    """Minimize the cost row of a feasible tableau with Bland's rule; only
+    the first n_enter columns may enter the basis."""
     m = len(basis)
     # views: _pivot updates cols in place
-    cost, rhs = cols[:-1, m], cols[-1, :m]
+    cost, rhs = cols[:n_enter, m], cols[-1, :m]
     while True:
         improving = (cost < -PIVOT_EPS).nonzero()[0]
         if not improving.size:
@@ -223,19 +240,92 @@ def _simplex(cols, basis):
         _pivot(cols, basis, leave, enter)
 
 
-def lp_solve(c, A, rel, b, lb, ub):
-    """Minimize c.x subject to A x rel b (rel[i] in "<=", ">=", "=") and
-    lb <= x <= ub.
+def _dual_simplex(cols, basis, n_enter):
+    """Make the basic values of a dual feasible tableau nonnegative with
+    the dual of Bland's rule: of the rows below -DUAL_EPS, the one whose
+    basic column comes first leaves, and the first column of least ratio
+    among the first n_enter enters.  False when a leaving row has no
+    negative entry, which proves the LP infeasible."""
+    m = len(basis)
+    cost, rhs = cols[:n_enter, m], cols[-1, :m]
+    while True:
+        rows = (rhs < -DUAL_EPS).nonzero()[0].tolist()
+        if not rows:
+            return True
+        leave = min(rows, key=basis.__getitem__)
+        row = cols[:n_enter, leave]
+        cand = (row < -PIVOT_EPS).nonzero()[0]
+        if not cand.size:
+            return False
+        ratios = np.maximum(cost[cand], 0.0) / -row[cand]
+        _pivot(cols, basis, leave, cand[ratios.argmin()])
 
-    Returns (status, x, objective) with status in
-    {"optimal", "infeasible", "unbounded"}.
+
+@dataclass
+class Tableau:
+    """The final tableau of an optimal LP, kept so that the LP can be
+    re-solved after its right-hand sides or bounds change.
+
+    A basic column is exactly the unit vector of its row (a pivot divides
+    the entry to 1.0 and subtracts the column from itself elsewhere), so
+    only the nonbasic columns are stored: packed holds them, then the
+    right-hand side.
+
+    Row i of the starting tableau held a unit column, its slack (or, for
+    an equality row, its artificial), now column unit[i]; times scale[i]
+    it is the column of B^-1 for row i in its original orientation.
     """
+    packed: np.ndarray       # None when an artificial column stayed basic
+    nonbasic: np.ndarray
+    basis: list
+    n_real: int              # the columns that may enter: x and slacks
+    unit: np.ndarray
+    scale: np.ndarray
+    c: np.ndarray            # the LP it solves
+    A: np.ndarray
+    rel: np.ndarray
+    b: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+
+    @property
+    def warm(self):
+        """False when a basic artificial column, which would have to stay
+        at zero whatever the right-hand side, rules out a re-solve."""
+        return self.packed is not None
+
+    def same_lp(self, c, A, rel, lb, ub):
+        """Whether a re-solve may start here: b alone may differ."""
+        return all(np.array_equal(u, v) for u, v in
+                   ((self.c, c), (self.A, A), (self.rel, rel),
+                    (self.lb, lb), (self.ub, ub)))
+
+    def unpacked(self):
+        """A new full transposed tableau."""
+        m = len(self.basis)
+        cols = np.zeros((len(self.nonbasic) + m + 1, m + 1))
+        cols[self.nonbasic] = self.packed[:-1]
+        cols[-1] = self.packed[-1]
+        cols[self.basis, np.arange(m)] = 1.0
+        return cols
+
+
+def _keep(tab, cols, basis, b, lb, ub):
+    """tab moved to the LP with b, lb and ub and final tableau cols."""
+    packed = nonbasic = None
+    if max(basis, default=-1) < tab.n_real:
+        free = np.ones(len(cols), bool)
+        free[basis] = False
+        nonbasic = free[:-1].nonzero()[0]
+        packed = cols[free]
+    return replace(tab, packed=packed, nonbasic=nonbasic, basis=basis,
+                   b=b, lb=lb, ub=ub)
+
+
+def _two_phase(c, A, rel, b, lb, ub):
+    """(status, cols, basis, tab) of the LP solved from the
+    slack/artificial basis; tab is the Tableau without its columns."""
     n = len(c)
-    lb = np.asarray(lb, float)
-    ub = np.asarray(ub, float)
-    if np.any(ub - lb < -FEAS_EPS):
-        return "infeasible", None, None
-    b = np.asarray(b, float)
     rel = np.asarray(rel, "U2")
     # shift to y = x - lb >= 0, one np.dot per row: A @ lb rounds
     # differently, and the solver's values end up printed with repr
@@ -248,12 +338,14 @@ def lp_solve(c, A, rel, b, lb, ub):
     # rows with a negative right-hand side are negated so that the
     # starting basis below is feasible
     flip = rhs < 0
+    scale = np.where(sign != 0, sign, np.where(flip, -1.0, 1.0))
     full[flip], rhs[flip], sign[flip] = -full[flip], -rhs[flip], -sign[flip]
     # a slack column (+1 for "<=", -1 for ">=") per inequality row, then an
     # artificial column per ">=" or "=" row, both in row order
     m = len(rhs)
     slack = sign.nonzero()[0]
     art = (sign <= 0).nonzero()[0]
+    eq = (sign == 0).nonzero()[0]
     n_real = n + len(slack)
     ncols = n_real + len(art)
     cols = np.zeros((ncols + 1, m + 1))
@@ -265,22 +357,28 @@ def lp_solve(c, A, rel, b, lb, ub):
     basis[slack] = n + np.arange(len(slack))
     basis[art] = n_real + np.arange(len(art))
     basis = basis.tolist()
+    unit = np.zeros(m, int)
+    unit[slack] = n + np.arange(len(slack))
+    unit[eq] = n_real + np.arange(len(eq))
+    tab = Tableau(None, None, None, n_real, unit, scale, c, A, rel, b, lb, ub)
 
     if len(art):
         cols[n_real:ncols, m] = 1.0
         # row by row: the rounding of the cost row depends on the order
         for r in art:
             cols[:, m] -= cols[:, r]
-        if not _simplex(cols, basis) or cols[-1, m] < -FEAS_EPS:
-            return "infeasible", None, None
+        if not _simplex(cols, basis, ncols) or cols[-1, m] < -FEAS_EPS:
+            return "infeasible", None, None, None
         # drive leftover zero-valued artificials out of the basis
         for r in [r for r in range(m) if basis[r] >= n_real]:
             piv = (np.abs(cols[:n_real, r]) > 1e-7).nonzero()[0]
             if piv.size:
                 _pivot(cols, basis, r, piv[0])
-        # artificial columns never enter in phase 2, and no other entry
-        # depends on them
-        cols = np.concatenate([cols[:n_real], cols[-1:]])
+        # artificial columns never enter in phase 2; an equality row's is
+        # kept as its unit column, the others are dropped
+        cols = np.concatenate([cols[:n_real],
+                               cols[n_real + (sign[art] == 0).nonzero()[0]],
+                               cols[-1:]])
 
     cols[:, m] = 0.0
     cols[:n, m] = c
@@ -289,12 +387,62 @@ def lp_solve(c, A, rel, b, lb, ub):
     for r in range(m):
         if basis[r] < n_real and cols[basis[r], m] != 0.0:
             cols[:, m] -= cols[basis[r], m] * cols[:, r]
-    if not _simplex(cols, basis):
-        return "unbounded", None, None
-    y = np.zeros(ncols)
+    if not _simplex(cols, basis, n_real):
+        return "unbounded", None, None, None
+    return "optimal", cols, basis, tab
+
+
+def _dual_resolve(tab, A, b, lb, ub):
+    """(status, cols, basis) of the LP of tab moved to b, lb and ub: the
+    change of the shifted right-hand side goes through B^-1, which leaves
+    the tableau dual feasible, and dual simplex restores primal
+    feasibility."""
+    cols, basis = tab.unpacked(), list(tab.basis)
+    dlb = lb - tab.lb
+    delta = np.concatenate([b - tab.b, ub - tab.ub - dlb])
+    moved = dlb.nonzero()[0]
+    if moved.size:
+        delta[:len(b)] -= (A[:, moved] * dlb[moved]).sum(axis=1)
+    rows = delta.nonzero()[0]
+    weights = (delta[rows] * tab.scale[rows])[:, None]
+    # an elementwise sum, not a matrix product, keeps BLAS out
+    cols[-1] += (cols[tab.unit[rows]] * weights).sum(axis=0)
+    if not _dual_simplex(cols, basis, tab.n_real):
+        return "infeasible", None, None
+    return "optimal", cols, basis
+
+
+def lp_solve(c, A, rel, b, lb, ub, start=None):
+    """Minimize c.x subject to A x rel b (rel[i] in "<=", ">=", "=") and
+    lb <= x <= ub.
+
+    Returns (status, x, objective, tableau) with status in
+    {"optimal", "infeasible", "unbounded"} and tableau the Tableau of an
+    optimal LP (else None).  Without start the LP is solved from the
+    slack/artificial basis by the two-phase method.  start is the warm
+    Tableau of an LP with the same c, A and rel, which is left as it is;
+    the LP is re-solved from it by dual simplex.
+    """
+    lb = np.asarray(lb, float)
+    ub = np.asarray(ub, float)
+    if np.any(ub - lb < -FEAS_EPS):
+        return "infeasible", None, None, None
+    b = np.asarray(b, float)
+    if start is None:
+        status, cols, basis, tab = _two_phase(c, A, rel, b, lb, ub)
+    elif not start.warm:
+        raise ValueError("a start tableau with a basic artificial column")
+    else:
+        status, cols, basis = _dual_resolve(start, A, b, lb, ub)
+        tab = start
+    if status != "optimal":
+        return status, None, None, None
+    n, m = len(c), len(basis)
+    y = np.zeros(tab.n_real + m)
     y[basis] = cols[-1, :m]
     x = y[:n] + lb
-    return "optimal", x, float(np.dot(c, y[:n]) + np.dot(c, lb))
+    return ("optimal", x, float(np.dot(c, y[:n]) + np.dot(c, lb)),
+            _keep(tab, cols, basis, b, lb, ub))
 
 
 # -- branch and bound --------------------------------------------------------
@@ -318,25 +466,42 @@ def _model_arrays(m):
     return c, A, rel, b, lb, ub
 
 
-def solve(m, max_nodes=100000, time_ms=120000):
+def _start(tab):
+    """The start for a re-solve from tab, or None for a cold solve."""
+    return tab if tab is not None and tab.warm else None
+
+
+def solve(m, max_nodes=100000, time_ms=120000, start=None):
     """Best-first branch-and-bound; deterministic for a fixed model.
 
     Nodes leave the queue in order of their LP bound, so the first node
     with an integral solution is optimal and no incumbent is ever kept:
     a node or time budget hit returns "bound_reached" with no values.
+
+    The root LP is solved by the two-phase method, or, given start, an
+    optimal Solution of a model that differs from m only in right-hand
+    sides, by dual simplex from start's root tableau.  Each child node
+    is re-solved by dual simplex from its parent's tableau.
     """
     c, A, rel, b, lb0, ub0 = _model_arrays(m)
     int_vars = [v.id for v in m.vars if v.kind != CONTINUOUS]
-    status, x, obj = lp_solve(c, A, rel, b, lb0, ub0)
+    if start is not None:
+        if start.root is None or \
+                not start.root.same_lp(c, A, rel, lb0, ub0):
+            raise ValueError("a start must be an optimal solution of the "
+                             "model with only right-hand sides changed")
+        start = _start(start.root)
+    status, x, obj, root = lp_solve(c, A, rel, b, lb0, ub0, start=start)
     if status != "optimal":
         return Solution("infeasible", {}, float("nan"))
 
-    heap = [(obj, 0, lb0, ub0, x)]
+    # a node's bounds are those of its Tableau
+    heap = [(obj, 0, x, root)]
     seq = 0
     nodes = 0
     deadline = time.monotonic() + time_ms / 1000.0
     while heap:
-        _, _, lb, ub, x = heapq.heappop(heap)
+        _, _, x, tab = heapq.heappop(heap)
         nodes += 1
         if nodes > max_nodes or time.monotonic() > deadline:
             return Solution("bound_reached", {}, float("nan"))
@@ -349,18 +514,20 @@ def solve(m, max_nodes=100000, time_ms=120000):
             values = {v.id: float(x[v.id]) for v in m.vars}
             for v in int_vars:
                 values[v] = float(round(values[v]))
-            return Solution("optimal", values, m.objective_value(values))
+            return Solution("optimal", values, m.objective_value(values),
+                            root)
         lo = float(np.floor(x[frac_var]))
         for side in (0, 1):
-            nlb, nub = lb.copy(), ub.copy()
+            nlb, nub = tab.lb.copy(), tab.ub.copy()
             if side == 0:
                 nub[frac_var] = lo
             else:
                 nlb[frac_var] = lo + 1.0
-            st, nx, nobj = lp_solve(c, A, rel, b, nlb, nub)
+            st, nx, nobj, ntab = lp_solve(c, A, rel, b, nlb, nub,
+                                          start=_start(tab))
             if st == "optimal":
                 seq += 1
-                heapq.heappush(heap, (nobj, seq, nlb, nub, nx))
+                heapq.heappush(heap, (nobj, seq, nx, ntab))
     return Solution("infeasible", {}, float("nan"))
 
 

@@ -87,6 +87,16 @@ class Config:
     def validate(self):
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError("clock period must be positive and finite")
+        for name in ("alpha", "beta", "gamma", "buffer_delay", "t_stable",
+                     "replace_threshold", "big_M"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not all(map(math.isfinite, self.dth_schedule)):
+            raise ValueError("dth_schedule entries must be finite")
+        if self.t_stable < 0:
+            raise ValueError("t_stable must be >= 0")
+        if self.buffer_delay <= 0:
+            raise ValueError("buffer_delay must be positive")
         if not (0 < self.duty < 1):
             raise ValueError("duty cycle must be in (0,1)")
         if not (self.r_u >= 1 >= self.r_l > 0):

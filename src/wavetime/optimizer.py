@@ -2,8 +2,10 @@
 
 Stage 1 solves the relaxed pad model and collects candidate unit sites S.
 Stage 2 refines S with unit presence binaries while lowering the pad
-bound d_th.  Stage 3 legalizes the surviving sites S_d with the exact
-flip-flop/latch model, dropping sites that legalize to "no unit".
+bound d_th; it builds its model once per S and moves it to each next
+d_th, re-solving from the previous round's root.  Stage 3 legalizes
+the surviving sites S_d with the exact flip-flop/latch model, dropping
+sites that legalize to "no unit".
 Stage 4 snaps gate delays to their libraries and trades long buffer
 chains for sequential units where that saves area.  Stages 2 and 3
 with no sites would solve the relaxed model again, so they reuse the
@@ -66,9 +68,9 @@ class OptimizationReport:
         return "\n".join(self.lines()) + "\n"
 
 
-def _solve_stage(arts, cfg, stage):
+def _solve_stage(arts, cfg, stage, start=None):
     sol = milp.solve(arts.model, max_nodes=cfg.milp_nodes,
-                     time_ms=cfg.milp_time_ms)
+                     time_ms=cfg.milp_time_ms, start=start)
     if sol.status != "optimal":
         raise InfeasibleError(stage, sol.status)
     bad = arts.model.violated(sol.values)
@@ -127,11 +129,17 @@ def run_flow(graph, cfg):
 
     arts2, sol2 = arts, sol
     if S:
+        new = S     # the first round builds the model
         # a zero round that does not stop grows S, so zeros cannot run out
         for d_th in chain(cfg.dth_schedule,
                           repeat(0.0, len(graph.gates) + 1)):
-            arts2 = vsmodel.build_cdq_model(graph, cfg, S, d_th)
-            sol2 = _solve_stage(arts2, cfg, "cdq")
+            if new:
+                arts2 = vsmodel.build_cdq_model(graph, cfg, S, d_th)
+                sol2 = _solve_stage(arts2, cfg, "cdq")
+            else:
+                # the same (T, S): re-solve from the last round's root
+                vsmodel.set_dth(arts2, d_th)
+                sol2 = _solve_stage(arts2, cfg, "cdq", start=sol2)
             _, hot = vsmodel.decode_solution(arts2, sol2)
             new = hot - S
             S |= new

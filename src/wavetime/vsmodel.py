@@ -10,13 +10,15 @@ Three builders share one variable layout:
                either-or over the three insertion cases and the phases.
 
 With no sites, the cdq (built by the same body) and legalization models
-are the relaxed model.
+are the relaxed model.  set_dth moves a cdq model to another d_th in
+place, so that the solver can re-solve it from its last solution.
 
 The arrival variable s of a gate denotes the latest arrival at the gate
 output after its own pad/unit, before the anchor shifts of the outgoing
 connections; s' is the earliest counterpart.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from . import milp
@@ -24,7 +26,8 @@ from .milp import BINARY, CONTINUOUS, INTEGER, MilpModel
 from .sta import EdgeDecision, OptimizedCircuit, edge_key
 
 # small tie-break cost on unit-presence binaries so that x = 1 appears
-# only where a pad is actually exercised
+# only where a pad is actually exercised, and on a site's latch case so
+# that a flip-flop wins an exact tie in the model, not by pivot order
 X_COST = 1e-6
 
 # pads differing by more than this indicate a unit, not a buffer chain
@@ -43,6 +46,7 @@ class ModelArtifacts:
     delta: dict = field(default_factory=dict)    # gate -> var id
     delta_p: dict = field(default_factory=dict)
     x: dict = field(default_factory=dict)        # site -> presence binary
+    dth_rows: list = field(default_factory=list)  # rows holding d_th
     site: dict = field(default_factory=dict)     # site -> legalization vars
 
 
@@ -179,6 +183,9 @@ def _objective(arts, pad_gates):
         obj[v] = obj.get(v, 0.0) - cfg.gamma
     for g, v in arts.x.items():
         obj[v] = obj.get(v, 0.0) + X_COST
+    for sv in arts.site.values():
+        latch = sv["cases"][2]
+        obj[latch] = obj.get(latch, 0.0) + X_COST
     arts.model.set_objective(obj, "min")
 
 
@@ -193,6 +200,16 @@ def build_cdq_model(graph, cfg, S, d_th):
     clock/data-to-q delay of a unit, present only when x = 1, and any
     exercised site must pad at least d_th."""
     return _pad_model(graph, cfg, S, d_th)
+
+
+def set_dth(arts, d_th):
+    """Move a cdq model to another delay bound d_th in place; only the
+    right-hand sides of its indicator rows change."""
+    rhs = float(d_th - arts.cfg.big_M)
+    if not math.isfinite(rhs):
+        raise ValueError("d_th must be finite")
+    for i in arts.dth_rows:
+        arts.model.constraints[i].rhs = rhs
 
 
 def _pad_model(graph, cfg, S, d_th):
@@ -211,6 +228,7 @@ def _pad_model(graph, cfg, S, d_th):
                         {zp: cfg.r_l, x: t_cdq * cfg.r_l})
         m.add_indicator(x, {arts.delta_p[g]: 1.0, arts.delta[g]: -1.0},
                         d_th, cfg.big_M)
+        arts.dth_rows.append(len(m.constraints) - 1)
     _arrival_constraints(arts, pad_terms)
     _loop_order_constraints(arts, gates)
     _stability(arts)

@@ -169,31 +169,68 @@ def reference_lp_solve(c, A, rel, b, lb, ub):
 
 
 def recorded_lp_calls(monkeypatch, models):
-    """(arguments, result) of every lp_solve call that milp.solve makes
-    on the models: the root and every branch-and-bound node."""
+    """(model, arguments, warm, result) of every lp_solve call that
+    milp.solve makes on the models: the root and every branch-and-bound
+    node, warm when re-solved from a kept tableau.  A model that comes
+    again right after itself, with only right-hand sides changed in
+    between, is solved from its previous solution."""
     calls = []
     kernel = milp.lp_solve
+    model = last = sol = None
 
-    def record(*args):
-        result = kernel(*args)
-        calls.append((args, result))
+    def record(*args, start=None):
+        result = kernel(*args, start=start)
+        calls.append((model, args, start is not None, result))
         return result
 
     with monkeypatch.context() as mp:
         mp.setattr(milp, "lp_solve", record)
-        for m in models:
-            milp.solve(m)
+        for model in models:
+            again = model is last and sol.status == "optimal"
+            sol = milp.solve(model, start=sol if again else None)
+            last = model
     return calls
 
 
 def bits(result):
-    status, x, obj = result
+    status, x, obj = result[:3]
     return status, None if x is None else x.tobytes(), repr(obj)
 
 
 def assert_matches_reference(calls):
-    for args, result in calls:
-        assert bits(result) == bits(reference_lp_solve(*args))
+    """A cold call equals the reference bit for bit.  A warm call may end
+    on another optimal vertex: it has the reference's status, an
+    objective within 1e-7 relative, and values that break no row."""
+    assert {warm for _, _, warm, _ in calls} == {False, True}
+    for model, args, warm, result in calls:
+        ref = reference_lp_solve(*args)
+        if not warm:
+            assert bits(result) == bits(ref)
+            continue
+        assert result[0] == ref[0]
+        if ref[0] == "optimal":
+            assert abs(result[2] - ref[2]) <= 1e-7 * max(1.0, abs(ref[2]))
+            values = dict(enumerate(result[1].tolist()))
+            assert [r for r in model.violated(values)
+                    if not r.startswith("integrality:")] == []
+
+
+def dth_rounds(graph, cfg):
+    """The cdq model on the stage-1 sites, moved down the d_th schedule."""
+    from wavetime import vsmodel
+    arts = vsmodel.build_relaxed_model(graph, cfg)
+    sol = milp.solve(arts.model)
+    if sol.status != "optimal":
+        return
+    _, sites = vsmodel.decode_solution(arts, sol)
+    if not sites:
+        return
+    arts = vsmodel.build_cdq_model(graph, cfg, set(sites),
+                                   cfg.dth_schedule[0])
+    yield arts.model
+    for d_th in cfg.dth_schedule[1:]:
+        vsmodel.set_dth(arts, d_th)
+        yield arts.model
 
 
 def test_lp_kernel_matches_reference_on_stage_models(monkeypatch):
@@ -204,20 +241,39 @@ def test_lp_kernel_matches_reference_on_stage_models(monkeypatch):
     calls = recorded_lp_calls(monkeypatch, models)
     assert len(calls) > len(models)  # branch-and-bound nodes too
     assert_matches_reference(calls)
+    # warm roots: each d_th round re-solved from the round before
+    rounds = itertools.chain.from_iterable(
+        dth_rounds(to_gate_graph(c), Config(T=c.T))
+        for _, c in stage_corpus())
+    calls = recorded_lp_calls(monkeypatch, rounds)
+    assert_matches_reference(calls)
 
 
 def test_lp_kernel_matches_reference_on_random_models(monkeypatch):
     rng = random.Random(99)
     calls = recorded_lp_calls(monkeypatch,
                               [random_model(rng) for _ in range(200)])
-    assert {r[0] for _, r in calls} == {"optimal", "infeasible"}
+    assert {r[0] for _, _, _, r in calls} == {"optimal", "infeasible"}
     assert_matches_reference(calls)
+
+
+def test_kept_tableau_unpacks_bit_for_bit():
+    rng = random.Random(5)
+    kept = 0
+    for _ in range(100):
+        c, A, rel, b, lb, ub = milp._model_arrays(random_model(rng))
+        status, cols, basis, tab = milp._two_phase(c, A, rel, b, lb, ub)
+        if status == "optimal":
+            tab = milp._keep(tab, cols, basis, b, lb, ub)
+            assert tab.unpacked().tobytes() == cols.tobytes()
+            kept += 1
+    assert kept > 20
 
 
 def test_lp_kernel_closed_forms():
     # box-constrained: optimum at the corner
-    st, x, obj = milp.lp_solve(np.array([1.0, -2.0]), np.zeros((0, 2)), [],
-                               [], [0, 0], [3, 4])
+    st, x, obj, _ = milp.lp_solve(np.array([1.0, -2.0]), np.zeros((0, 2)),
+                                  [], [], [0, 0], [3, 4])
     assert st == "optimal" and obj == pytest.approx(-8.0, abs=1e-9)
     assert x[1] == pytest.approx(4.0, abs=1e-9)
     # 2x2 transport problem: supplies (3, 2), demands (2, 3),
@@ -227,14 +283,14 @@ def test_lp_kernel_closed_forms():
                   [0.0, 0.0, 1.0, 1.0],
                   [1.0, 0.0, 1.0, 0.0],
                   [0.0, 1.0, 0.0, 1.0]])
-    st, x, obj = milp.lp_solve(c, A, ["="] * 4, [3.0, 2.0, 2.0, 3.0],
-                               [0] * 4, [10] * 4)
+    st, x, obj, _ = milp.lp_solve(c, A, ["="] * 4, [3.0, 2.0, 2.0, 3.0],
+                                  [0] * 4, [10] * 4)
     assert st == "optimal" and obj == pytest.approx(8.0, abs=1e-9)
 
 
 def test_lp_kernel_infeasible():
-    st, _, _ = milp.lp_solve(np.array([0.0]), np.array([[1.0], [1.0]]),
-                             [">=", "<="], [5.0, 1.0], [0], [10])
+    st, _, _, _ = milp.lp_solve(np.array([0.0]), np.array([[1.0], [1.0]]),
+                                [">=", "<="], [5.0, 1.0], [0], [10])
     assert st == "infeasible"
 
 
@@ -242,7 +298,7 @@ def test_lp_kernel_vs_scipy_random():
     rng = random.Random(21)
     for _ in range(100):
         m = random_model(rng)
-        st, x, obj = milp.lp_solve(*milp._model_arrays(m))
+        st, x, obj, _ = milp.lp_solve(*milp._model_arrays(m))
         oracle = scipy_lp(m, fixed=None)
         # make both pure relaxations: scipy_lp ignores integrality too
         if oracle is None:
@@ -275,11 +331,16 @@ def test_nan_bound_is_rejected(bounds):
 
 @pytest.mark.parametrize("call", [
     lambda m, x, v: m.add_constr({v: 1.0}, "<", 1.0),
+    lambda m, x, v: m.add_constr({v: 1.0}, "<=", float("nan")),
+    lambda m, x, v: m.add_constr({v: 1.0}, ">=", float("inf")),
     lambda m, x, v: m.set_objective({v: 1.0}, sense="maximize"),
+    lambda m, x, v: m.set_objective({v: float("nan")}),
+    lambda m, x, v: m.set_objective({v: 1.0}, const=float("inf")),
     lambda m, x, v: m.linearize_product(v, x),
     lambda m, x, v: m.add_indicator(v, {x: 1.0}, 1.0, big_M=10.0),
     lambda m, x, v: m.add_either_or([[({v: 1.0}, ">=", 1.0)]], big_M=10.0),
-], ids=["relation", "sense", "product", "indicator", "either_or"])
+], ids=["relation", "nan_rhs", "inf_rhs", "sense", "nan_objective",
+        "inf_constant", "product", "indicator", "either_or"])
 def test_bad_arguments_raise_value_error(call):
     # ValueError, not assert: the checks must hold under python -O
     m = MilpModel()
@@ -405,6 +466,68 @@ def test_solver_matches_enumeration_oracle():
             denom = max(1.0, abs(oracle))
             assert abs(sol.objective - oracle) / denom < 1e-6
             assert m.violated(sol.values) == []
+
+
+def knapsack(capacity):
+    m = MilpModel()
+    xs = [m.add_var(BINARY) for _ in range(4)]
+    v = m.add_var(CONTINUOUS, lb=0, ub=3)
+    m.add_constr({**dict(zip(xs, (3.0, 4.0, 5.0, 2.5))), v: 1.0}, "<=",
+                 capacity)
+    m.set_objective({**dict(zip(xs, (4.0, 5.0, 7.0, 3.0))), v: 0.7},
+                    "max")
+    return m
+
+
+def test_solve_from_start_matches_a_cold_solve():
+    m = knapsack(7.0)
+    sol = milp.solve(m)
+    for capacity in (9.5, 6.0, 12.0, 2.0, 0.5, 30.0):
+        m.constraints[0].rhs = capacity
+        warm = milp.solve(m, start=sol)
+        cold = milp.solve(knapsack(capacity))
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+        assert m.violated(warm.values) == []
+        sol = warm
+
+
+@pytest.mark.parametrize("change", [
+    lambda m: m.constraints[0].coeffs.update({0: 2.0}),
+    lambda m: m.set_objective({0: 1.0}, "max"),
+    lambda m: m.constraints.__setitem__(0, milp.Constraint(
+        m.constraints[0].coeffs, ">=", 7.0, "c0")),
+    lambda m: setattr(m.vars[4], "ub", 2.0),
+], ids=["A", "c", "rel", "bounds"])
+def test_solve_start_of_another_model_raises(change):
+    m = knapsack(7.0)
+    sol = milp.solve(m)
+    change(m)
+    with pytest.raises(ValueError, match="start"):
+        milp.solve(m, start=sol)
+
+
+def test_solve_start_must_be_optimal():
+    m = knapsack(-1.0)
+    sol = milp.solve(m)
+    assert sol.status == "infeasible"
+    with pytest.raises(ValueError, match="start"):
+        milp.solve(m, start=sol)
+
+
+def test_repeated_equality_row_keeps_branching_cold(monkeypatch):
+    """A repeated equality row leaves an artificial basic at zero, which
+    rules out a warm start: every node is then solved cold."""
+    m = MilpModel()
+    xs = [m.add_var(BINARY) for _ in range(3)]
+    v = m.add_var(CONTINUOUS, lb=0, ub=2)
+    for _ in range(2):
+        m.add_constr({**{x: 2.0 for x in xs}, v: 1.0}, "=", 3.5)
+    m.set_objective({xs[0]: -1.0, xs[1]: -2.0, xs[2]: -3.0, v: 0.1})
+    calls = recorded_lp_calls(monkeypatch, [m])
+    assert len(calls) > 1
+    assert not any(warm for _, _, warm, _ in calls)
+    assert milp.solve(m).objective == pytest.approx(enumeration_oracle(m))
 
 
 def test_solution_audit_catches_small_big_M():

@@ -94,13 +94,41 @@ def test_flow_with_sites_keeps_stage2_rounds(monkeypatch):
     cfg = Config(T=10.0, r_u=1.1, r_l=0.9, t_stable=1.0)
     solves = count_calls(monkeypatch, milp, "solve")
     cdq = count_calls(monkeypatch, vsmodel, "build_cdq_model")
+    moves = count_calls(monkeypatch, vsmodel, "set_dth")
     legal = count_calls(monkeypatch, vsmodel, "build_legalization_model")
     _, report = run_flow(to_gate_graph(c), cfg)
     assert report.stages[0].n_sites > 0
-    # one round per schedule entry, down to the first d_th = 0
-    assert len(cdq) == len(cfg.dth_schedule)
+    # one round per schedule entry, down to the first d_th = 0; S does
+    # not grow, so the model is built once and then moved to each d_th
+    assert len(cdq) == 1
+    assert len(cdq) + len(moves) == len(cfg.dth_schedule)
     assert len(legal) == 1
-    assert len(solves) == 1 + len(cdq) + len(legal)
+    assert len(solves) == 1 + len(cfg.dth_schedule) + len(legal)
+
+
+def test_repeated_stage2_round_makes_no_cold_lp_call(monkeypatch):
+    import pathlib
+    c = netlist.parse_netlist((pathlib.Path(__file__).parent / "data" /
+                               "deep_chain.net").read_text())
+    cfg = Config(T=10.0, r_u=1.1, r_l=0.9, t_stable=1.0)
+    rounds = []     # per milp.solve: (started, warm flag per lp_solve)
+    solve, kernel = milp.solve, milp.lp_solve
+
+    def recorded_solve(model, *args, start=None, **kwargs):
+        rounds.append((start is not None, []))
+        return solve(model, *args, start=start, **kwargs)
+
+    def recorded_lp_solve(*args, start=None):
+        rounds[-1][1].append(start is not None)
+        return kernel(*args, start=start)
+
+    monkeypatch.setattr(milp, "solve", recorded_solve)
+    monkeypatch.setattr(milp, "lp_solve", recorded_lp_solve)
+    run_flow(to_gate_graph(c), cfg)
+    repeated = [warm for started, warm in rounds if started]
+    assert len(repeated) == len(cfg.dth_schedule) - 1
+    assert all(all(warm) for warm in repeated)
+    assert sum(map(len, repeated)) > len(repeated)  # children too
 
 
 def test_report_text_format(fig_c):
@@ -269,7 +297,21 @@ def test_config_rejects_empty_tuples():
             Config(T=5.0, **{name: ()})
 
 
-@pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0, -1.0])
-def test_config_rejects_non_finite_period(T):
-    with pytest.raises(ValueError, match="positive and finite"):
-        Config(T=T)
+NON_FINITE = [({"T": T}, "positive and finite")
+              for T in (float("nan"), float("inf"), 0.0, -1.0)] + \
+    [({knob: value}, knob)
+     for knob in ("alpha", "beta", "gamma", "t_stable", "buffer_delay",
+                  "replace_threshold", "big_M")
+     for value in (float("nan"), float("inf"), float("-inf"))] + \
+    [({"t_stable": -3.0}, "t_stable"),
+     ({"buffer_delay": 0.0, "t_stable": 0.0}, "buffer_delay"),
+     ({"dth_schedule": (float("nan"), 0.0)}, "dth_schedule")]
+
+
+@pytest.mark.parametrize(
+    "kw, match", NON_FINITE,
+    ids=[str(kw["T"]) if "T" in kw else
+         "-".join(f"{k}-{v}" for k, v in kw.items()) for kw, _ in NON_FINITE])
+def test_config_rejects_non_finite_period(kw, match):
+    with pytest.raises(ValueError, match=match):
+        Config(**{"T": 5.0, **kw})

@@ -113,6 +113,33 @@ def test_cdq_indicator_enforces_pad_bound(fig_chain):
             assert spread >= 2.0 - 1e-6
 
 
+def test_set_dth_equals_a_rebuild(fig_chain):
+    """Moving a cdq model to another d_th gives the model built at it."""
+    g = to_gate_graph(fig_chain)
+    cfg = exact_cfg(10.0)
+    arts = vsmodel.build_cdq_model(g, cfg, set(g.gates), cfg.dth_schedule[0])
+    for d_th in cfg.dth_schedule[1:]:
+        vsmodel.set_dth(arts, d_th)
+        want = vsmodel.build_cdq_model(g, cfg, set(g.gates), d_th)
+        assert milp.export_lp(arts.model) == milp.export_lp(want.model)
+
+
+def test_set_dth_rejects_nan(fig_chain):
+    g = to_gate_graph(fig_chain)
+    arts = vsmodel.build_cdq_model(g, exact_cfg(10.0), set(g.gates), 1.0)
+    with pytest.raises(ValueError, match="d_th"):
+        vsmodel.set_dth(arts, float("nan"))
+
+
+def test_legalization_objective_prefers_a_flipflop_to_a_latch(fig_c):
+    g = to_gate_graph(fig_c)
+    arts = vsmodel.build_legalization_model(g, exact_cfg(9.0), {"g3", "g5"})
+    for sv in arts.site.values():
+        none, ff, latch = sv["cases"]
+        assert none not in arts.model.obj and ff not in arts.model.obj
+        assert arts.model.obj[latch] == vsmodel.X_COST
+
+
 def deep_chain_graph():
     import pathlib
     from wavetime import netlist

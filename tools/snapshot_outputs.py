@@ -12,7 +12,8 @@ designs.  Per design: the window report, the reference wave simulation,
 the gate order, the LP text and raw solver values of the relaxed, cdq
 (d_th = 7T/8 and 0) and legalization models, the raw result of every LP
 the solver solved for each of those models (the root and every
-branch-and-bound node), at the file period and
+branch-and-bound node, tagged cold or warm by how it was started), at
+the file period and
 1.2 times it the `run_flow` report, placement, equivalence text and SDC,
 and the report and placement of a `sweep_clock_period` from the file
 period in steps of 5%.  Then the CLI `extract`, `sdc` and `verify`
@@ -73,13 +74,16 @@ def models(graph, cfg):
 
 def solve_recording(model, cfg):
     """milp.solve on the model, and the text of every lp_solve result it
-    got on the way, with exact float reprs."""
+    got on the way, with exact float reprs, each tagged "cold" (solved
+    from the slack basis) or "warm" (re-solved from a kept tableau)."""
     lines = []
     kernel = milp.lp_solve
 
-    def record(*args):
-        status, x, obj = result = kernel(*args)
-        lines.append(f"{status} {obj!r} "
+    def record(*args, **kwargs):
+        result = kernel(*args, **kwargs)
+        status, x, obj = result[:3]
+        tag = "cold" if kwargs.get("start") is None else "warm"
+        lines.append(f"{tag} {status} {obj!r} "
                      f"{None if x is None else x.tolist()!r}\n")
         return result
 
