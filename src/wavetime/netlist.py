@@ -15,8 +15,9 @@ A gate's output net shares the gate's name.  Primary inputs and outputs
 are modeled as boundary flip-flops sharing the circuit's FlipFlopParams.
 """
 
+import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 class NetlistError(ValueError):
@@ -188,28 +189,65 @@ class Circuit:
         for r in refs:
             if r not in drivers:
                 raise NetlistError(f"undefined node reference {r!r}")
-        self._check_combinational_loops()
+        self.gate_order()  # raises on a loop with no sequential element
 
-    def _check_combinational_loops(self):
-        # DFS over gate-to-gate connections only; any cycle among gates
-        # is a cycle with zero flip-flops.
-        color = {}
+    def gate_order(self):
+        """Gates in topological order over gate-to-gate connections,
+        smallest ready name first.  Raises NetlistError on a loop of
+        gates, or of removable flip-flops with no gate on it (collapsing
+        such a loop into edge weights would never end)."""
+        removable = {n for n, f in self.ffs.items() if not f.boundary}
+        preds = {n: [s for s in g.inputs if s in self.gates]
+                 for n, g in self.gates.items()}
+        for n, f in self.ffs.items():
+            if n in removable:
+                preds[n] = [f.src] if f.src in removable else []
+        order, stuck = topological_order(preds)
+        if stuck:
+            cycle = _cycle(preds, stuck)
+            kind = ("combinational loop" if cycle[0] in self.gates
+                    else "flip-flop loop without a gate")
+            raise NetlistError(f"{kind} through " + " -> ".join(cycle))
+        return [n for n in order if n in self.gates]
 
-        def visit(g, stack):
-            color[g] = 1
-            for src in self.gates[g].inputs:
-                if src in self.gates:
-                    if color.get(src) == 1:
-                        cyc = stack[stack.index(src):] if src in stack else [src]
-                        raise NetlistError(
-                            "combinational loop through " + " -> ".join(cyc + [src]))
-                    if color.get(src) is None:
-                        visit(src, stack + [src])
-            color[g] = 2
 
-        for g in self.gates:
-            if color.get(g) is None:
-                visit(g, [g])
+def topological_order(preds):
+    """Kahn's algorithm over `node -> list of predecessors`, smallest
+    ready node first, so the order is the lexicographically smallest
+    topological one.  Every predecessor must itself be a key of preds.
+
+    Returns (order, stuck): the ordered nodes, and the sorted nodes left
+    out because they lie on or behind a cycle."""
+    pending = {n: len(ps) for n, ps in preds.items()}
+    succs = {}
+    for n, ps in preds.items():
+        for p in ps:
+            succs.setdefault(p, []).append(n)
+    ready = [n for n, k in pending.items() if k == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        n = heapq.heappop(ready)
+        order.append(n)
+        for m in succs.get(n, ()):
+            pending[m] -= 1
+            if pending[m] == 0:
+                heapq.heappush(ready, m)
+    return order, sorted(n for n, k in pending.items() if k)
+
+
+def _cycle(preds, stuck):
+    """A cycle among the stuck nodes of topological_order, as a node list
+    that ends where it starts, each node followed by one of its
+    predecessors.  Every stuck node has a stuck predecessor, so walking
+    them from the smallest stuck node must revisit a node."""
+    stuck_set = set(stuck)
+    at, path, n = {}, [], stuck[0]
+    while n not in at:
+        at[n] = len(path)
+        path.append(n)
+        n = min(p for p in preds[n] if p in stuck_set)
+    return path[at[n]:] + [n]
 
 
 def _parse_kv(tokens, line):
@@ -344,7 +382,9 @@ class GGEdge:
 class GateGraph:
     """Collapsed graph with an adjacency index built once at construction;
     `edges` must not be mutated afterwards, and the lists that in_edges /
-    out_edges return are shared and must not be mutated either."""
+    out_edges return are shared and must not be mutated either.  validate
+    rejects a cycle of gates over zero-weight edges (no flip-flop on it),
+    found by topological_order."""
     circuit: Circuit
     gates: dict          # name -> Gate, combinational nodes
     terminals: dict      # name -> kind in {"input", "output", "bff"}
@@ -366,33 +406,17 @@ class GateGraph:
     def total_weight(self):
         return sum(e.w for e in self.edges)
 
-    def topo_gates(self):
-        """Gates in topological order over zero-weight edges
-        (edges with w >= 1 carry at least one sequential element and do
-        not constrain combinational ordering)."""
-        order, state = [], {}
-
-        def visit(n):
-            state[n] = 1
-            for e in self.in_edges(n):
-                if e.w == 0 and e.src in self.gates:
-                    if state.get(e.src) == 1:
-                        raise NetlistError("zero-weight cycle through " + e.src)
-                    if state.get(e.src) is None:
-                        visit(e.src)
-            state[n] = 2
-            order.append(n)
-
-        for n in sorted(self.gates):
-            if state.get(n) is None:
-                visit(n)
-        return order
-
     def validate(self):
         removable = sum(1 for f in self.circuit.ffs.values() if not f.boundary)
         if self.total_weight() != removable:
             raise NetlistError("collapsed weights do not match removable FF count")
-        self.topo_gates()  # raises on a cycle with zero total weight
+        preds = {n: [e.src for e in self.in_edges(n)
+                     if e.w == 0 and e.src in self.gates]
+                 for n in self.gates}
+        _, stuck = topological_order(preds)
+        if stuck:
+            raise NetlistError("zero-weight cycle through "
+                               + " -> ".join(_cycle(preds, stuck)))
 
 
 def to_gate_graph(c):
@@ -429,44 +453,3 @@ def to_gate_graph(c):
     gg = GateGraph(c, gates, terminals, edges)
     gg.validate()
     return gg
-
-
-def select_critical_part(c, t_spec):
-    """Mark source/sink flip-flops of too-slow combinational paths.
-
-    Returns (removable set, boundary set, included gate set).  A path is
-    too slow when t_cq + gate delays + t_su exceeds t_spec.  All
-    flip-flops (and I/O terminals, which are never removable) touching
-    such a path are selected; gates reaching or reached by the selection
-    are included.
-    """
-    if t_spec <= 0:
-        raise ValueError("t_spec must be positive")
-    p = c.ff_params
-    readers = c.readers()
-    removable, included = set(), set()
-
-    def walk(node, delay, path):
-        for reader, _ in readers.get(node, ()):
-            if reader in c.gates:
-                walk(reader, delay + c.gates[reader].d, path + [reader])
-            else:
-                total = p.t_cq + delay + p.t_su
-                if total > t_spec + 1e-12:
-                    for end in (path[0], reader):
-                        if end in c.ffs:
-                            removable.add(end)
-                    included.update(n for n in path if n in c.gates)
-
-    for launch in list(c.ffs) + list(c.inputs):
-        walk(launch, 0.0, [launch])
-    boundary = set(c.ffs) - removable
-    return removable, boundary, included
-
-
-def apply_selection(c, removable):
-    """Return a copy of the circuit with boundary flags set so that
-    exactly the given flip-flops are removable."""
-    ffs = {n: replace(f, boundary=n not in removable) for n, f in c.ffs.items()}
-    return Circuit(c.name, c.T, c.duty, c.ff_params, dict(c.gates), ffs,
-                   list(c.inputs), list(c.outputs))

@@ -110,9 +110,21 @@ def classify_paths(graph, sol, limit=100000):
             by_anchor[mkey] = cls
         cls.paths.append((launch, tuple(path)))
 
-    def walk(launch, node, path, seen):
-        for e in sorted(graph.out_edges(node),
-                        key=lambda e: (e.dst, e.dst_pin)):
+    def out_edges(node):
+        return iter(sorted(graph.out_edges(node),
+                           key=lambda e: (e.dst, e.dst_pin)))
+
+    # depth-first, pre-order; stack[i] iterates the out-edges of the
+    # node that path[i - 1] enters (the launch node for i = 0)
+    for launch, start in launches:
+        path, seen, stack = [], {start}, [out_edges(start)]
+        while stack:
+            e = next(stack[-1], None)
+            if e is None:
+                stack.pop()
+                if path:
+                    seen.discard(path.pop()[1])
+                continue
             key = (e.src, e.dst, e.dst_pin)
             if wprime[key] >= 1:
                 record(launch, path + [key])   # path ends at a kept FF
@@ -122,10 +134,9 @@ def classify_paths(graph, sol, limit=100000):
                 continue
             if e.dst in seen:
                 continue
-            walk(launch, e.dst, path + [key], seen | {e.dst})
-
-    for launch, start in launches:
-        walk(launch, start, [], {start})
+            path.append(key)
+            seen.add(e.dst)
+            stack.append(out_edges(e.dst))
 
     classes = []
     for mkey in sorted(by_anchor):

@@ -11,8 +11,9 @@ defined here so that both the optimizer and the independent wave
 simulator can use them without depending on each other.
 """
 
-import heapq
 from dataclasses import dataclass, field
+
+from .netlist import topological_order
 
 
 @dataclass(frozen=True)
@@ -83,30 +84,19 @@ def traditional_min_period(c):
     """Worst register-to-register delay t_cq + gate delays + t_su, with
     all flip-flops present and no guard bands (plain path arithmetic)."""
     readers = c.readers()
-    memo = {}
-
-    def longest_from(gate):
-        # longest combinational delay from this gate (inclusive) to any
-        # capturing flip-flop or output
-        if gate in memo:
-            return memo[gate]
-        memo[gate] = float("-inf")  # cycle guard; circuits are FF-broken
+    # longest combinational delay from a gate (inclusive) to any
+    # capturing flip-flop or output; readers come later in gate order
+    longest = {}
+    for gate in reversed(c.gate_order()):
         best = float("-inf")
         for reader, _ in readers.get(gate, ()):
-            if reader in c.gates:
-                best = max(best, longest_from(reader))
-            else:
-                best = max(best, 0.0)
-        memo[gate] = c.gates[gate].d + best
-        return memo[gate]
+            best = max(best, longest[reader] if reader in c.gates else 0.0)
+        longest[gate] = c.gates[gate].d + best
 
     worst = float("-inf")
     for launch in list(c.ffs) + list(c.inputs):
         for reader, _ in readers.get(launch, ()):
-            if reader in c.gates:
-                worst = max(worst, longest_from(reader))
-            else:
-                worst = max(worst, 0.0)
+            worst = max(worst, longest[reader] if reader in c.gates else 0.0)
     if worst == float("-inf"):
         return 0.0
     p = c.ff_params
@@ -163,27 +153,14 @@ def _edge_window(win, dec, lam, cfg, p):
 
 def _gate_order(placed):
     """Topological order of gates over connections that carry no
-    sequential unit (unit outputs do not depend on their inputs); Kahn's
-    algorithm, smallest ready name first."""
+    sequential unit (unit outputs do not depend on their inputs),
+    smallest ready name first."""
     g = placed.graph
-
-    def combinational(e):
-        return (e.src in g.gates and e.dst in g.gates
-                and placed.decision(e).unit == "none")
-
-    pending = {n: sum(map(combinational, g.in_edges(n))) for n in g.gates}
-    ready = [n for n, k in pending.items() if k == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        n = heapq.heappop(ready)
-        order.append(n)
-        for e in g.out_edges(n):
-            if combinational(e):
-                pending[e.dst] -= 1
-                if pending[e.dst] == 0:
-                    heapq.heappush(ready, e.dst)
-    if len(order) != len(pending):
+    order, stuck = topological_order(
+        {n: [e.src for e in g.in_edges(n)
+             if e.src in g.gates and placed.decision(e).unit == "none"]
+         for n in g.gates})
+    if stuck:
         raise ValueError("unresolved placement: combinational cycle without "
                          "a sequential delay unit")
     return order

@@ -73,3 +73,22 @@ def random_circuit(rng: random.Random, max_gates=12, max_ffs=6, T=None,
     c = Circuit(f"rand", T, 0.5, ffp, gates, ffs, inputs, outputs)
     c.validate()
     return c
+
+
+def deep_chain_text(n, d=0.5, T=2000.0, ff_after=None):
+    """Netlist text of an n-gate buffer chain from a boundary flip-flop
+    to a boundary flip-flop, with a removable flip-flop FM after the
+    ff_after-th gate if given.  Gates are declared last-first and named
+    so that they sort against the chain: the chain runs g{n-1} ... g0."""
+    names = [f"g{n - 1 - i:04d}" for i in range(n)]
+    lines = ["circuit deep", f"clock period={T} duty=0.5",
+             "ffparams tcq=3 tsu=1 th=1 tdq=1", "input a",
+             "ff FI from=a boundary"]
+    srcs = ["FI"] + names[:-1]
+    if ff_after is not None:
+        lines.append(f"ff FM from={names[ff_after - 1]}")
+        srcs[ff_after] = "FM"
+    for name, src in reversed(list(zip(names, srcs))):
+        lines.append(f"gate {name} fn=buf delay={d} in={src}")
+    lines += [f"ff FO from={names[-1]} boundary", "output y from=FO"]
+    return "\n".join(lines) + "\n"

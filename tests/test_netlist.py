@@ -4,7 +4,7 @@ import pytest
 
 from wavetime import netlist
 from wavetime.netlist import NetlistError, parse_netlist, serialize, \
-    to_gate_graph, select_critical_part
+    to_gate_graph
 
 from gen import random_circuit
 
@@ -38,11 +38,49 @@ def test_duplicate_name():
 
 
 def test_combinational_loop_detected():
+    # g0 is fed by the loop g1 -> g2 -> g3 -> g1 but is not on it
+    inputs = {"g0": ["g2"], "g1": ["a", "g3"], "g2": ["g1"], "g3": ["g2"]}
     text = ("circuit c\nclock period=10 duty=0.5\ninput a\n"
-            "gate g1 fn=and delay=1 in=a,g2\n"
-            "gate g2 fn=buf delay=1 in=g1\n")
-    with pytest.raises(NetlistError, match="combinational loop"):
+            + "".join(f"gate {g} fn=buf delay=1 in={','.join(ins)}\n"
+                      for g, ins in inputs.items()))
+    with pytest.raises(NetlistError, match="combinational loop") as err:
         parse_netlist(text)
+    cycle = str(err.value).split(" through ")[1].split(" -> ")
+    assert cycle[0] == cycle[-1]
+    assert set(cycle) == {"g1", "g2", "g3"}
+    for node, pred in zip(cycle, cycle[1:]):
+        assert pred in inputs[node]
+
+
+def test_flip_flop_loop_without_gate_rejected():
+    # collapsing F1 and F2 into an edge weight would follow them forever
+    text = ("circuit c\nclock period=10 duty=0.5\ninput a\n"
+            "ff F1 from=F2\nff F2 from=F1\n"
+            "gate g fn=and delay=1 in=a,F1\n"
+            "ff FO from=g boundary\noutput y from=FO\n")
+    with pytest.raises(NetlistError, match="F1 -> F2 -> F1"):
+        parse_netlist(text)
+
+
+def test_zero_weight_cycle_names_a_path():
+    c = parse_netlist("circuit c\nclock period=10 duty=0.5\ninput a\n"
+                      "gate x fn=and delay=1 in=a,a\n"
+                      "gate y fn=buf delay=1 in=x\n"
+                      "ff FO from=y boundary\noutput o from=FO\n")
+    g = to_gate_graph(c)
+    edges = [e if (e.dst, e.dst_pin) != ("x", 1)
+             else netlist.GGEdge("y", "x", 0, 1) for e in g.edges]
+    h = netlist.GateGraph(c, dict(g.gates), dict(g.terminals), edges)
+    with pytest.raises(NetlistError,
+                       match="zero-weight cycle through x -> y -> x"):
+        h.validate()
+
+
+def test_topological_order_smallest_ready_first():
+    order, stuck = netlist.topological_order(
+        {"b": [], "a": ["c"], "c": [], "d": ["e"], "e": ["d"], "f": ["e"]})
+    assert order == ["b", "c", "a"]
+    assert stuck == ["d", "e", "f"]
 
 
 def test_fig_c_structure(fig_c):
@@ -97,53 +135,6 @@ def test_multi_reader_removable_ff_rejected():
     c = parse_netlist(text)
     with pytest.raises(NetlistError, match="collapsed weights"):
         to_gate_graph(c)
-
-
-def test_select_empty_when_fast(fig_chain):
-    removable, boundary, gates = select_critical_part(fig_chain, 100.0)
-    assert removable == set()
-    assert boundary == set(fig_chain.ffs)
-
-
-def test_select_slow_path(fig_chain):
-    # the 11-delay stage exceeds a 14 budget: 3 + 11 + 1 = 15
-    removable, _, gates = select_critical_part(fig_chain, 14.0)
-    assert "F2" in removable and "u" in gates
-
-
-def _selection_oracle(c, t_spec):
-    """Iterative path enumeration, independent of the DFS in netlist."""
-    readers = c.readers()
-    p = c.ff_params
-    removable = set()
-    launches = list(c.ffs) + list(c.inputs)
-    for launch in launches:
-        stack = [(launch, 0.0)]
-        while stack:
-            node, delay = stack.pop()
-            for reader, _ in readers.get(node, ()):
-                if reader in c.gates:
-                    stack.append((reader, delay + c.gates[reader].d))
-                elif p.t_cq + delay + p.t_su > t_spec:
-                    removable.update(x for x in (launch, reader) if x in c.ffs)
-    return removable
-
-
-def test_selection_matches_path_oracle():
-    rng = random.Random(3)
-    for _ in range(50):
-        c = random_circuit(rng)
-        t_spec = float(rng.randint(3, 12))
-        removable, boundary, gates = select_critical_part(c, t_spec)
-        assert removable | boundary == set(c.ffs)
-        assert removable.isdisjoint(boundary)
-        assert removable == _selection_oracle(c, t_spec)
-
-
-def test_apply_selection_round_trip(fig_c):
-    c2 = netlist.apply_selection(fig_c, {"F6"})
-    assert not c2.ffs["F6"].boundary
-    assert all(f.boundary for n, f in c2.ffs.items() if n != "F6")
 
 
 def _scan_in(graph, node):

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from wavetime import cli, netlist, sdcgen
+from wavetime import cli, netlist, optimizer, sdcgen, sta
 from wavetime.netlist import Config, to_gate_graph
 from wavetime.retime_extract import RetimeSolution, extract_removals
 from wavetime.sdcgen import (PathLimitError, classify_paths, emit_sdc,
                              find_differentiating_pins)
 
-from gen import random_circuit
+from gen import deep_chain_text, random_circuit
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -220,3 +220,20 @@ def test_kept_flipflop_sink_into_terminal(tmp_path):
                      "--out-dir", str(tmp_path)]) == 0
     lines = (tmp_path / "out.sdc").read_text().splitlines()
     assert any(line.endswith("-to o/D") for line in lines)
+
+
+def test_sdc_on_deep_chain(tmp_path, capsys):
+    # 3000 gates with one removed flip-flop between g1499 and g1500
+    text = deep_chain_text(3000, ff_after=1500)
+    orig = tmp_path / "deep.net"
+    orig.write_text(text)
+    c = netlist.parse_netlist(text)
+    placed = sta.as_placed(to_gate_graph(c))
+    opt = tmp_path / "deep_opt.net"
+    opt.write_text(optimizer.placement_to_text(placed, Config(T=c.T), text))
+    assert cli.main(["sdc", str(orig), str(opt),
+                     "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    points = "-through g1500/ZN -through g1499/A"
+    assert (tmp_path / "out.sdc").read_text() == \
+        f"set_max_delay 4000 {points}\nset_min_delay 2000 {points}\n"

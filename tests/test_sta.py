@@ -1,13 +1,17 @@
+import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 
-from wavetime import netlist, sta
+from wavetime import cli, netlist, sta
 from wavetime.netlist import Config, FlipFlopParams, to_gate_graph
 from wavetime.sta import ArrivalWindow, EdgeDecision, OptimizedCircuit, \
     check_boundary, propagate_windows, traditional_min_period
 
-from gen import random_circuit
+from gen import deep_chain_text, random_circuit
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def exact_cfg(T, **kw):
@@ -28,6 +32,71 @@ def test_min_period_empty():
         "ff F from=a boundary\noutput y from=F\n")
     # a direct register-to-register connection still costs t_cq + t_su
     assert traditional_min_period(c) == 4.0
+
+
+def _traditional_min_period_reference(c):
+    """The recursive memo over readers that traditional_min_period was
+    before it walked a topological order."""
+    readers = c.readers()
+    memo = {}
+
+    def longest_from(gate):
+        if gate in memo:
+            return memo[gate]
+        memo[gate] = float("-inf")
+        best = float("-inf")
+        for reader, _ in readers.get(gate, ()):
+            if reader in c.gates:
+                best = max(best, longest_from(reader))
+            else:
+                best = max(best, 0.0)
+        memo[gate] = c.gates[gate].d + best
+        return memo[gate]
+
+    worst = float("-inf")
+    for launch in list(c.ffs) + list(c.inputs):
+        for reader, _ in readers.get(launch, ()):
+            if reader in c.gates:
+                worst = max(worst, longest_from(reader))
+            else:
+                worst = max(worst, 0.0)
+    if worst == float("-inf"):
+        return 0.0
+    p = c.ff_params
+    return p.t_cq + worst + p.t_su
+
+
+def test_min_period_matches_reference():
+    for path in sorted(DATA.glob("*.net")):
+        c = netlist.parse_netlist(path.read_text())
+        assert traditional_min_period(c) == \
+            _traditional_min_period_reference(c), path.name
+    rng = random.Random(17)
+    for i in range(150):
+        c = random_circuit(rng, max_gates=12, max_ffs=5, with_loop=i % 2 == 1)
+        assert traditional_min_period(c) == _traditional_min_period_reference(c)
+
+
+def test_deep_chain_analysis(tmp_path, capsys):
+    n, d = 3000, 0.5
+    text = deep_chain_text(n, d)
+    c = netlist.parse_netlist(text)
+    g = to_gate_graph(c)
+    p = c.ff_params
+    assert traditional_min_period(c) == p.t_cq + n * d + p.t_su
+    placed = sta.as_placed(g)
+    windows, violations = propagate_windows(placed, Config(T=c.T))
+    assert violations == []
+    assert windows["g0000"].s == pytest.approx((p.t_cq + n * d) * 1.1)
+    report = sta.format_report(placed, windows, violations)
+    rows = report.splitlines()
+    assert len(rows) == 1 + n + len(g.terminals)
+    assert [r.split("\t")[0] for r in rows[4:6]] == ["g2999", "g2998"]
+    path = tmp_path / "deep.net"
+    path.write_text(text)
+    assert cli.main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == \
+        f"min_period={p.t_cq + n * d + p.t_su:.6g}"
 
 
 def chain_placement(fig_chain, keep_site=True):
@@ -174,7 +243,8 @@ def test_matches_plain_sta_without_anchors():
 
 def test_monotonicity_in_gate_delay(fig_c):
     cfg = exact_cfg(9.0)
-    base_c = netlist.apply_selection(fig_c, {"F6"})
+    base_c = replace(fig_c, ffs={n: replace(f, boundary=n != "F6")
+                                 for n, f in fig_c.ffs.items()})
     g = to_gate_graph(base_c)
     placed = sta.as_placed(g)
     w0, _ = propagate_windows(placed, cfg)

@@ -9,7 +9,7 @@ from `tests/gen.py`, so copy it into a checkout that lacks it.
 
 Inputs: every `tests/data/*.net` plus eight seeded `gen.random_circuit`
 designs.  Per design: the window report, the reference wave simulation,
-the gate order, the LP text and raw solver values of the relaxed, cdq
+the LP text and raw solver values of the relaxed, cdq
 (d_th = 7T/8 and 0) and legalization models, the raw result of every LP
 the solver solved for each of those models (the root and every
 branch-and-bound node, tagged cold or warm by how it was started), at
@@ -117,7 +117,6 @@ def snapshot(name, circuit):
         placed, *sta.propagate_windows(placed, cfg)))
     out["simulate"] = guarded(lambda: repr(verify.simulate_waves(
         circuit, verify.reference_config(circuit, cfg))) + "\n")
-    out["topo"] = guarded(lambda: repr(graph.topo_gates()) + "\n")
     for label, model in models(graph, cfg):
         out[f"{label}.lp"] = milp.export_lp(model)
         sol, out[f"{label}.lps"] = solve_recording(model, cfg)
