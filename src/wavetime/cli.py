@@ -19,51 +19,69 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 
+def _floats(text):
+    return tuple(float(x) for x in text.split(","))
+
+
+# every flag once: the Config field it sets (None for the rest) and its
+# argparse keywords
+_FLAGS = {
+    "--config": (None, {"help": "flat key=value config file"}),
+    "--T": ("T", {"type": float, "help": "clock period override"}),
+    "--ru": ("r_u", {"type": float, "help": "upper guard band"}),
+    "--rl": ("r_l", {"type": float, "help": "lower guard band"}),
+    "--tstable": ("t_stable", {"type": float}),
+    "--phases": ("phases", {"type": _floats,
+                            "help": "comma-separated unit clock phases"}),
+    "--alpha": ("alpha", {"type": float}),
+    "--beta": ("beta", {"type": float}),
+    "--gamma": ("gamma", {"type": float}),
+    "--dth-start": (None, {"type": float, "help": "first delay bound of "
+                           "the refinement schedule"}),
+    "--dth-step": (None, {"type": float,
+                          "help": "decrement between delay bounds"}),
+    "--milp-nodes": ("milp_nodes", {"type": int}),
+    "--milp-time-ms": ("milp_time_ms", {"type": int}),
+    "--replace-threshold": ("replace_threshold", {"type": float}),
+    "--sweep-step": (None, {"type": float, "default": 0.005,
+                            "help": "period sweep step as a fraction of T"}),
+    "--dump-model": (None, {"action": "store_true",
+                            "help": "write solver models in LP format"}),
+    "--retime-objective": (None, {"default": "min-removals",
+                                  "choices": ["min-removals", "min-lags"]}),
+    "--out-dir": (None, {"default": "."}),
+}
+
+# the settings window propagation and the wave simulation read
+_WINDOW = ("--config", "--T", "--ru", "--rl", "--tstable")
+
+# subcommand -> (positional operands, flags); each takes only the flags
+# it reads.  analyze only prints, so it takes no --out-dir; extract's
+# retiming ILP has no period; sdc reads only the period.
+_COMMANDS = {
+    "analyze": (("netlist",), _WINDOW),
+    "optimize": (("netlist",), _WINDOW + (
+        "--phases", "--alpha", "--beta", "--gamma", "--dth-start",
+        "--dth-step", "--milp-nodes", "--milp-time-ms",
+        "--replace-threshold", "--sweep-step", "--dump-model",
+        "--out-dir")),
+    "extract": (("orig", "opt"), ("--retime-objective", "--out-dir")),
+    "sdc": (("orig", "opt"), ("--T", "--out-dir")),
+    "verify": (("orig", "opt"), _WINDOW + ("--out-dir",)),
+}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="wavetime",
         description="flip-flop removal and wave-pipelining toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def command(name, paths, config=True):
+    for name, (operands, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        for path in paths:
-            p.add_argument(path)
-        if config:
-            p.add_argument("--config", help="flat key=value config file")
-            p.add_argument("--T", type=float, help="clock period override")
-            p.add_argument("--ru", type=float, help="upper guard band")
-            p.add_argument("--rl", type=float, help="lower guard band")
-            p.add_argument("--phases",
-                           help="comma-separated unit clock phases")
-            p.add_argument("--duty", type=float)
-            p.add_argument("--tstable", type=float)
-            p.add_argument("--alpha", type=float)
-            p.add_argument("--beta", type=float)
-            p.add_argument("--gamma", type=float)
-            p.add_argument("--dth-start", type=float,
-                           help="first delay bound of the refinement schedule")
-            p.add_argument("--dth-step", type=float,
-                           help="decrement between delay bounds")
-            p.add_argument("--milp-nodes", type=int)
-            p.add_argument("--milp-time-ms", type=int)
-            p.add_argument("--replace-threshold", type=float)
-        return p
-
-    # analyze only prints, so it takes no --out-dir
-    command("analyze", ["netlist"])
-    opt = command("optimize", ["netlist"])
-    opt.add_argument("--sweep-step", type=float, default=0.005,
-                     help="period sweep step as a fraction of T")
-    opt.add_argument("--dump-model", action="store_true",
-                     help="write solver models in LP format")
-    # extract reads no configuration: its retiming ILP has no period
-    ext = command("extract", ["orig", "opt"], config=False)
-    ext.add_argument("--retime-objective", default="min-removals",
-                     choices=["min-removals", "min-lags"])
-    for p in (opt, ext, command("sdc", ["orig", "opt"]),
-              command("verify", ["orig", "opt"])):
-        p.add_argument("--out-dir", default=".")
+        for operand in operands:
+            p.add_argument(operand)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag][1])
     return ap
 
 
@@ -86,38 +104,34 @@ _INT_KEYS = {"milp_nodes", "milp_time_ms"}
 
 
 def make_config(circuit, args):
-    values = {}
-    if args.config:
+    """The netlist's clock period and duty, overridden by a --config
+    file, overridden by the flags of the parsed subcommand."""
+    values = {"T": circuit.T, "duty": circuit.duty}
+    if getattr(args, "config", None):
         for key, val in load_config_file(args.config).items():
             if key in _TUPLE_KEYS:
-                values[key] = tuple(float(x) for x in val.split(","))
+                values[key] = _floats(val)
             elif key in _INT_KEYS:
                 values[key] = int(val)
             else:
                 values[key] = float(val)
-    flag_map = {"T": args.T, "r_u": args.ru, "r_l": args.rl,
-                "duty": args.duty, "t_stable": args.tstable,
-                "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
-                "milp_nodes": args.milp_nodes,
-                "milp_time_ms": args.milp_time_ms,
-                "replace_threshold": args.replace_threshold}
-    for key, val in flag_map.items():
-        if val is not None:
+    for flag, (key, _) in _FLAGS.items():
+        val = getattr(args, flag[2:].replace("-", "_"), None)
+        if key is not None and val is not None:
             values[key] = val
-    if args.phases is not None:
-        values["phases"] = tuple(float(x) for x in args.phases.split(","))
-    T = values.pop("T", circuit.T)
-    if args.dth_start is not None or args.dth_step is not None:
-        start = args.dth_start if args.dth_start is not None else 7 * T / 8
-        step = args.dth_step if args.dth_step is not None else T / 8
+    T = values["T"]
+    start = getattr(args, "dth_start", None)
+    step = getattr(args, "dth_step", None)
+    if start is not None or step is not None:
+        d = start if start is not None else 7 * T / 8
+        step = step if step is not None else T / 8
         sched = []
-        d = start
         while d > 0:
             sched.append(d)
             d -= step
         sched.append(0.0)
         values["dth_schedule"] = tuple(sched)
-    return nl.Config(T=T, **values)
+    return nl.Config(**values)
 
 
 def _read(path):

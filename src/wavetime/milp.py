@@ -482,6 +482,10 @@ def solve(m, max_nodes=100000, time_ms=120000, start=None):
     optimal Solution of a model that differs from m only in right-hand
     sides, by dual simplex from start's root tableau.  Each child node
     is re-solved by dual simplex from its parent's tableau.
+
+    The root LP cannot be unbounded: add_var boxes every variable, a
+    missing bound becoming -FREE_BOUND or FREE_BOUND, so a root LP that
+    is not optimal is infeasible.
     """
     c, A, rel, b, lb0, ub0 = _model_arrays(m)
     int_vars = [v.id for v in m.vars if v.kind != CONTINUOUS]

@@ -96,6 +96,8 @@ class Config:
             raise ValueError("dth_schedule entries must be finite")
         if self.t_stable < 0:
             raise ValueError("t_stable must be >= 0")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError("eps must be finite and >= 0")
         if self.buffer_delay <= 0:
             raise ValueError("buffer_delay must be positive")
         if not (0 < self.duty < 1):

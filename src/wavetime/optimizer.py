@@ -101,19 +101,6 @@ def area(placed, cfg):
     return FF_AREA * (len(ffs) + len(latches)) + BUFFER_AREA * bufs
 
 
-def _absorb_equal_pads(placed):
-    """Equal pads emulate buffers: realize them as extra buffer delay on
-    every outgoing connection of the gate."""
-    eps = vsmodel.PAD_EPS
-    for k in sorted(placed.decisions):
-        dec = placed.decisions[k]
-        if dec.delta_prime > eps and dec.delta_prime - dec.delta <= eps:
-            dec.xi += dec.delta
-        dec.delta = 0.0
-        dec.delta_prime = 0.0
-    return placed
-
-
 def run_flow(graph, cfg):
     """Run stages 1-4; returns (OptimizedCircuit, OptimizationReport) or
     raises InfeasibleError naming the failing stage."""
@@ -174,7 +161,6 @@ def run_flow(graph, cfg):
     report.stages.append(StageInfo("stage3", sol3.status, len(S_d),
                                    sol3.objective))
 
-    placed = _absorb_equal_pads(placed)
     placed = discretize_delays(placed, cfg)
     placed = replace_buffers(placed, cfg)
 
@@ -182,8 +168,6 @@ def run_flow(graph, cfg):
     if violations:
         raise InfeasibleError("finalize", f"residual violations "
                               f"{[(v.node, v.kind) for v in violations[:3]]}")
-    for dec in placed.decisions.values():
-        dec.buffers = buffer_count(dec, cfg)
     ffs, latches = _count_units(placed)
     report.final_T = cfg.T
     report.n_f = len(ffs)
@@ -300,7 +284,7 @@ def placement_to_text(placed, cfg, base_text):
             continue
         out.append(f"edge {e.src} {e.dst} {e.dst_pin} xi={dec.xi!r} "
                    f"unit={dec.unit} n={dec.n_cycle} phi={dec.phi!r} "
-                   f"lam={lam} bufs={dec.buffers}")
+                   f"lam={lam} bufs={buffer_count(dec, cfg)}")
     return "\n".join(out) + "\n"
 
 
@@ -328,8 +312,7 @@ def placement_from_text(text):
             key = (src, dst, pin)
             placed.decisions[key] = EdgeDecision(
                 xi=float(kv.get("xi", 0.0)), unit=kv.get("unit", "none"),
-                n_cycle=int(kv.get("n", 0)), phi=float(kv.get("phi", 0.0)),
-                buffers=int(kv.get("bufs", 0)))
+                n_cycle=int(kv.get("n", 0)), phi=float(kv.get("phi", 0.0)))
             if "lam" in kv:
                 placed.lam[key] = int(kv["lam"])
         else:

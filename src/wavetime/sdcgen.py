@@ -147,31 +147,17 @@ def classify_paths(graph, sol, limit=100000):
         classes.append(cls)
 
     for cls in classes:
-        for other in classes:
-            if other.k > cls.k and _contains(_multiset(other), _multiset(cls)):
-                cls.entangled = True
+        cls.entangled = bool(_higher(cls, classes))
     classes.sort(key=lambda c: (c.sources, c.sinks, c.anchors))
     return classes
 
 
-def _multiset(cls):
-    """Anchor edge keys with multiplicity, from the first path."""
-    out = []
-    _, path = cls.paths[0]
-    for key in path:
-        if key in cls.anchors:
-            out.append(key)
-    return tuple(sorted(out))
-
-
-def _contains(big, small):
-    big = list(big)
-    for x in small:
-        if x in big:
-            big.remove(x)
-        else:
-            return False
-    return True
+def _higher(cls, classes):
+    """Classes with more waves through all of cls's anchors.  Paths are
+    simple, so each anchor edge lies on a path at most once and anchor
+    containment is set inclusion."""
+    return [h for h in classes
+            if h.k > cls.k and set(cls.anchors) <= set(h.anchors)]
 
 
 def _path_sink(graph, path):
@@ -208,8 +194,7 @@ def find_differentiating_pins(classes, graph):
     get sink-exclusive, backward-pin, or forward-pin differentiation, in
     that order."""
     for cls in classes:
-        higher = [h for h in classes
-                  if h.k > cls.k and _contains(_multiset(h), _multiset(cls))]
+        higher = _higher(cls, classes)
         base = _anchor_points(graph, cls.anchors)
         if not higher:
             cls.constraints.append(list(base))

@@ -37,15 +37,12 @@ class Violation:
 
 @dataclass
 class EdgeDecision:
-    """Resolved decision for one gate-output connection: buffer delay,
-    emulated pads (stages 1-3 only), and the sequential unit if any."""
+    """Resolved decision for one gate-output connection: buffer delay
+    and the sequential unit if any."""
     xi: float = 0.0
-    delta: float = 0.0
-    delta_prime: float = 0.0
     unit: str = "none"   # none | flipflop | latch
     n_cycle: int = 0
     phi: float = 0.0
-    buffers: int = 0     # realized buffer count for xi
 
 
 @dataclass

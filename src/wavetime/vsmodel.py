@@ -348,8 +348,11 @@ def decode_solution(arts, sol):
             kind, n_cycle, phi = unit_info[src]
             dec.unit, dec.n_cycle, dec.phi = kind, n_cycle, phi
         if src in arts.delta:
-            dec.delta = vals[arts.delta[src]]
-            dec.delta_prime = vals[arts.delta_p[src]]
+            # equal pads emulate buffers: realize them as extra buffer
+            # delay on every outgoing connection of the gate
+            d, dp = vals[arts.delta[src]], vals[arts.delta_p[src]]
+            if dp > PAD_EPS and dp - d <= PAD_EPS:
+                dec.xi += d
         decisions[k] = dec
     placed = OptimizedCircuit(g, decisions=decisions,
                               gate_delays=gate_delays)

@@ -94,6 +94,15 @@ def test_ignored_options_are_usage_errors(tmp_path, capsys):
     # analyze only prints, so it has no output directory
     assert run(capsys, "analyze", DATA / "fig_a.net",
                "--out-dir", tmp_path)[0] == 2
+    # window propagation reads no objective weight, sdc only the period,
+    # and the wave simulation no unit phase
+    assert run(capsys, "analyze", DATA / "fig_a.net",
+               "--alpha", "1")[0] == 2
+    assert run(capsys, "sdc", DATA / "entangled_orig.net",
+               DATA / "entangled_opt.net", "--ru", "1",
+               "--out-dir", tmp_path)[0] == 2
+    assert run(capsys, "verify", DATA / "fig_c.net", DATA / "fig_c.net",
+               "--phases", "0", "--out-dir", tmp_path)[0] == 2
 
 
 def test_sdc_subcommand(tmp_path, capsys):
@@ -150,12 +159,20 @@ def test_config_file_syntax_error(tmp_path, capsys):
 def test_dth_flags_build_schedule(capsys):
     import argparse
     ap = cli.build_parser()
-    args = ap.parse_args(["analyze", "x", "--dth-start", "6",
+    args = ap.parse_args(["optimize", "x", "--dth-start", "6",
                           "--dth-step", "2", "--T", "10"])
     from wavetime import netlist
     c = netlist.parse_netlist((DATA / "fig_c.net").read_text())
     cfg = cli.make_config(c, args)
     assert cfg.dth_schedule == (6.0, 4.0, 2.0, 0.0)
+
+
+def test_config_takes_the_netlist_duty():
+    from wavetime import netlist
+    text = (DATA / "fig_c.net").read_text().replace("duty=0.5", "duty=0.3")
+    c = netlist.parse_netlist(text)
+    args = cli.build_parser().parse_args(["optimize", "x"])
+    assert cli.make_config(c, args).duty == 0.3
 
 
 def test_dump_model_writes_lp(tmp_path, capsys):

@@ -167,17 +167,23 @@ def test_buffer_count_and_area():
     assert buffer_count(EdgeDecision(xi=2.0001), cfg) == 3
 
 
-def test_absorb_equal_pads():
-    placed = sta.OptimizedCircuit(None, decisions={
-        ("a", "b", 0): EdgeDecision(xi=1.0, delta=2.0, delta_prime=2.0),
-        ("b", "c", 0): EdgeDecision(xi=0.0, delta=1.0, delta_prime=3.0),
-    })
-    optimizer._absorb_equal_pads(placed)
-    assert placed.decisions[("a", "b", 0)].xi == pytest.approx(3.0)
-    # unequal pads are cleared without being realized
-    assert placed.decisions[("b", "c", 0)].xi == 0.0
-    assert all(d.delta == d.delta_prime == 0.0
-               for d in placed.decisions.values())
+def test_absorb_equal_pads(fig_c):
+    """decode_solution realizes equal pads as buffer delay on the
+    gate's outgoing connections."""
+    g = to_gate_graph(fig_c)
+    arts = vsmodel.build_relaxed_model(g, exact_cfg(9.0))
+    values = dict(milp.solve(arts.model).values)
+    ab, bc = ("g1", "g2", 0), ("g2", "g3", 0)
+    for key, xi, delta, delta_prime in ((ab, 1.0, 2.0, 2.0),
+                                        (bc, 0.0, 1.0, 3.0)):
+        values[arts.xi[key]] = xi
+        values[arts.delta[key[0]]] = delta
+        values[arts.delta_p[key[0]]] = delta_prime
+    placed, _ = vsmodel.decode_solution(
+        arts, milp.Solution("optimal", values, 0.0))
+    assert placed.decisions[ab].xi == pytest.approx(3.0)
+    # unequal pads indicate a unit, not buffer delay
+    assert placed.decisions[bc].xi == 0.0
 
 
 def test_discretize_snaps_to_library(fig_c):
@@ -303,6 +309,8 @@ NON_FINITE = [({"T": T}, "positive and finite")
      for knob in ("alpha", "beta", "gamma", "t_stable", "buffer_delay",
                   "replace_threshold", "big_M")
      for value in (float("nan"), float("inf"), float("-inf"))] + \
+    [({"eps": value}, "eps")
+     for value in (float("nan"), float("inf"), -1e-9)] + \
     [({"t_stable": -3.0}, "t_stable"),
      ({"buffer_delay": 0.0, "t_stable": 0.0}, "buffer_delay"),
      ({"dth_schedule": (float("nan"), 0.0)}, "dth_schedule")]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wavetime import milp, optimizer, sta, vsmodel
+from wavetime import milp, sta, vsmodel
 from wavetime.netlist import Config, to_gate_graph
 from wavetime.sta import edge_key, propagate_windows
 
@@ -159,7 +159,6 @@ def test_legalized_solution_passes_independent_sta():
     assert sol.status == "optimal"
     assert arts.model.violated(sol.values) == []
     placed, _ = vsmodel.decode_solution(arts, sol)
-    optimizer._absorb_equal_pads(placed)
     _, violations = propagate_windows(placed, cfg)
     assert violations == []
     units = {k[0] for k, d in placed.decisions.items() if d.unit != "none"}
