@@ -1,8 +1,8 @@
 """Independent wave-based verification.
 
-simulate_waves follows signal waves edge by edge with a worklist fixed
-point instead of the analysis code's ordered single sweep.  It works on
-two kinds of targets:
+simulate_waves follows signal waves in one topological sweep, repeated
+to a bounded fixed point only on cycles, sharing no propagation code
+with sta.  It works on two kinds of targets:
 
 * a plain circuit: every flip-flop (including ones marked removable)
   behaves dynamically, capturing at whatever clock slot its input window
@@ -19,18 +19,16 @@ traditionally feasible.
 import math
 from dataclasses import dataclass, field, replace
 
-from .netlist import Circuit, to_gate_graph
+from .netlist import Circuit, to_gate_graph, topological_order
 from .sta import ArrivalWindow, Violation, edge_key, traditional_min_period
 
 
 @dataclass
 class CaptureReport:
     offsets: dict = field(default_factory=dict)   # sink -> sorted offsets
-    captures: dict = field(default_factory=dict)  # sink -> [(wave, cycle)]
     violations: list = field(default_factory=list)
     converged: bool = True
     windows: dict = field(default_factory=dict)
-    refs: dict = field(default_factory=dict)      # node -> frozenset of refs
 
 
 _BOTTOM = (float("-inf"), float("-inf"))
@@ -72,8 +70,7 @@ def _unit_transfer(s, sp, dec, cfg, p):
 
 
 def simulate_waves(target, cfg):
-    """Propagate wave windows to a fixed point and collect per-output
-    capture cycles; returns a CaptureReport."""
+    """Propagate wave windows and collect capture offsets (CaptureReport)."""
     placed_mode = not isinstance(target, Circuit)
     if placed_mode:
         graph = target.graph
@@ -87,7 +84,6 @@ def simulate_waves(target, cfg):
         delay = lambda g: graph.gates[g].d
     p = graph.circuit.ff_params
     T = cfg.T
-    horizon = graph.total_weight() + 4
 
     rep = CaptureReport()
     win = {}
@@ -142,14 +138,20 @@ def simulate_waves(target, cfg):
             return True
         return False
 
-    gates = sorted(graph.gates)
+    # flip-flop and unit edges order the sweep too: a wave crossing one
+    # still depends on its source window
+    order, stuck = topological_order(
+        {g: [e.src for e in graph.in_edges(g) if e.src in graph.gates]
+         for g in graph.gates})
     sinks = sorted(t for t, kind in graph.terminals.items()
                    if kind in ("output", "bff") and graph.in_edges(t))
+    # one sweep is exact with nothing stuck; the cap is for a reference
+    # set that grows around a unit on a cycle and never settles
     rep.converged = False
-    for _ in range(len(gates) + horizon + 3):
+    for _ in range(len(graph.gates) + graph.total_weight() + 7):
         edge_violations.clear()
         changed = False
-        for n in gates + sinks:
+        for n in order + stuck + sinks:
             ready = []
             for e in graph.in_edges(n):
                 changed |= push(e)
@@ -167,13 +169,12 @@ def simulate_waves(target, cfg):
                 win[n] = (s, sp)
                 refs[n] = rset
                 changed = True
-        if not changed:
+        if not (changed and stuck):
             rep.converged = True
             break
 
     rep.violations.extend(edge_violations)
     rep.windows = {k: ArrivalWindow(v[0], v[1]) for k, v in win.items()}
-    rep.refs = dict(refs)
 
     # unit capture-region checks against the settled input windows
     if placed_mode:
@@ -225,8 +226,6 @@ def simulate_waves(target, cfg):
             else:
                 offs = {r + slot + 1 for r in refs[t]}
         rep.offsets[t] = tuple(sorted(offs))
-        rep.captures[t] = [(n, n + off) for n in range(horizon)
-                           for off in sorted(offs)]
 
     # waves must not catch up with each other anywhere
     for node, (s, sp) in win.items():

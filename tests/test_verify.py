@@ -1,15 +1,19 @@
 import math
 import random
+import time
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from wavetime import netlist, optimizer, sta, verify
-from wavetime.netlist import Config, FlipFlopParams, to_gate_graph
+from wavetime import cli, netlist, optimizer, sta, verify
+from wavetime.netlist import (Circuit, Config, FlipFlop, FlipFlopParams,
+                              to_gate_graph)
 from wavetime.sta import EdgeDecision, edge_key, propagate_windows
 from wavetime.verify import (_capture_slot, check_equivalence,
                              reference_config, simulate_waves)
 
-from gen import random_circuit
+from gen import deep_chain_text, random_circuit
 
 
 def exact_cfg(T, **kw):
@@ -34,7 +38,6 @@ def test_circuit_mode_capture_offsets(fig_chain):
     assert rep.violations == []
     # three register stages between launch and capture
     assert rep.offsets["F4"] == (3,)
-    assert rep.captures["F4"][0] == (0, 3)
 
 
 def test_circuit_mode_slips_a_cycle_when_period_too_short(fig_chain):
@@ -173,3 +176,140 @@ def test_anchor_shifts_offsets_not_behavior(fig_chain):
     rep = simulate_waves(placed, cfg)
     total_w = to_gate_graph(fig_chain).total_weight()
     assert rep.offsets["F4"] == (total_w + 1,)
+
+
+def test_equivalence_work_is_linear_in_chain_length(monkeypatch):
+    """Work is counted in edge_key calls, not seconds: tripling a chain
+    whose gate names sort against it must triple the work, not square it."""
+    calls = Counter()
+    key = verify.edge_key
+
+    def counting_key(e):
+        calls["n"] += 1
+        return key(e)
+
+    monkeypatch.setattr(verify, "edge_key", counting_key)
+    work = []
+    for n in (1000, 3000):
+        c = netlist.parse_netlist(deep_chain_text(n))
+        calls.clear()
+        ok, diff = check_equivalence(c, c, Config(T=c.T))
+        assert ok, diff
+        work.append(calls["n"])
+    assert work[1] <= 3.1 * work[0], work
+
+
+def test_cli_verify_on_deep_chain(tmp_path, capsys):
+    # the 3000-gate pair of test_sdcgen.py::test_sdc_on_deep_chain; the
+    # name-ordered fixed point took over a minute here, one sweep 0.2 s
+    text = deep_chain_text(3000, ff_after=1500)
+    c = netlist.parse_netlist(text)
+    placed = sta.as_placed(to_gate_graph(c))
+    orig = tmp_path / "deep.net"
+    orig.write_text(text)
+    opt = tmp_path / "deep_opt.net"
+    opt.write_text(optimizer.placement_to_text(placed, Config(T=c.T), text))
+    ok, diff = check_equivalence(c, placed, Config(T=c.T, duty=c.duty))
+    start = time.perf_counter()
+    code = cli.main(["verify", str(orig), str(opt),
+                     "--out-dir", str(tmp_path)])
+    elapsed = time.perf_counter() - start
+    assert code == (0 if ok else 1)
+    assert capsys.readouterr().out == ("PASS\n" if ok else "FAIL\n") + diff
+    assert elapsed < 10.0
+
+
+def _reverse_gate_names(c):
+    """The circuit with its gates renamed so that their names sort in
+    reverse, and the old -> new name map."""
+    names = sorted(c.gates)
+    new = {g: f"h{len(names) - 1 - i:03d}" for i, g in enumerate(names)}
+
+    def m(n):
+        return new.get(n, n)
+
+    gates = {new[g.name]: replace(g, name=new[g.name],
+                                  inputs=tuple(map(m, g.inputs)))
+             for g in c.gates.values()}
+    ffs = {f.name: replace(f, src=m(f.src)) for f in c.ffs.values()}
+    outputs = [(o, m(src)) for o, src in c.outputs]
+    return Circuit(c.name, c.T, c.duty, c.ff_params, gates, ffs,
+                   list(c.inputs), outputs), new
+
+
+def _add_flipflop_loop(rng, c):
+    """Feed a gate back into itself or one of its gate ancestors through a
+    removable flip-flop, so the gate graph has a cycle."""
+    gates = dict(c.gates)
+    tail = head = rng.choice(sorted(gates))
+    for _ in range(rng.randint(0, 3)):
+        ups = [src for src in gates[head].inputs if src in gates]
+        if ups:
+            head = rng.choice(ups)
+    ffs = dict(c.ffs)
+    ffs["FB"] = FlipFlop("FB", tail)
+    g = gates[head]
+    gates[head] = replace(g, fn="and", inputs=g.inputs + ("FB",))
+    looped = Circuit(c.name, c.T, c.duty, c.ff_params, gates, ffs,
+                     c.inputs, c.outputs)
+    looped.validate()
+    return looped
+
+
+def test_simulation_does_not_depend_on_visit_order():
+    """Reversing the sort order of the gate names changes the order that
+    topological_order picks, and the order of the gates left on cycles.
+    A converged simulation is a unique fixed point, so offsets, windows
+    and violations must map back unchanged.  A simulation that hits its
+    sweep cap (a unit on a cycle whose reference set keeps growing) is
+    cut off wherever the sweeps happened to carry the wave, so there only
+    the converged flag is compared."""
+    rng = random.Random(11)
+    cyclic_converged = 0
+    for i in range(50):
+        c = random_circuit(rng, max_gates=10, max_ffs=4,
+                           with_loop=i % 2 == 1)
+        if i % 3 == 0:
+            c = _add_flipflop_loop(rng, c)
+        relabelled, new = _reverse_gate_names(c)
+        old = {v: k for k, v in new.items()}
+        cfg = Config(T=c.T, r_u=1.1, r_l=0.9, t_stable=0.5)
+        graph = to_gate_graph(c)
+        placed = sta.as_placed(graph)
+        placed_r = sta.as_placed(to_gate_graph(relabelled))
+        for e in graph.edges:
+            roll = rng.random()
+            if roll < 0.2:
+                dec = EdgeDecision(unit=rng.choice(["flipflop", "latch"]),
+                                   n_cycle=rng.randint(-1, 1),
+                                   phi=rng.choice(cfg.phases))
+            elif roll < 0.4:
+                dec = EdgeDecision(xi=rng.uniform(0, c.T / 2))
+            else:
+                continue
+            placed.decisions[edge_key(e)] = dec
+            src, dst, pin = edge_key(e)
+            placed_r.decisions[(new.get(src, src), new.get(dst, dst),
+                                pin)] = dec
+
+        def back(node):
+            if isinstance(node, tuple):
+                return (old.get(node[0], node[0]),
+                        old.get(node[1], node[1]), node[2])
+            return old.get(node, node)
+
+        cyclic = bool(netlist.topological_order(
+            {g: [e.src for e in graph.in_edges(g) if e.src in graph.gates]
+             for g in graph.gates})[1])
+        for a_target, b_target in ((c, relabelled), (placed, placed_r)):
+            a = simulate_waves(a_target, cfg)
+            b = simulate_waves(b_target, cfg)
+            assert a.converged == b.converged, i
+            if not a.converged:
+                continue
+            cyclic_converged += cyclic
+            assert {back(k): v for k, v in b.offsets.items()} == a.offsets
+            assert {back(k): v for k, v in b.windows.items()} == a.windows
+            assert Counter((back(v.node), v.kind) for v in b.violations) \
+                == Counter((v.node, v.kind) for v in a.violations), i
+    assert cyclic_converged >= 10
