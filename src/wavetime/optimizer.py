@@ -217,33 +217,26 @@ def discretize_delays(placed, cfg):
 def replace_buffers(placed, cfg):
     """Swap buffer chains longer than the replacement threshold for a
     single sequential unit when that is timing-clean and not larger."""
-    rejected = set()
-    while True:
-        candidates = [(dec.xi, k) for k, dec in placed.decisions.items()
-                      if dec.unit == "none" and k not in rejected
-                      and dec.xi > cfg.replace_threshold]
-        if not candidates:
-            return placed
-        candidates.sort(key=lambda t: (-t[0], t[1]))
-        _, k = candidates[0]
-        dec = placed.decisions[k]
-        if buffer_count(dec, cfg) < FF_AREA:
-            rejected.add(k)
+    # a trial changes only its own edge, so no other edge's candidacy
+    # or place in the order moves while the list is walked
+    decisions = placed.decisions
+    for k in sorted((k for k, dec in decisions.items()
+                     if dec.unit == "none" and dec.xi > cfg.replace_threshold),
+                    key=lambda k: (-decisions[k].xi, k)):
+        if buffer_count(decisions[k], cfg) < FF_AREA:
             continue
         trials = (EdgeDecision(xi=0.0, unit=unit, n_cycle=n, phi=phi)
                   for unit in ("flipflop", "latch")
                   for n in range(-2, 3) for phi in cfg.phases)
 
         def clean(trial_dec):
-            trial = replace(placed,
-                            decisions={**placed.decisions, k: trial_dec})
+            trial = replace(placed, decisions={**decisions, k: trial_dec})
             return not sta.propagate_windows(trial, cfg)[1]
 
         found = next(filter(clean, trials), None)
-        if found is None:
-            rejected.add(k)
-        else:
-            placed.decisions[k] = found
+        if found is not None:
+            decisions[k] = found
+    return placed
 
 
 def sweep_clock_period(graph, cfg, step_fraction=0.005):

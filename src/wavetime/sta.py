@@ -4,7 +4,11 @@ Two timing views live here: the traditional one (all flip-flops present,
 minimum period = worst register-to-register path) and the placed one,
 where removed flip-flops act as anchor points that shift the time
 reference by one period and inserted sequential delay units resynchronize
-fast signals.
+fast signals.  propagate_windows sweeps the placed gates once in
+topological order (latch units order it, flip-flop units do not) and
+repeats the sweep to a bounded fixed point only on cycles through
+latches; the order in which gates get their windows is the row order of
+format_report.
 
 The placement container types (EdgeDecision, OptimizedCircuit) are
 defined here so that both the optimizer and the independent wave
@@ -148,28 +152,18 @@ def _edge_window(win, dec, lam, cfg, p):
     return ArrivalWindow(s - lam * T, sp - lam * T)
 
 
-def _gate_order(placed):
-    """Topological order of gates over connections that carry no
-    sequential unit (unit outputs do not depend on their inputs),
-    smallest ready name first."""
-    g = placed.graph
-    order, stuck = topological_order(
-        {n: [e.src for e in g.in_edges(n)
-             if e.src in g.gates and placed.decision(e).unit == "none"]
-         for n in g.gates})
-    if stuck:
-        raise ValueError("unresolved placement: combinational cycle without "
-                         "a sequential delay unit")
-    return order
-
-
 def propagate_windows(placed, cfg):
     """Forward arrival-window propagation over the placed circuit.
 
     Returns (windows, violations).  The windows map holds one entry per
     node (keyed by name, after the node's own gate delay) and one per
     connection (keyed by (src, dst, pin), after buffer/unit/anchor
-    processing, i.e. at the destination pin).
+    processing, i.e. at the destination pin).  Gates are swept once in
+    topological order over every connection except flip-flop units,
+    whose output ignores their input; only gates on cycles through
+    latch units are swept again, to a bounded fixed point.  Gates enter
+    the map in the order they first got a window, which is the order
+    format_report lists them in.
     """
     g = placed.graph
     p = g.circuit.ff_params
@@ -179,41 +173,44 @@ def propagate_windows(placed, cfg):
     for t, kind in g.terminals.items():
         if kind in ("input", "bff"):
             windows[t] = launch
-
-    # provisional outputs for unit-carrying connections (a flip-flop's
-    # output never depends on its input; assume a latch is opaque until
-    # its source window says otherwise), then refine to a fixed point so
-    # loops through units resolve
+    # a unit whose source has no window yet is taken as opaque: exact
+    # for a flip-flop, refined by the next sweep for a latch on a cycle
     assumed_early = ArrivalWindow(float("-inf"), float("-inf"))
-    for e in g.edges:
-        if placed.decision(e).unit != "none":
-            windows[edge_key(e)] = _edge_window(
-                assumed_early, placed.decision(e), placed.anchors(e), cfg, p)
 
     def src_window(e):
-        if e.src in g.gates:
-            return windows.get(e.src)
-        return launch
+        return windows.get(e.src) if e.src in g.gates else launch
 
     def contributions(node):
+        """Windows at node's input pins, or None while the source of a
+        unit-free connection has no window yet."""
         outs = []
         for e in g.in_edges(node):
-            k = edge_key(e)
+            dec = placed.decision(e)
             sw = src_window(e)
-            if sw is not None:
-                windows[k] = _edge_window(sw, placed.decision(e),
-                                          placed.anchors(e), cfg, p)
+            if sw is None:
+                if dec.unit == "none":
+                    return None
+                sw = assumed_early
+            k = edge_key(e)
+            windows[k] = _edge_window(sw, dec, placed.anchors(e), cfg, p)
             outs.append(windows[k])
         return outs
 
-    order = _gate_order(placed)
+    order, stuck = topological_order(
+        {n: [e.src for e in g.in_edges(n)
+             if e.src in g.gates and placed.decision(e).unit != "flipflop"]
+         for n in g.gates})
     sinks = [t for t, kind in g.terminals.items()
              if kind in ("output", "bff") and g.in_edges(t)]
+    # one sweep is exact with nothing stuck; the cap bounds a latch cycle
+    # whose windows never settle
     converged = False
-    for _ in range(len(order) + 3):
+    for _ in range(len(g.gates) + 3):
         changed = False
-        for n in order:
+        for n in order + stuck:
             ws = contributions(n)
+            if ws is None:
+                continue
             if not ws:
                 raise ValueError(f"gate {n} has no driven inputs")
             d = placed.delay(n)
@@ -222,9 +219,12 @@ def propagate_windows(placed, cfg):
             if windows.get(n) != w:
                 windows[n] = w
                 changed = True
-        if not changed:
+        if not (changed and stuck):
             converged = True
             break
+    if any(n not in windows for n in stuck):
+        raise ValueError("unresolved placement: combinational cycle without "
+                         "a sequential delay unit")
     sink_windows = {}
     for t in sorted(sinks):
         ws = contributions(t)
@@ -236,10 +236,7 @@ def propagate_windows(placed, cfg):
         dec = placed.decision(e)
         if dec.unit == "none":
             continue
-        sw = src_window(e)
-        if sw is None:
-            continue
-        unit_region_checks(sw, dec, cfg, p, violations, edge_key(e))
+        unit_region_checks(src_window(e), dec, cfg, p, violations, edge_key(e))
         if not converged and dec.unit == "latch":
             violations.append(Violation(edge_key(e), "latch_region", -1.0))
 
@@ -271,8 +268,9 @@ def check_boundary(windows, cfg, ff_params):
 
 
 def format_report(placed, windows, violations):
-    """Text table, one row per named node, topological order with edge
-    rows attached to their destination."""
+    """Text table, one row per named node: launch terminals by name, the
+    gates in the order propagate_windows first gave them a window, then
+    outputs by name.  Violations on a connection go to its destination."""
     g = placed.graph
     by_node = {}
     for v in violations:
@@ -280,7 +278,7 @@ def format_report(placed, windows, violations):
         by_node.setdefault(name, []).append(v.kind)
     rows = ["node\ts\ts'\tviolations"]
     names = [t for t in sorted(g.terminals) if g.terminals[t] != "output"]
-    names += [n for n in _gate_order(placed)]
+    names += [n for n in windows if n in g.gates]
     names += [t for t in sorted(g.terminals) if g.terminals[t] == "output"]
     for n in names:
         w = windows.get(n)

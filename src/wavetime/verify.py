@@ -248,7 +248,8 @@ def reference_config(orig, cfg):
 
 def check_equivalence(orig, opt, cfg):
     """Compare capture-cycle behavior of the placed (or retimed) circuit
-    against the original; returns (equivalent, report_text)."""
+    against the original; returns (equivalent, report_text).  Either
+    simulation hitting its sweep cap fails the check."""
     ref = simulate_waves(orig, reference_config(orig, cfg))
     out = simulate_waves(opt, cfg)
     lines = []
@@ -261,6 +262,10 @@ def check_equivalence(orig, opt, cfg):
         ok = False
         lines.append(f"placed circuit fails timing: "
                      f"{[(v.node, v.kind) for v in out.violations[:5]]}")
+    for side, rep in (("reference", ref), ("placed", out)):
+        if not rep.converged:
+            ok = False
+            lines.append(f"{side} circuit simulation did not converge")
     sinks = sorted(set(ref.offsets) | set(out.offsets))
     for t in sinks:
         a = ref.offsets.get(t)

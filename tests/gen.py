@@ -1,6 +1,7 @@
 """Random circuit generator shared by the test suites."""
 
 import random
+from dataclasses import replace
 
 from wavetime.netlist import Circuit, FlipFlop, FlipFlopParams, Gate
 
@@ -92,3 +93,40 @@ def deep_chain_text(n, d=0.5, T=2000.0, ff_after=None):
         lines.append(f"gate {name} fn=buf delay={d} in={src}")
     lines += [f"ff FO from={names[-1]} boundary", "output y from=FO"]
     return "\n".join(lines) + "\n"
+
+
+def reverse_gate_names(c):
+    """The circuit with its gates renamed so that their names sort in
+    reverse, and the old -> new name map."""
+    names = sorted(c.gates)
+    new = {g: f"h{len(names) - 1 - i:03d}" for i, g in enumerate(names)}
+
+    def m(n):
+        return new.get(n, n)
+
+    gates = {new[g.name]: replace(g, name=new[g.name],
+                                  inputs=tuple(map(m, g.inputs)))
+             for g in c.gates.values()}
+    ffs = {f.name: replace(f, src=m(f.src)) for f in c.ffs.values()}
+    outputs = [(o, m(src)) for o, src in c.outputs]
+    return Circuit(c.name, c.T, c.duty, c.ff_params, gates, ffs,
+                   list(c.inputs), outputs), new
+
+
+def add_flipflop_loop(rng, c):
+    """Feed a gate back into itself or one of its gate ancestors through a
+    removable flip-flop, so the gate graph has a cycle."""
+    gates = dict(c.gates)
+    tail = head = rng.choice(sorted(gates))
+    for _ in range(rng.randint(0, 3)):
+        ups = [src for src in gates[head].inputs if src in gates]
+        if ups:
+            head = rng.choice(ups)
+    ffs = dict(c.ffs)
+    ffs["FB"] = FlipFlop("FB", tail)
+    g = gates[head]
+    gates[head] = replace(g, fn="and", inputs=g.inputs + ("FB",))
+    looped = Circuit(c.name, c.T, c.duty, c.ff_params, gates, ffs,
+                     c.inputs, c.outputs)
+    looped.validate()
+    return looped

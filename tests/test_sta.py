@@ -1,5 +1,6 @@
 import pathlib
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,8 @@ from wavetime.netlist import Config, FlipFlopParams, to_gate_graph
 from wavetime.sta import ArrivalWindow, EdgeDecision, OptimizedCircuit, \
     check_boundary, propagate_windows, traditional_min_period
 
-from gen import deep_chain_text, random_circuit
+from gen import (add_flipflop_loop, deep_chain_text, random_circuit,
+                 reverse_gate_names)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -262,14 +264,15 @@ def test_report_format(fig_chain):
     assert any(line.startswith("z\t5") for line in text.splitlines())
 
 
-def _gate_order_reference(placed):
+def _gate_order_reference(placed, units=("none", "latch")):
     """The straightforward quadratic form: re-collect and re-sort every
-    ready gate after each pick."""
+    ready gate after each pick, over the connections whose unit is in
+    units."""
     g = placed.graph
     deps = {n: set() for n in g.gates}
     for e in g.edges:
         if e.dst in g.gates and e.src in g.gates:
-            if placed.decision(e).unit == "none":
+            if placed.decision(e).unit in units:
                 deps[e.dst].add(e.src)
     order, ready = [], sorted(n for n, d in deps.items() if not d)
     done = set()
@@ -285,23 +288,134 @@ def _gate_order_reference(placed):
     return order
 
 
+def _report_gates(placed, cfg):
+    report = sta.format_report(placed, *propagate_windows(placed, cfg))
+    names = [row.split("\t")[0] for row in report.splitlines()]
+    return [n for n in names if n in placed.graph.gates]
+
+
 def test_gate_order_matches_reference():
+    """format_report lists the gates in the smallest-name-first
+    topological order over every connection except flip-flop units; a
+    cycle of unit-free connections is an unresolved placement, and a
+    cycle through a latch still lists every gate once."""
     rng = random.Random(41)
-    checked = 0
-    for _ in range(150):
+    checked = unresolved = latch_cycles = 0
+    for i in range(150):
         c = random_circuit(rng, max_gates=12, max_ffs=5,
                            with_loop=rng.random() < 0.5)
+        if i % 3 == 0:
+            c = add_flipflop_loop(rng, c)
         placed = sta.as_placed(to_gate_graph(c))
         for e in placed.graph.edges:
             if e.src in placed.graph.gates and rng.random() < 0.2:
                 placed.decisions[sta.edge_key(e)] = EdgeDecision(
                     unit=rng.choice(["flipflop", "latch"]))
+        cfg = Config(T=c.T)
         try:
             want = _gate_order_reference(placed)
         except ValueError:
-            with pytest.raises(ValueError, match="unresolved placement"):
-                sta._gate_order(placed)
+            try:
+                _gate_order_reference(placed, units=("none",))
+            except ValueError:
+                with pytest.raises(ValueError, match="unresolved placement"):
+                    propagate_windows(placed, cfg)
+                unresolved += 1
+                continue
+            assert sorted(_report_gates(placed, cfg)) == \
+                sorted(placed.graph.gates)
+            latch_cycles += 1
             continue
-        assert sta._gate_order(placed) == want
+        assert _report_gates(placed, cfg) == want
         checked += 1
-    assert checked > 100
+    assert checked > 90 and unresolved > 20 and latch_cycles >= 3
+
+
+def test_acyclic_placement_computes_each_edge_window_once(monkeypatch):
+    """With no cycle outside flip-flop units the first sweep is exact:
+    every connection's window is computed once, with no confirming
+    sweep and no provisional window for a unit."""
+    calls = Counter()
+    edge_window = sta._edge_window
+
+    def counting(*args):
+        calls["n"] += 1
+        return edge_window(*args)
+
+    monkeypatch.setattr(sta, "_edge_window", counting)
+    c = netlist.parse_netlist(deep_chain_text(1000))
+    g = to_gate_graph(c)
+    placed = sta.as_placed(g)
+    windows, violations = propagate_windows(placed, Config(T=c.T))
+    assert violations == []
+    assert calls["n"] == len(g.edges)
+    placed.decisions[("g0900", "g0899", 0)] = EdgeDecision(unit="latch")
+    placed.decisions[("g0500", "g0499", 0)] = EdgeDecision(unit="flipflop")
+    calls.clear()
+    propagate_windows(placed, Config(T=c.T))
+    assert calls["n"] == len(g.edges)
+
+
+def test_windows_do_not_depend_on_visit_order():
+    """Reversing the sort order of the gate names changes the sweep order
+    and the order of the gates left on cycles through latches.  A
+    converged propagation is a fixed point, so windows and violations
+    must map back unchanged, and an unresolved placement must fail on
+    both sides.  A propagation that hits its sweep cap marks every latch
+    with a latch_region violation of margin -1 and stops wherever the
+    sweeps carried it, so there nothing is compared."""
+    rng = random.Random(13)
+    latch_cycles = 0
+    for i in range(80):
+        c = random_circuit(rng, max_gates=10, max_ffs=4,
+                           with_loop=i % 2 == 1)
+        if i % 4 != 3:
+            c = add_flipflop_loop(rng, c)
+        relabelled, new = reverse_gate_names(c)
+        old = {v: k for k, v in new.items()}
+        cfg = Config(T=c.T, r_u=1.1, r_l=0.9, t_stable=0.5)
+        graph = to_gate_graph(c)
+        placed = sta.as_placed(graph)
+        placed_r = sta.as_placed(to_gate_graph(relabelled))
+        for e in graph.edges:
+            roll = rng.random()
+            # removed flip-flops between gates, the loop's included, are
+            # the likely unit sites
+            if roll < (0.7 if e.w and e.src in graph.gates else 0.2):
+                dec = EdgeDecision(unit=rng.choice(["latch", "latch",
+                                                    "flipflop"]),
+                                   n_cycle=rng.randint(-1, 1),
+                                   phi=rng.choice(cfg.phases))
+            elif roll < 0.4:
+                dec = EdgeDecision(xi=rng.uniform(0, c.T / 2))
+            else:
+                continue
+            placed.decisions[sta.edge_key(e)] = dec
+            src, dst, pin = sta.edge_key(e)
+            placed_r.decisions[(new.get(src, src), new.get(dst, dst),
+                                pin)] = dec
+
+        def back(node):
+            if isinstance(node, tuple):
+                return (old.get(node[0], node[0]),
+                        old.get(node[1], node[1]), node[2])
+            return old.get(node, node)
+
+        try:
+            a_win, a_v = propagate_windows(placed, cfg)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                propagate_windows(placed_r, cfg)
+            continue
+        b_win, b_v = propagate_windows(placed_r, cfg)
+        if any(v.kind == "latch_region" and v.margin == -1.0
+               for v in a_v + b_v):
+            continue
+        assert {back(k): w for k, w in b_win.items()} == a_win, i
+        assert Counter((back(v.node), v.kind, v.margin) for v in b_v) == \
+            Counter((v.node, v.kind, v.margin) for v in a_v), i
+        try:
+            _gate_order_reference(placed)
+        except ValueError:
+            latch_cycles += 1
+    assert latch_cycles >= 20

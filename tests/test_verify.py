@@ -2,18 +2,17 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 from wavetime import cli, netlist, optimizer, sta, verify
-from wavetime.netlist import (Circuit, Config, FlipFlop, FlipFlopParams,
-                              to_gate_graph)
+from wavetime.netlist import Config, FlipFlopParams, to_gate_graph
 from wavetime.sta import EdgeDecision, edge_key, propagate_windows
 from wavetime.verify import (_capture_slot, check_equivalence,
                              reference_config, simulate_waves)
 
-from gen import deep_chain_text, random_circuit
+from gen import (add_flipflop_loop, deep_chain_text, random_circuit,
+                 reverse_gate_names)
 
 
 def exact_cfg(T, **kw):
@@ -219,43 +218,6 @@ def test_cli_verify_on_deep_chain(tmp_path, capsys):
     assert elapsed < 10.0
 
 
-def _reverse_gate_names(c):
-    """The circuit with its gates renamed so that their names sort in
-    reverse, and the old -> new name map."""
-    names = sorted(c.gates)
-    new = {g: f"h{len(names) - 1 - i:03d}" for i, g in enumerate(names)}
-
-    def m(n):
-        return new.get(n, n)
-
-    gates = {new[g.name]: replace(g, name=new[g.name],
-                                  inputs=tuple(map(m, g.inputs)))
-             for g in c.gates.values()}
-    ffs = {f.name: replace(f, src=m(f.src)) for f in c.ffs.values()}
-    outputs = [(o, m(src)) for o, src in c.outputs]
-    return Circuit(c.name, c.T, c.duty, c.ff_params, gates, ffs,
-                   list(c.inputs), outputs), new
-
-
-def _add_flipflop_loop(rng, c):
-    """Feed a gate back into itself or one of its gate ancestors through a
-    removable flip-flop, so the gate graph has a cycle."""
-    gates = dict(c.gates)
-    tail = head = rng.choice(sorted(gates))
-    for _ in range(rng.randint(0, 3)):
-        ups = [src for src in gates[head].inputs if src in gates]
-        if ups:
-            head = rng.choice(ups)
-    ffs = dict(c.ffs)
-    ffs["FB"] = FlipFlop("FB", tail)
-    g = gates[head]
-    gates[head] = replace(g, fn="and", inputs=g.inputs + ("FB",))
-    looped = Circuit(c.name, c.T, c.duty, c.ff_params, gates, ffs,
-                     c.inputs, c.outputs)
-    looped.validate()
-    return looped
-
-
 def test_simulation_does_not_depend_on_visit_order():
     """Reversing the sort order of the gate names changes the order that
     topological_order picks, and the order of the gates left on cycles.
@@ -270,8 +232,8 @@ def test_simulation_does_not_depend_on_visit_order():
         c = random_circuit(rng, max_gates=10, max_ffs=4,
                            with_loop=i % 2 == 1)
         if i % 3 == 0:
-            c = _add_flipflop_loop(rng, c)
-        relabelled, new = _reverse_gate_names(c)
+            c = add_flipflop_loop(rng, c)
+        relabelled, new = reverse_gate_names(c)
         old = {v: k for k, v in new.items()}
         cfg = Config(T=c.T, r_u=1.1, r_l=0.9, t_stable=0.5)
         graph = to_gate_graph(c)
@@ -313,3 +275,24 @@ def test_simulation_does_not_depend_on_visit_order():
             assert Counter((back(v.node), v.kind) for v in b.violations) \
                 == Counter((v.node, v.kind) for v in a.violations), i
     assert cyclic_converged >= 10
+
+
+def test_unconverged_simulation_fails_equivalence():
+    """A flip-flop unit on a loop that reaches no output: every offset
+    agrees and the window STA is clean, but the loop's reference set
+    grows on every sweep, so the placed simulation stops at its cap
+    and the check must not pass on that truncated state."""
+    c = netlist.parse_netlist(
+        "circuit capped\nclock period=10 duty=0.5\n"
+        "ffparams tcq=1 tsu=1 th=0.5 tdq=1\ninput a\nff FI from=a boundary\n"
+        "gate g0 fn=buf delay=1 in=FI\ngate g1 fn=and delay=1 in=FI,FB\n"
+        "ff FB from=g1\nff FO from=g0 boundary\noutput y from=FO\n")
+    placed = sta.as_placed(to_gate_graph(c))
+    placed.decisions[("g1", "g1", 1)] = EdgeDecision(unit="flipflop")
+    cfg = Config(T=c.T)
+    assert propagate_windows(placed, cfg)[1] == []
+    assert not simulate_waves(placed, cfg).converged
+    ok, diff = check_equivalence(c, placed, cfg)
+    assert not ok
+    assert diff.splitlines()[0] == "placed circuit simulation did not converge"
+    assert "DIFF" not in diff

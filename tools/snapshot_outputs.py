@@ -14,7 +14,8 @@ the LP text and raw solver values of the relaxed, cdq
 the solver solved for each of those models (the root and every
 branch-and-bound node, tagged cold or warm by how it was started), at
 the file period and
-1.2 times it the `run_flow` report, placement, equivalence text and SDC,
+1.2 times it the `run_flow` report, placement, equivalence text, SDC and
+the window STA of the placement (sorted, so independent of visit order),
 and the report and placement of a `sweep_clock_period` from the file
 period in steps of 5%.  Then the CLI `extract`, `sdc` and `verify`
 outputs on both netlist pairs.
@@ -96,6 +97,17 @@ def solve_recording(model, cfg):
     return sol, "".join(lines)
 
 
+def windows_text(windows, violations):
+    """propagate_windows output that does not depend on the order it
+    visited nodes in: sorted (key, s, s') lines, then the sorted
+    violation multiset."""
+    lines = sorted(f"{k!r} {w.s!r} {w.s_prime!r}\n"
+                   for k, w in windows.items())
+    lines += sorted(f"{v.node!r} {v.kind} {v.margin!r}\n"
+                    for v in violations)
+    return "".join(lines)
+
+
 def flow_outputs(circuit, graph, cfg):
     placed, report = optimizer.run_flow(graph, cfg)
     base = nl.serialize(circuit)
@@ -105,6 +117,7 @@ def flow_outputs(circuit, graph, cfg):
     return {"report": report.text(),
             "placement": optimizer.placement_to_text(placed, cfg, base),
             "equiv": f"{ok}\n{diff}",
+            "windows": windows_text(*sta.propagate_windows(placed, cfg)),
             "sdc": sdcgen.emit_sdc(classes, cfg)}
 
 
