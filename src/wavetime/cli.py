@@ -7,6 +7,7 @@ PASS, 1 FAIL, 2 usage error, 3 infeasible.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -99,22 +100,17 @@ def load_config_file(path):
     return values
 
 
-_TUPLE_KEYS = {"phases", "dth_schedule"}
-_INT_KEYS = {"milp_nodes", "milp_time_ms"}
-
-
 def make_config(circuit, args):
     """The netlist's clock period and duty, overridden by a --config
     file, overridden by the flags of the parsed subcommand."""
     values = {"T": circuit.T, "duty": circuit.duty}
     if getattr(args, "config", None):
+        types = {f.name: f.type for f in dataclasses.fields(nl.Config)}
         for key, val in load_config_file(args.config).items():
-            if key in _TUPLE_KEYS:
-                values[key] = _floats(val)
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            else:
-                values[key] = float(val)
+            if key not in types:
+                raise ValueError(f"{args.config}: unknown key {key!r}")
+            parse = {tuple: _floats, int: int}.get(types[key], float)
+            values[key] = parse(val)
     for flag, (key, _) in _FLAGS.items():
         val = getattr(args, flag[2:].replace("-", "_"), None)
         if key is not None and val is not None:

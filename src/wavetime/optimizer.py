@@ -281,33 +281,55 @@ def placement_to_text(placed, cfg, base_text):
     return "\n".join(out) + "\n"
 
 
+# statement -> (fewest tokens, keys its key=value tokens may use)
+_PLACEMENT_STATEMENTS = {"period": (2, ()), "size": (2, ("d",)),
+                         "edge": (4, ("xi", "unit", "n", "phi", "lam",
+                                      "bufs"))}
+
+
 def placement_from_text(text):
-    """Parse a placement file back into (OptimizedCircuit, period)."""
+    """Parse a placement file back into (OptimizedCircuit, period).  A
+    statement that does not fit the netlist (an unknown gate, edge, unit
+    or key, or a token without '=') raises a line-numbered NetlistError."""
     from . import netlist as nl
     head, _, tail = text.partition("\nplacement\n")
     circuit = nl.parse_netlist(head)
     graph = nl.to_gate_graph(circuit)
     placed = sta.as_placed(graph)
+    edges = {sta.edge_key(e) for e in graph.edges}
     period = circuit.T
-    for raw in tail.splitlines():
+    # the tail starts two lines below the head's last line
+    for lineno, raw in enumerate(tail.splitlines(), head.count("\n") + 3):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
+        if toks[0] not in _PLACEMENT_STATEMENTS:
+            raise nl.NetlistError(
+                f"unknown placement statement {toks[0]!r}", lineno)
+        least, keys = _PLACEMENT_STATEMENTS[toks[0]]
+        if len(toks) < least:
+            raise nl.NetlistError(f"too few fields in {toks[0]!r}", lineno)
+        kv = nl._parse_kv(toks[least:], lineno)
+        if set(kv) - set(keys):
+            raise nl.NetlistError(
+                f"unknown keys {sorted(set(kv) - set(keys))}", lineno)
         if toks[0] == "period":
             period = float(toks[1])
         elif toks[0] == "size":
-            kv = dict(t.split("=", 1) for t in toks[2:])
+            if toks[1] not in graph.gates or "d" not in kv:
+                raise nl.NetlistError(
+                    f"size {toks[1]!r} needs a netlist gate and d=", lineno)
             placed.gate_delays[toks[1]] = float(kv["d"])
-        elif toks[0] == "edge":
-            src, dst, pin = toks[1], toks[2], int(toks[3])
-            kv = dict(t.split("=", 1) for t in toks[4:])
-            key = (src, dst, pin)
+        else:
+            key = (toks[1], toks[2], int(toks[3]))
+            if key not in edges:
+                raise nl.NetlistError(f"no edge {key} in the netlist", lineno)
+            if kv.get("unit", "none") not in ("none", "flipflop", "latch"):
+                raise nl.NetlistError(f"unknown unit {kv['unit']!r}", lineno)
             placed.decisions[key] = EdgeDecision(
                 xi=float(kv.get("xi", 0.0)), unit=kv.get("unit", "none"),
                 n_cycle=int(kv.get("n", 0)), phi=float(kv.get("phi", 0.0)))
             if "lam" in kv:
                 placed.lam[key] = int(kv["lam"])
-        else:
-            raise nl.NetlistError(f"unknown placement statement {toks[0]!r}")
     return placed, period

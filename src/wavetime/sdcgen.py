@@ -203,15 +203,11 @@ def find_differentiating_pins(classes, graph):
         h_paths = [p for h in higher for p in h.paths]
         for sink in cls.sinks:
             if sink not in h_sinks:
-                if sink in graph.terminals:
-                    cls.constraints.append(base + [("to", f"{sink}/D")])
-                else:
-                    # sink is a kept flip-flop site; name its input pin
-                    key = next(k for _, path in cls.paths
-                               for k in [path[-1]]
-                               if _path_sink(graph, path) == sink)
-                    cls.constraints.append(
-                        base + [("to", _dst_pin(graph, key))])
+                # name the input pin of the terminal or kept flip-flop
+                # site the sink stands for
+                key = next(path[-1] for _, path in cls.paths
+                           if _path_sink(graph, path) == sink)
+                cls.constraints.append(base + [("to", _dst_pin(graph, key))])
                 continue
             # shared sink: walk backward and find a pin only our paths use
             ours = [p for _, p in cls.paths if _path_sink(graph, p) == sink]

@@ -11,6 +11,13 @@ with sta.  It works on two kinds of targets:
   wave's reference cycle, inserted units capture at their resolved
   cycle/phase, and outputs must capture in slot zero.
 
+A node waits until every connection into it carries a window.  The one
+seeding rule, in simulate_waves' push: a connection through an inserted
+unit whose source has no window yet starts from "no wave seen yet"
+(_BOTTOM, reference offset 0), so a loop through a unit can start
+flowing.  Nothing else is seeded, so a plain circuit's loop through a
+removable flip-flop gets no window.
+
 check_equivalence compares per-output capture-cycle offsets of the
 placed circuit against the original circuit run at a period where it is
 traditionally feasible.
@@ -44,15 +51,15 @@ def _capture_slot(s, sp, T, p, r_u, eps):
     return m_min
 
 
-def _dynamic_ff(s, sp, T, p, cfg, violations, key):
+def _dynamic_ff(s, sp, cfg, p, flag, key):
     """One real flip-flop: capture at the slot the window lands in, emit
     on the next edge.  The emission is folded back one period (and the
     wave reference bumped by the caller) so a loop's feedback, which a
     later wave consumes, lines up with the current wave's frame."""
+    T = cfg.T
     slot = _capture_slot(s, sp, T, p, cfg.r_u, cfg.eps)
+    flag(slot is None, key, "setup", -(s - sp if s > sp else T))
     if slot is None:
-        violations.append(Violation(key, "setup",
-                                    -(s - sp if s > sp else cfg.T)))
         slot = int(math.floor(s / T))  # keep going with a best guess
     t = slot * T
     return t + p.t_cq * cfg.r_u, t + p.t_cq * cfg.r_l
@@ -71,72 +78,52 @@ def _unit_transfer(s, sp, dec, cfg, p):
 
 def simulate_waves(target, cfg):
     """Propagate wave windows and collect capture offsets (CaptureReport)."""
-    placed_mode = not isinstance(target, Circuit)
-    if placed_mode:
-        graph = target.graph
-        anchors = target.anchors
-        decision = target.decision
-        delay = target.delay
-    else:
-        graph = to_gate_graph(target)
-        anchors = lambda e: 0
-        decision = lambda e: None
-        delay = lambda g: graph.gates[g].d
+    placed = None if isinstance(target, Circuit) else target
+    graph = to_gate_graph(target) if placed is None else placed.graph
     p = graph.circuit.ff_params
-    T = cfg.T
-
+    T, eps = cfg.T, cfg.eps
     rep = CaptureReport()
-    win = {}
-    refs = {}
-    launch = (p.t_cq * cfg.r_u, p.t_cq * cfg.r_l)
-    for t, kind in graph.terminals.items():
-        if kind in ("input", "bff"):
-            win[t] = launch
-            refs[t] = frozenset([0])
 
-    # provisional unit outputs so loops through units can start flowing;
-    # a window of minus infinity means "no wave seen yet"
-    for e in graph.edges:
-        dec = decision(e)
-        if dec is not None and dec.unit != "none":
-            s, sp = _unit_transfer(*_BOTTOM, dec, cfg, p)
-            lam = anchors(e)
-            win[edge_key(e)] = (s + dec.xi * cfg.r_u - lam * T,
-                                sp + dec.xi * cfg.r_l - lam * T)
-            refs[edge_key(e)] = frozenset([lam])
+    def flag(failed, node, kind, margin):
+        if failed:
+            rep.violations.append(Violation(node, kind, margin))
 
-    edge_violations = []
+    # node or connection -> (s, s', reference offsets of its waves)
+    launch = (p.t_cq * cfg.r_u, p.t_cq * cfg.r_l, frozenset([0]))
+    win = {t: launch for t, kind in graph.terminals.items()
+           if kind in ("input", "bff")}
 
     def push(e):
-        """Move the wave across one connection; returns True on change."""
+        """Move the wave across one connection; returns its window, or
+        None while it has none."""
+        nonlocal changed
         k = edge_key(e)
-        if e.src in graph.gates:
-            src = win.get(e.src)
-            if src is None:
-                return False
-            s, sp = src
-            rset = refs[e.src]
-        else:
+        dec = placed.decision(e) if placed else None
+        if e.src not in graph.gates:
             # terminals launch a fresh wave regardless of what they capture
-            s, sp = launch
-            rset = frozenset([0])
-        dec = decision(e)
-        lam = anchors(e)
-        if placed_mode:
+            s, sp, rset = launch
+        elif e.src in win:
+            s, sp, rset = win[e.src]
+        elif dec is not None and dec.unit != "none":
+            # the seeding rule: a unit whose source has no window yet
+            # starts from "no wave seen yet", so loops through it can flow
+            s, sp, rset = *_BOTTOM, frozenset([0])
+        else:
+            return None
+        if placed is None:
+            for _ in range(e.w):
+                s, sp = _dynamic_ff(s, sp, cfg, p, flag, k)
+            rset = frozenset(r + e.w for r in rset)
+        else:
             if dec.unit != "none":
                 s, sp = _unit_transfer(s, sp, dec, cfg, p)
+            lam = placed.anchors(e)
             s, sp = s + dec.xi * cfg.r_u - lam * T, sp + dec.xi * cfg.r_l - lam * T
             rset = frozenset(r + lam for r in rset)
-        else:
-            for _ in range(e.w):
-                s, sp = _dynamic_ff(s, sp, T, p, cfg, edge_violations, k)
-            rset = frozenset(r + e.w for r in rset)
-        new = (s, sp)
-        if win.get(k) != new or refs.get(k) != rset:
-            win[k] = new
-            refs[k] = rset
-            return True
-        return False
+        if win.get(k) != (s, sp, rset):
+            win[k] = (s, sp, rset)
+            changed = True
+        return win[k]
 
     # flip-flop and unit edges order the sweep too: a wave crossing one
     # still depends on its source window
@@ -149,92 +136,69 @@ def simulate_waves(target, cfg):
     # set that grows around a unit on a cycle and never settles
     rep.converged = False
     for _ in range(len(graph.gates) + graph.total_weight() + 7):
-        edge_violations.clear()
+        rep.violations.clear()  # report the last sweep's captures only
         changed = False
         for n in order + stuck + sinks:
-            ready = []
-            for e in graph.in_edges(n):
-                changed |= push(e)
-                if edge_key(e) in win:
-                    ready.append(edge_key(e))
-            if len(ready) < len(graph.in_edges(n)):
+            ws = [push(e) for e in graph.in_edges(n)]
+            if None in ws:
                 continue
-            s = max(win[k][0] for k in ready)
-            sp = min(win[k][1] for k in ready)
-            rset = frozenset().union(*(refs[k] for k in ready))
+            s = max(w[0] for w in ws)
+            sp = min(w[1] for w in ws)
+            rset = frozenset().union(*(w[2] for w in ws))
             if n in graph.gates:
-                d = delay(n)
+                d = placed.delay(n) if placed else graph.gates[n].d
                 s, sp = s + d * cfg.r_u, sp + d * cfg.r_l
-            if win.get(n) != (s, sp) or refs.get(n) != rset:
-                win[n] = (s, sp)
-                refs[n] = rset
+            if win.get(n) != (s, sp, rset):
+                win[n] = (s, sp, rset)
                 changed = True
         if not (changed and stuck):
             rep.converged = True
             break
-
-    rep.violations.extend(edge_violations)
-    rep.windows = {k: ArrivalWindow(v[0], v[1]) for k, v in win.items()}
+    rep.windows = {k: ArrivalWindow(s, sp) for k, (s, sp, _) in win.items()}
 
     # unit capture-region checks against the settled input windows
-    if placed_mode:
-        for e in graph.edges:
-            dec = decision(e)
-            if dec.unit == "none" or e.src not in win:
-                continue
-            s, sp = win[e.src]
-            k = edge_key(e)
-            if dec.unit == "flipflop":
-                lo = dec.n_cycle * T + dec.phi + p.t_h * cfg.r_u
-                hi = (dec.n_cycle + 1) * T + dec.phi - p.t_su * cfg.r_u
-                if s > hi + cfg.eps:
-                    rep.violations.append(Violation(k, "setup", hi - s))
-                if sp < lo - cfg.eps:
-                    rep.violations.append(Violation(k, "hold", sp - lo))
-            else:
-                start = dec.n_cycle * T + dec.phi
-                opens = start + cfg.duty * T
-                lo = start + p.t_h * cfg.r_u
-                hi = start + T - p.t_su * cfg.r_u
-                if sp < lo - cfg.eps:
-                    rep.violations.append(Violation(k, "latch_region", sp - lo))
-                if sp > opens + cfg.eps:
-                    rep.violations.append(Violation(k, "latch_region", opens - sp))
-                if s > hi + cfg.eps:
-                    rep.violations.append(Violation(k, "latch_region", hi - s))
-                if not rep.converged:
-                    rep.violations.append(Violation(k, "latch_region", -1.0))
+    for e in graph.edges if placed else ():
+        dec = placed.decision(e)
+        if dec.unit == "none" or e.src not in win:
+            continue
+        s, sp, _ = win[e.src]
+        k = edge_key(e)
+        start = dec.n_cycle * T + dec.phi
+        lo = start + p.t_h * cfg.r_u
+        if dec.unit == "flipflop":
+            hi = (dec.n_cycle + 1) * T + dec.phi - p.t_su * cfg.r_u
+            flag(s > hi + eps, k, "setup", hi - s)
+            flag(sp < lo - eps, k, "hold", sp - lo)
+        else:
+            opens = start + cfg.duty * T
+            hi = start + T - p.t_su * cfg.r_u
+            flag(sp < lo - eps, k, "latch_region", sp - lo)
+            flag(sp > opens + eps, k, "latch_region", opens - sp)
+            flag(s > hi + eps, k, "latch_region", hi - s)
+            flag(not rep.converged, k, "latch_region", -1.0)
 
     # output captures
     for t in sinks:
         if t not in win:
             continue
-        s, sp = win[t]
-        offs = set()
-        if placed_mode:
+        s, sp, rset = win[t]
+        if placed:
             setup = T - (s + p.t_su * cfg.r_u)
-            if setup < -cfg.eps:
-                rep.violations.append(Violation(t, "setup", setup))
+            flag(setup < -eps, t, "setup", setup)
             hold = sp - p.t_h * cfg.r_u
-            if hold < -cfg.eps:
-                rep.violations.append(Violation(t, "hold", hold))
-            offs = {r + 1 for r in refs[t]}
+            flag(hold < -eps, t, "hold", hold)
+            offs = {r + 1 for r in rset}
         else:
-            slot = _capture_slot(s, sp, T, p, cfg.r_u, cfg.eps)
-            if slot is None:
-                rep.violations.append(Violation(t, "setup", -(s - sp)))
-            else:
-                offs = {r + slot + 1 for r in refs[t]}
+            slot = _capture_slot(s, sp, T, p, cfg.r_u, eps)
+            flag(slot is None, t, "setup", -(s - sp))
+            offs = set() if slot is None else {r + slot + 1 for r in rset}
         rep.offsets[t] = tuple(sorted(offs))
 
     # waves must not catch up with each other anywhere
-    for node, (s, sp) in win.items():
-        if not isinstance(node, str):
-            continue
-        gap = (sp + T) - (s + cfg.t_stable)
-        if gap < -cfg.eps:
-            rep.violations.append(Violation(node, "non_interference", gap))
-
+    for node, (s, sp, _) in win.items():
+        if isinstance(node, str):
+            gap = (sp + T) - (s + cfg.t_stable)
+            flag(gap < -eps, node, "non_interference", gap)
     return rep
 
 

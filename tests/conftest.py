@@ -1,14 +1,6 @@
-import pathlib
-
 import pytest
 
-from wavetime import netlist
-
-DATA = pathlib.Path(__file__).parent / "data"
-
-
-def load(name):
-    return netlist.parse_netlist((DATA / name).read_text())
+from gen import load
 
 
 @pytest.fixture

@@ -1,9 +1,39 @@
-"""Random circuit generator shared by the test suites."""
+"""Circuit generators and helpers shared by the test suites."""
 
+import pathlib
 import random
 from dataclasses import replace
 
-from wavetime.netlist import Circuit, FlipFlop, FlipFlopParams, Gate
+from wavetime import sta
+from wavetime.netlist import (Circuit, Config, FlipFlop, FlipFlopParams, Gate,
+                              parse_netlist, to_gate_graph)
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def load(name):
+    return parse_netlist((DATA / name).read_text())
+
+
+def load_pair(stem):
+    orig = parse_netlist((DATA / f"{stem}_orig.net").read_text())
+    opt = parse_netlist((DATA / f"{stem}_opt.net").read_text())
+    return to_gate_graph(orig), to_gate_graph(opt)
+
+
+def exact_cfg(T, **kw):
+    """Guard bands off, matching the printed example arithmetic."""
+    kw.setdefault("t_stable", 0.0)
+    return Config(T=T, r_u=1.0, r_l=1.0, **kw)
+
+
+def chain_placement(fig_chain, keep_site=True):
+    g = to_gate_graph(fig_chain)
+    placed = sta.as_placed(g)
+    if keep_site:
+        placed.decisions[("w", "z", 0)] = sta.EdgeDecision(
+            unit="flipflop", n_cycle=0, phi=0.0)
+    return placed
 
 
 def random_circuit(rng: random.Random, max_gates=12, max_ffs=6, T=None,

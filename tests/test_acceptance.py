@@ -1,7 +1,6 @@
 """Release gate: golden values, oracle cross-checks, and the per-module
 invariant suites, each with its runtime budget."""
 
-import pathlib
 import random
 import time
 
@@ -16,19 +15,8 @@ from wavetime.retime_extract import RetimeSolution, extract_removals
 from wavetime.sta import EdgeDecision, edge_key, propagate_windows, \
     traditional_min_period
 
-from gen import random_circuit
+from gen import exact_cfg, load, random_circuit
 from test_milp import enumeration_oracle, random_model
-
-DATA = pathlib.Path(__file__).parent / "data"
-
-
-def load(name):
-    return netlist.parse_netlist((DATA / name).read_text())
-
-
-def exact_cfg(T, **kw):
-    kw.setdefault("t_stable", 0.0)
-    return Config(T=T, r_u=1.0, r_l=1.0, **kw)
 
 
 # -- 1: minimum-period and flow feasibility goldens --------------------------

@@ -156,6 +156,39 @@ def test_config_file_syntax_error(tmp_path, capsys):
     assert "expected key = value" in err
 
 
+def test_config_file_unknown_key_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("r_u = 1.0\nfoo = 1\n")
+    code, _, err = run(capsys, "analyze", DATA / "fig_c.net",
+                       "--config", bad)
+    assert code == 2
+    assert "'foo'" in err
+
+
+def test_config_file_values_take_the_field_types(tmp_path):
+    from wavetime import netlist
+    cfgfile = tmp_path / "flow.cfg"
+    cfgfile.write_text("milp_nodes = 500\nphases = 0,2.5\nbeta = 3\n")
+    args = cli.build_parser().parse_args(["optimize", "x", "--config",
+                                          str(cfgfile)])
+    c = netlist.parse_netlist((DATA / "fig_c.net").read_text())
+    cfg = cli.make_config(c, args)
+    assert (cfg.milp_nodes, cfg.phases, cfg.beta) == (500, (0.0, 2.5), 3.0)
+    assert type(cfg.milp_nodes) is int and type(cfg.beta) is float
+
+
+def test_verify_rejects_an_unknown_placement_unit(tmp_path, capsys):
+    net = DATA / "deep_chain.net"
+    assert run(capsys, "optimize", net, "--out-dir", tmp_path)[0] == 0
+    opt = tmp_path / "opt.net"
+    text = opt.read_text()
+    assert "unit=latch" in text
+    opt.write_text(text.replace("unit=latch", "unit=latc"))
+    code, _, err = run(capsys, "verify", net, opt, "--out-dir", tmp_path)
+    assert code == 2
+    assert "unknown unit 'latc'" in err
+
+
 def test_dth_flags_build_schedule(capsys):
     import argparse
     ap = cli.build_parser()

@@ -10,12 +10,7 @@ from wavetime.optimizer import (InfeasibleError, _snap, area, buffer_count,
                                 sweep_clock_period)
 from wavetime.sta import EdgeDecision, propagate_windows
 
-from gen import random_circuit
-
-
-def exact_cfg(T, **kw):
-    kw.setdefault("t_stable", 0.0)
-    return Config(T=T, r_u=1.0, r_l=1.0, **kw)
+from gen import exact_cfg, random_circuit
 
 
 def test_flow_fig_c_feasible_at_9(fig_c):
@@ -285,6 +280,23 @@ def test_placement_file_round_trip(fig_chain):
         assert back.anchors(e) == placed.anchors(e)
     for name in g.gates:
         assert back.delay(name) == pytest.approx(placed.delay(name))
+
+
+@pytest.mark.parametrize("statement, message", [
+    ("edge w z 0 xi=0.0 unit=latc n=0 phi=0.0", "unknown unit 'latc'"),
+    ("edge nosuch w 0 xi=0.0", "no edge"),
+    ("edge w z 0 uint=latch", "unknown keys"),
+    ("size w d", "expected key=value"),
+    ("size nosuch d=1.0", "needs a netlist gate"),
+    ("edge w z", "too few fields"),
+])
+def test_placement_file_statements_are_checked(fig_chain, statement, message):
+    g = to_gate_graph(fig_chain)
+    text = placement_to_text(sta.as_placed(g), exact_cfg(10.0),
+                             netlist.serialize(fig_chain)) + statement + "\n"
+    with pytest.raises(netlist.NetlistError, match=message) as err:
+        placement_from_text(text)
+    assert err.value.line == len(text.splitlines())
 
 
 def test_with_period_scales_relative_knobs():

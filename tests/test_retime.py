@@ -1,22 +1,12 @@
-import pathlib
 import random
 
 import pytest
 
-from wavetime import netlist
 from wavetime.netlist import GGEdge, GateGraph, to_gate_graph
 from wavetime.retime_extract import (RetimeError, RetimeSolution,
                                      extract_removals)
 
-from gen import random_circuit
-
-DATA = pathlib.Path(__file__).parent / "data"
-
-
-def load_pair(stem):
-    orig = netlist.parse_netlist((DATA / f"{stem}_orig.net").read_text())
-    opt = netlist.parse_netlist((DATA / f"{stem}_opt.net").read_text())
-    return to_gate_graph(orig), to_gate_graph(opt)
+from gen import load_pair, random_circuit
 
 
 def test_loop_pair_golden():

@@ -1,4 +1,3 @@
-import pathlib
 import random
 
 import pytest
@@ -9,15 +8,7 @@ from wavetime.retime_extract import RetimeSolution, extract_removals
 from wavetime.sdcgen import (PathLimitError, classify_paths, emit_sdc,
                              find_differentiating_pins)
 
-from gen import deep_chain_text, random_circuit
-
-DATA = pathlib.Path(__file__).parent / "data"
-
-
-def load_pair(stem):
-    orig = netlist.parse_netlist((DATA / f"{stem}_orig.net").read_text())
-    opt = netlist.parse_netlist((DATA / f"{stem}_opt.net").read_text())
-    return to_gate_graph(orig), to_gate_graph(opt)
+from gen import deep_chain_text, load_pair, random_circuit
 
 
 def sdc_for(stem, T=10.0):

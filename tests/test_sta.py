@@ -1,4 +1,3 @@
-import pathlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -10,16 +9,8 @@ from wavetime.netlist import Config, FlipFlopParams, to_gate_graph
 from wavetime.sta import ArrivalWindow, EdgeDecision, OptimizedCircuit, \
     check_boundary, propagate_windows, traditional_min_period
 
-from gen import (add_flipflop_loop, deep_chain_text, random_circuit,
-                 reverse_gate_names)
-
-DATA = pathlib.Path(__file__).parent / "data"
-
-
-def exact_cfg(T, **kw):
-    """Guard bands off, matching the printed example arithmetic."""
-    kw.setdefault("t_stable", 0.0)
-    return Config(T=T, r_u=1.0, r_l=1.0, **kw)
+from gen import (DATA, add_flipflop_loop, chain_placement, deep_chain_text,
+                 exact_cfg, random_circuit, reverse_gate_names)
 
 
 def test_min_period_goldens(fig_a, fig_b, fig_c):
@@ -99,15 +90,6 @@ def test_deep_chain_analysis(tmp_path, capsys):
     assert cli.main(["analyze", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == \
         f"min_period={p.t_cq + n * d + p.t_su:.6g}"
-
-
-def chain_placement(fig_chain, keep_site=True):
-    g = to_gate_graph(fig_chain)
-    placed = sta.as_placed(g)
-    if keep_site:
-        placed.decisions[("w", "z", 0)] = EdgeDecision(unit="flipflop",
-                                                       n_cycle=0, phi=0.0)
-    return placed
 
 
 def test_window_golden_site_kept(fig_chain):

@@ -11,22 +11,8 @@ from wavetime.sta import EdgeDecision, edge_key, propagate_windows
 from wavetime.verify import (_capture_slot, check_equivalence,
                              reference_config, simulate_waves)
 
-from gen import (add_flipflop_loop, deep_chain_text, random_circuit,
-                 reverse_gate_names)
-
-
-def exact_cfg(T, **kw):
-    kw.setdefault("t_stable", 0.0)
-    return Config(T=T, r_u=1.0, r_l=1.0, **kw)
-
-
-def chain_placement(fig_chain, keep_site=True):
-    g = to_gate_graph(fig_chain)
-    placed = sta.as_placed(g)
-    if keep_site:
-        placed.decisions[("w", "z", 0)] = EdgeDecision(unit="flipflop",
-                                                       n_cycle=0, phi=0.0)
-    return placed
+from gen import (add_flipflop_loop, chain_placement, deep_chain_text,
+                 exact_cfg, random_circuit, reverse_gate_names)
 
 
 def test_circuit_mode_capture_offsets(fig_chain):

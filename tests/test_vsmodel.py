@@ -6,12 +6,7 @@ from wavetime import milp, sta, vsmodel
 from wavetime.netlist import Config, to_gate_graph
 from wavetime.sta import edge_key, propagate_windows
 
-from gen import random_circuit
-
-
-def exact_cfg(T, **kw):
-    kw.setdefault("t_stable", 0.0)
-    return Config(T=T, r_u=1.0, r_l=1.0, **kw)
+from gen import exact_cfg, random_circuit
 
 
 def constraint_names(arts):

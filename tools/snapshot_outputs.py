@@ -13,11 +13,11 @@ the LP text and raw solver values of the relaxed, cdq
 (d_th = 7T/8 and 0) and legalization models, the raw result of every LP
 the solver solved for each of those models (the root and every
 branch-and-bound node, tagged cold or warm by how it was started), at
-the file period and
-1.2 times it the `run_flow` report, placement, equivalence text, SDC and
-the window STA of the placement (sorted, so independent of visit order),
-and the report and placement of a `sweep_clock_period` from the file
-period in steps of 5%.  Then the CLI `extract`, `sdc` and `verify`
+the file period and 1.2 times it the `run_flow` report, placement,
+equivalence text, SDC, the window STA and the wave simulation of the
+placement (both sorted, so independent of visit order), and the report
+and placement of a `sweep_clock_period` from the file period in steps
+of 5%.  Then the CLI `extract`, `sdc` and `verify`
 outputs on both netlist pairs.
 """
 
@@ -108,6 +108,13 @@ def windows_text(windows, violations):
     return "".join(lines)
 
 
+def simulation_text(rep):
+    """simulate_waves output that does not depend on the order it visited
+    nodes in: the converged flag, the offsets, then windows_text."""
+    return (f"{rep.converged}\n{sorted(rep.offsets.items())!r}\n"
+            + windows_text(rep.windows, rep.violations))
+
+
 def flow_outputs(circuit, graph, cfg):
     placed, report = optimizer.run_flow(graph, cfg)
     base = nl.serialize(circuit)
@@ -118,6 +125,7 @@ def flow_outputs(circuit, graph, cfg):
             "placement": optimizer.placement_to_text(placed, cfg, base),
             "equiv": f"{ok}\n{diff}",
             "windows": windows_text(*sta.propagate_windows(placed, cfg)),
+            "simulate": simulation_text(verify.simulate_waves(placed, cfg)),
             "sdc": sdcgen.emit_sdc(classes, cfg)}
 
 
