@@ -6,7 +6,9 @@ The kernel solves a root LP cold, by the two-phase method from the
 slack/artificial basis.  It re-solves warm, by dual simplex from a kept
 optimal tableau, wherever only bounds or right-hand sides changed: each
 branch-and-bound child from its parent's tableau, and a root from the
-root of an earlier solve of the same model (the stage-2 d_th rounds).
+root of an earlier solve of a model with the same objective, matrix and
+relations (the stage-2 d_th rounds, and stage 1 at the next period of
+a sweep).
 
 The solver is deterministic: Bland's rule in the primal and the dual
 simplex, best-bound node selection with insertion-order tie-breaks,
@@ -294,11 +296,11 @@ class Tableau:
         at zero whatever the right-hand side, rules out a re-solve."""
         return self.packed is not None
 
-    def same_lp(self, c, A, rel, lb, ub):
-        """Whether a re-solve may start here: b alone may differ."""
+    def same_lp(self, c, A, rel):
+        """Whether a re-solve may start here: b, lb and ub may differ,
+        since _dual_resolve moves right-hand sides and bounds alike."""
         return all(np.array_equal(u, v) for u, v in
-                   ((self.c, c), (self.A, A), (self.rel, rel),
-                    (self.lb, lb), (self.ub, ub)))
+                   ((self.c, c), (self.A, A), (self.rel, rel)))
 
     def unpacked(self):
         """A new full transposed tableau."""
@@ -480,8 +482,10 @@ def solve(m, max_nodes=100000, time_ms=120000, start=None):
 
     The root LP is solved by the two-phase method, or, given start, an
     optimal Solution of a model that differs from m only in right-hand
-    sides, by dual simplex from start's root tableau.  Each child node
-    is re-solved by dual simplex from its parent's tableau.
+    sides and variable bounds, by dual simplex from start's root
+    tableau; a root tableau that cannot start a re-solve (a basic
+    artificial column) falls back to the two-phase method.  Each child
+    node is re-solved by dual simplex from its parent's tableau.
 
     The root LP cannot be unbounded: add_var boxes every variable, a
     missing bound becoming -FREE_BOUND or FREE_BOUND, so a root LP that
@@ -490,10 +494,10 @@ def solve(m, max_nodes=100000, time_ms=120000, start=None):
     c, A, rel, b, lb0, ub0 = _model_arrays(m)
     int_vars = [v.id for v in m.vars if v.kind != CONTINUOUS]
     if start is not None:
-        if start.root is None or \
-                not start.root.same_lp(c, A, rel, lb0, ub0):
+        if start.root is None or not start.root.same_lp(c, A, rel):
             raise ValueError("a start must be an optimal solution of the "
-                             "model with only right-hand sides changed")
+                             "model with only right-hand sides and bounds "
+                             "changed")
         start = _start(start.root)
     status, x, obj, root = lp_solve(c, A, rel, b, lb0, ub0, start=start)
     if status != "optimal":

@@ -7,9 +7,18 @@ d_th, re-solving from the previous round's root.  Stage 3 legalizes
 the surviving sites S_d with the exact flip-flop/latch model, dropping
 sites that legalize to "no unit".
 Stage 4 snaps gate delays to their libraries and trades long buffer
-chains for sequential units where that saves area.  Stages 2 and 3
+chains for sequential units where that saves area; a trial unit that
+misses its capture region against the source window of the current
+placement is rejected before the whole-circuit STA.  Stages 2 and 3
 with no sites would solve the relaxed model again, so they reuse the
 stage-1 solution instead.
+
+The period sweep moves the relaxed model to each next period, which
+changes only its right-hand sides and bounds, and re-solves stage 1
+from the previous step's solution.  A warm re-solve may end on another
+optimal vertex than a cold one, so a sweep's placement may depend on
+the period it started from; it is still deterministic for a fixed
+input.
 """
 
 import math
@@ -104,11 +113,20 @@ def area(placed, cfg):
 def run_flow(graph, cfg):
     """Run stages 1-4; returns (OptimizedCircuit, OptimizationReport) or
     raises InfeasibleError naming the failing stage."""
+    return _flow(graph, cfg, [None])
+
+
+def _flow(graph, cfg, carry):
+    """run_flow, with stage 1 re-solved from the Solution that the
+    one-slot list carry holds (None, or the stage-1 Solution of the same
+    graph at another period), which is replaced by this flow's stage-1
+    Solution.  The old one is let go before the later stages run."""
     report = OptimizationReport()
     report.area_before = FF_AREA * graph.total_weight()
 
     arts = vsmodel.build_relaxed_model(graph, cfg)
-    sol = _solve_stage(arts, cfg, "relaxed")
+    sol = _solve_stage(arts, cfg, "relaxed", start=carry.pop())
+    carry.append(sol)
     _, S = vsmodel.decode_solution(arts, sol)
     S = set(S)
     report.stages.append(StageInfo("stage1", sol.status, len(S),
@@ -214,42 +232,85 @@ def discretize_delays(placed, cfg):
     return trial
 
 
+def _reaches(graph, a, b):
+    """Whether a window change at node a can move the window of gate b:
+    a path of gates leads from a to b."""
+    seen, todo = {a}, [a] if a in graph.gates else []
+    while todo:
+        n = todo.pop()
+        if n == b:
+            return True
+        for e in graph.out_edges(n):
+            if e.dst in graph.gates and e.dst not in seen:
+                seen.add(e.dst)
+                todo.append(e.dst)
+    return False
+
+
+def _in_region(win, dec, cfg, p, key):
+    """Whether the unit of dec passes its capture-region checks for an
+    input window win."""
+    missed = []
+    sta.unit_region_checks(win, dec, cfg, p, missed, key)
+    return not missed
+
+
 def replace_buffers(placed, cfg):
     """Swap buffer chains longer than the replacement threshold for a
-    single sequential unit when that is timing-clean and not larger."""
+    single sequential unit when that is timing-clean and not larger.
+
+    The first clean trial in (unit, n_cycle, phi) order wins.  A trial
+    changes windows only downstream of its edge, so unless the edge's
+    destination reaches its source, the trial's STA sees the source
+    window the current placement has: a trial whose unit misses its
+    capture region against that window is rejected without running the
+    whole-circuit STA, which would report the same violation."""
     # a trial changes only its own edge, so no other edge's candidacy
     # or place in the order moves while the list is walked
+    graph = placed.graph
+    p = graph.circuit.ff_params
     decisions = placed.decisions
+    windows = None      # of the current placement, once needed
     for k in sorted((k for k, dec in decisions.items()
                      if dec.unit == "none" and dec.xi > cfg.replace_threshold),
                     key=lambda k: (-decisions[k].xi, k)):
         if buffer_count(decisions[k], cfg) < FF_AREA:
             continue
+        src_win = None
+        if k[0] not in graph.gates:
+            src_win = sta.launch_window(cfg, p)
+        elif not _reaches(graph, k[1], k[0]):
+            if windows is None:
+                windows = sta.propagate_windows(placed, cfg)[0]
+            src_win = windows[k[0]]
         trials = (EdgeDecision(xi=0.0, unit=unit, n_cycle=n, phi=phi)
                   for unit in ("flipflop", "latch")
                   for n in range(-2, 3) for phi in cfg.phases)
-
-        def clean(trial_dec):
+        if src_win is not None:
+            trials = (t for t in trials
+                      if _in_region(src_win, t, cfg, p, k))
+        for trial_dec in trials:
             trial = replace(placed, decisions={**decisions, k: trial_dec})
-            return not sta.propagate_windows(trial, cfg)[1]
-
-        found = next(filter(clean, trials), None)
-        if found is not None:
-            decisions[k] = found
+            trial_windows, violations = sta.propagate_windows(trial, cfg)
+            if not violations:
+                decisions[k], windows = trial_dec, trial_windows
+                break
     return placed
 
 
 def sweep_clock_period(graph, cfg, step_fraction=0.005):
     """Shrink T by step_fraction of the starting period until the flow
-    fails; returns (best placed, best report, best cfg)."""
+    fails; returns (best placed, best report, best cfg).  Each step's
+    stage 1 is re-solved from the stage-1 solution of the step before."""
     if not (0 < step_fraction <= 0.1):
         raise ValueError("step_fraction must be in (0, 0.1]")
     step = step_fraction * cfg.T
     best = None
+    carry = [None]
     current = cfg
     while True:
         try:
-            placed, report = run_flow(graph, current)
+            placed, report = _flow(graph, current, carry)
         except InfeasibleError:
             if best is None:
                 raise

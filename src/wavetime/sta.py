@@ -106,6 +106,11 @@ def traditional_min_period(c):
 
 # -- placed-circuit window propagation --------------------------------------
 
+def launch_window(cfg, p):
+    """The window a launching terminal drives its connections with."""
+    return ArrivalWindow(p.t_cq * cfg.r_u, p.t_cq * cfg.r_l)
+
+
 def unit_region_checks(win, dec, cfg, p, violations, key):
     """Setup/hold-style checks of the unit's input against its capture
     region; separate from window transfer because a unit's output does
@@ -169,7 +174,7 @@ def propagate_windows(placed, cfg):
     p = g.circuit.ff_params
     violations = []
     windows = {}
-    launch = ArrivalWindow(p.t_cq * cfg.r_u, p.t_cq * cfg.r_l)
+    launch = launch_window(cfg, p)
     for t, kind in g.terminals.items():
         if kind in ("input", "bff"):
             windows[t] = launch

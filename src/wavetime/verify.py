@@ -190,7 +190,7 @@ def simulate_waves(target, cfg):
             offs = {r + 1 for r in rset}
         else:
             slot = _capture_slot(s, sp, T, p, cfg.r_u, eps)
-            flag(slot is None, t, "setup", -(s - sp))
+            flag(slot is None, t, "setup", -(s - sp if s > sp else T))
             offs = set() if slot is None else {r + slot + 1 for r in rset}
         rep.offsets[t] = tuple(sorted(offs))
 

@@ -497,14 +497,52 @@ def test_solve_from_start_matches_a_cold_solve():
     lambda m: m.set_objective({0: 1.0}, "max"),
     lambda m: m.constraints.__setitem__(0, milp.Constraint(
         m.constraints[0].coeffs, ">=", 7.0, "c0")),
-    lambda m: setattr(m.vars[4], "ub", 2.0),
-], ids=["A", "c", "rel", "bounds"])
+], ids=["A", "c", "rel"])
 def test_solve_start_of_another_model_raises(change):
     m = knapsack(7.0)
     sol = milp.solve(m)
     change(m)
     with pytest.raises(ValueError, match="start"):
         milp.solve(m, start=sol)
+
+
+def test_solve_start_with_other_bounds_matches_a_cold_solve(monkeypatch):
+    """The relaxed model of every golden at T, 0.995T and 0.990T, as a
+    period sweep steps it: its right-hand sides and bounds move with T,
+    and each step re-solved from the one before reaches the cold
+    objective with no row or bound broken."""
+    from gen import DATA
+    from wavetime import netlist, vsmodel
+    warm = []
+    kernel = milp.lp_solve
+
+    def record(*args, start=None):
+        warm.append(start is not None)
+        return kernel(*args, start=start)
+
+    moved = 0
+    for path in sorted(DATA.glob("*.net")):
+        c = netlist.parse_netlist(path.read_text())
+        graph = netlist.to_gate_graph(c)
+        sol = before = None
+        for scale in (1.0, 0.995, 0.990):
+            model = vsmodel.build_relaxed_model(
+                graph, netlist.Config(T=scale * c.T)).model
+            with monkeypatch.context() as mp:
+                mp.setattr(milp, "lp_solve", record)
+                warm_sol = milp.solve(model, start=sol)
+            cold = milp.solve(model)
+            assert warm_sol.status == cold.status, (path.stem, scale)
+            if cold.status != "optimal":
+                break
+            assert abs(warm_sol.objective - cold.objective) <= \
+                1e-9 * max(1.0, abs(cold.objective)), (path.stem, scale)
+            assert model.violated(warm_sol.values) == [], (path.stem, scale)
+            if before is not None:
+                moved += [v.ub for v in before.vars] != \
+                    [v.ub for v in model.vars]
+            sol, before = warm_sol, model
+    assert moved >= 2 and warm.count(True) == moved
 
 
 def test_solve_start_must_be_optimal():

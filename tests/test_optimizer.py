@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -126,6 +127,40 @@ def test_repeated_stage2_round_makes_no_cold_lp_call(monkeypatch):
     assert sum(map(len, repeated)) > len(repeated)  # children too
 
 
+def test_sweep_makes_one_cold_stage1_lp(fig_chain, monkeypatch):
+    """Each sweep step re-solves stage 1 from the step before, so only
+    the first step's stage-1 LP starts from the slack basis."""
+    stage1 = []     # warm flag per lp_solve of a relaxed model
+    models = []
+    build, solve, kernel = (vsmodel.build_relaxed_model, milp.solve,
+                            milp.lp_solve)
+    on_stage1 = False
+
+    def recorded_build(*args):
+        arts = build(*args)
+        models.append(arts.model)
+        return arts
+
+    def recorded_solve(model, *args, **kwargs):
+        nonlocal on_stage1
+        on_stage1 = any(model is m for m in models)
+        return solve(model, *args, **kwargs)
+
+    def recorded_lp_solve(*args, start=None):
+        if on_stage1:
+            stage1.append(start is not None)
+        return kernel(*args, start=start)
+
+    monkeypatch.setattr(vsmodel, "build_relaxed_model", recorded_build)
+    monkeypatch.setattr(milp, "solve", recorded_solve)
+    monkeypatch.setattr(milp, "lp_solve", recorded_lp_solve)
+    sweep_clock_period(to_gate_graph(fig_chain), exact_cfg(10.0),
+                       step_fraction=0.01)
+    assert len(models) >= 5
+    assert stage1.count(False) == 1
+    assert len(stage1) == len(models)
+
+
 def test_report_text_format(fig_c):
     g = to_gate_graph(fig_c)
     _, report = run_flow(g, exact_cfg(9.0))
@@ -242,6 +277,102 @@ def test_replace_buffers_never_grows_area_random():
         before = area(placed, cfg)
         out = replace_buffers(placed, cfg)
         assert area(out, cfg) <= before
+
+
+def reference_replace_buffers(placed, cfg):
+    """replace_buffers with no screen: one whole-circuit STA per trial,
+    in the same order.  Kept to pin the screened walk's decisions."""
+    decisions = placed.decisions
+    for k in sorted((k for k, dec in decisions.items()
+                     if dec.unit == "none" and dec.xi > cfg.replace_threshold),
+                    key=lambda k: (-decisions[k].xi, k)):
+        if buffer_count(decisions[k], cfg) < optimizer.FF_AREA:
+            continue
+        trials = (EdgeDecision(xi=0.0, unit=unit, n_cycle=n, phi=phi)
+                  for unit in ("flipflop", "latch")
+                  for n in range(-2, 3) for phi in cfg.phases)
+
+        def clean(trial_dec):
+            trial = replace(placed, decisions={**decisions, k: trial_dec})
+            return not sta.propagate_windows(trial, cfg)[1]
+
+        found = next(filter(clean, trials), None)
+        if found is not None:
+            decisions[k] = found
+    return placed
+
+
+def stage4_inputs(monkeypatch):
+    """(placed, cfg) that run_flow hands to replace_buffers on
+    fig_chain, the loop goldens and seeded random designs, a third of
+    them with a cycle through a removable flip-flop, at 1.0, 0.9 and 0.8
+    times their period; then each of those with long buffer chains
+    added on a third of its unit-free edges and on every unit-free edge
+    of a cycle."""
+    from gen import add_flipflop_loop, load
+    inputs = []
+    stage4 = optimizer.replace_buffers
+
+    def recorded(placed, cfg):
+        inputs.append((replace(placed, decisions=dict(placed.decisions)),
+                       cfg))
+        return stage4(placed, cfg)
+
+    designs = [load(f"{n}.net") for n in ("fig_chain", "deep_chain",
+                                          "loop_orig", "entangled_orig")]
+    designs += [random_circuit(random.Random(seed), max_gates=8, max_ffs=4,
+                               with_loop=seed % 2 == 1) for seed in range(20)]
+    for seed in range(30):
+        rng = random.Random(seed)
+        designs.append(add_flipflop_loop(
+            rng, random_circuit(rng, max_gates=8, max_ffs=4)))
+    with monkeypatch.context() as mp:
+        mp.setattr(optimizer, "replace_buffers", recorded)
+        for c in designs:
+            for scale in (1.0, 0.9, 0.8):
+                try:
+                    run_flow(to_gate_graph(c), Config(T=scale * c.T))
+                except InfeasibleError:
+                    pass
+    rng = random.Random(5)
+    for placed, cfg in list(inputs):
+        decisions = dict(placed.decisions)
+        for k, dec in decisions.items():
+            if dec.unit == "none" and (rng.random() < 0.3 or
+                                       optimizer._reaches(placed.graph,
+                                                          k[1], k[0])):
+                decisions[k] = EdgeDecision(xi=rng.uniform(0.5, 1.0) * cfg.T)
+        inputs.append((replace(placed, decisions=decisions), cfg))
+    return inputs
+
+
+def test_screened_replace_buffers_matches_reference(monkeypatch):
+    """The capture-region screen changes no decision and saves STAs."""
+    inputs = stage4_inputs(monkeypatch)
+    sta_calls = count_calls(monkeypatch, sta, "propagate_windows")
+    outs = []
+    for walk in (replace_buffers, reference_replace_buffers):
+        start = len(sta_calls)
+        outs.append([])
+        for placed, cfg in inputs:
+            copy = replace(placed, decisions=dict(placed.decisions))
+            try:
+                outs[-1].append(walk(copy, cfg).decisions)
+            except ValueError as e:     # an unresolved placement
+                outs[-1].append(str(e))
+        outs[-1].append(len(sta_calls) - start)
+    (*screened, screened_calls), (*full, full_calls) = outs
+    assert screened == full
+    swaps = sum(dec.unit != "none" and placed.decisions[k].unit == "none"
+                for (placed, _), out in zip(inputs, full)
+                if not isinstance(out, str) for k, dec in out.items())
+    assert swaps >= 10
+    # some candidates lie on a cycle, where the screen is skipped
+    assert any(optimizer._reaches(placed.graph, k[1], k[0])
+               for placed, cfg in inputs
+               for k, dec in placed.decisions.items()
+               if dec.unit == "none" and buffer_count(dec, cfg) >= 6)
+    assert screened_calls < full_calls
 
 
 def test_sweep_returns_last_feasible(fig_c):

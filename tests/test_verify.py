@@ -126,6 +126,22 @@ def test_agreement_on_random_placements():
         assert (win_v == []) == (sim_v == [])
 
 
+def test_plain_sink_that_misses_every_slot_has_negative_margin():
+    """A sink window that fits no capture slot while s <= s' is reported
+    with margin -T, as a dynamic flip-flop reports it, not with the
+    non-negative -(s - s')."""
+    missed = 0
+    for seed in range(400):
+        c = random_circuit(random.Random(seed), max_gates=8, max_ffs=4)
+        for scale in (0.7, 1.0, 1.3):
+            cfg = Config(T=scale * c.T, r_u=1.0, r_l=1.0, t_stable=0.0)
+            rep = simulate_waves(c, cfg)
+            assert all(v.margin < 0 for v in rep.violations)
+            missed += any(v.margin == -cfg.T and v.node in rep.offsets
+                          for v in rep.violations)
+    assert missed > 0
+
+
 def test_capture_slot_matches_bruteforce():
     rng = random.Random(7)
     p = FlipFlopParams(3, 1, 1, 1)

@@ -15,10 +15,12 @@ the solver solved for each of those models (the root and every
 branch-and-bound node, tagged cold or warm by how it was started), at
 the file period and 1.2 times it the `run_flow` report, placement,
 equivalence text, SDC, the window STA and the wave simulation of the
-placement (both sorted, so independent of visit order), and the report
-and placement of a `sweep_clock_period` from the file period in steps
-of 5%.  Then the CLI `extract`, `sdc` and `verify`
-outputs on both netlist pairs.
+placement (both sorted, so independent of visit order), and the report,
+placement and trajectory of a `sweep_clock_period` from the file period
+in steps of 5%.  The trajectory has one line per flow: the period, how
+its stage-1 LP started (cold or warm) and its objective, and for the
+flow that stopped the sweep the stage that failed.  Then the CLI
+`extract`, `sdc` and `verify` outputs on both netlist pairs.
 """
 
 import contextlib
@@ -97,6 +99,50 @@ def solve_recording(model, cfg):
     return sol, "".join(lines)
 
 
+def sweep_recording(graph, cfg, lines):
+    """sweep_clock_period from cfg in steps of 5%, appending one line
+    per flow to lines: "T=<period> <cold|warm> objective=<stage-1
+    objective>", ending "stopped=<stage>" on the flow that failed, or
+    "stopped=period" when the next period would not be positive."""
+    flow, solve_stage, kernel = (optimizer._flow, optimizer._solve_stage,
+                                 milp.lp_solve)
+    rows = []
+
+    def record_flow(graph, cfg, carry):
+        rows.append([f"T={cfg.T!r}"])
+        try:
+            return flow(graph, cfg, carry)
+        except optimizer.InfeasibleError as e:
+            rows[-1].append(f"stopped={e.stage}")
+            raise
+
+    def record_lp(*args, **kwargs):
+        rows[-1].append("cold" if kwargs.get("start") is None else "warm")
+        return kernel(*args, **kwargs)
+
+    def record_stage(arts, cfg, stage, start=None):
+        if stage != "relaxed":
+            return solve_stage(arts, cfg, stage, start)
+        # the relaxed model has no integer variables: one LP, the root
+        milp.lp_solve = record_lp
+        try:
+            sol = solve_stage(arts, cfg, stage, start)
+        finally:
+            milp.lp_solve = kernel
+        rows[-1].append(f"objective={sol.objective!r}")
+        return sol
+
+    optimizer._flow, optimizer._solve_stage = record_flow, record_stage
+    try:
+        result = optimizer.sweep_clock_period(graph, cfg, 0.05)
+        if not rows[-1][-1].startswith("stopped="):
+            rows[-1].append("stopped=period")
+        return result
+    finally:
+        optimizer._flow, optimizer._solve_stage = flow, solve_stage
+        lines.extend(" ".join(row) + "\n" for row in rows)
+
+
 def windows_text(windows, violations):
     """propagate_windows output that does not depend on the order it
     visited nodes in: sorted (key, s, s') lines, then the sorted
@@ -150,13 +196,15 @@ def snapshot(name, circuit):
             texts = {"error": f"{e}\n"}
         for key, text in texts.items():
             out[f"flow_{tag}.{key}"] = text
+    trajectory = []
     try:
-        placed, report, best = optimizer.sweep_clock_period(graph, cfg, 0.05)
+        placed, report, best = sweep_recording(graph, cfg, trajectory)
         texts = {"report": report.text(),
                  "placement": optimizer.placement_to_text(
                      placed, best, nl.serialize(circuit))}
     except optimizer.InfeasibleError as e:
         texts = {"error": f"{e}\n"}
+    texts["trajectory"] = "".join(trajectory)
     for key, text in texts.items():
         out[f"sweep.{key}"] = text
     return {f"{name}.{key}": text for key, text in out.items()}
