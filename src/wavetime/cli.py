@@ -8,6 +8,7 @@ PASS, 1 FAIL, 2 usage error, 3 infeasible.
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -121,6 +122,14 @@ def make_config(circuit, args):
     if start is not None or step is not None:
         d = start if start is not None else 7 * T / 8
         step = step if step is not None else T / 8
+        if not (math.isfinite(step) and step > 0):
+            raise ValueError("--dth-step must be positive and finite")
+        if not math.isfinite(d):
+            raise ValueError("--dth-start must be finite")
+        # one stage-2 round per bound; this also keeps d - step below d
+        if d / step > 1000:
+            raise ValueError("--dth-start / --dth-step must give at most "
+                             "1000 delay bounds")
         sched = []
         while d > 0:
             sched.append(d)

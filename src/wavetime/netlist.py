@@ -38,8 +38,10 @@ class FlipFlopParams:
     t_dq: float = 1.0
 
     def validate(self, T=None):
-        if min(self.t_cq, self.t_su, self.t_h, self.t_dq) < 0:
-            raise ValueError("flip-flop parameters must be nonnegative")
+        if not all(math.isfinite(x) and x >= 0
+                   for x in (self.t_cq, self.t_su, self.t_h, self.t_dq)):
+            raise ValueError("flip-flop parameters must be nonnegative "
+                             "and finite")
         if T is not None and self.t_su + self.t_h >= T:
             raise ValueError(f"t_su + t_h must be < clock period {T}")
 
@@ -136,10 +138,13 @@ class Gate:
     inputs: tuple
 
     def validate(self):
-        if self.d <= 0:
-            raise ValueError(f"gate {self.name}: delay must be positive")
-        if not self.lib or any(x <= 0 for x in self.lib):
-            raise ValueError(f"gate {self.name}: lib must be nonempty and positive")
+        if not (math.isfinite(self.d) and self.d > 0):
+            raise ValueError(f"gate {self.name}: delay must be positive "
+                             "and finite")
+        if not self.lib or not all(math.isfinite(x) and x > 0
+                                   for x in self.lib):
+            raise ValueError(f"gate {self.name}: lib must be nonempty, "
+                             "positive and finite")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Stage 1 solves the relaxed pad model and collects candidate unit sites S.
 Stage 2 refines S with unit presence binaries while lowering the pad
 bound d_th; it builds its model once per S and moves it to each next
 d_th, re-solving from the previous round's root.  Stage 3 legalizes
-the surviving sites S_d with the exact flip-flop/latch model, dropping
-sites that legalize to "no unit".
+the surviving sites S_d with the exact flip-flop/latch model and takes
+the sites it finds as the next S_d, until they are S_d again: a site
+that legalizes to "no unit" drops out, and a relaxed gate whose pads
+split joins.
 Stage 4 snaps gate delays to their libraries and trades long buffer
 chains for sequential units where that saves area; a trial unit that
 misses its capture region against the source window of the current
@@ -13,9 +15,10 @@ placement is rejected before the whole-circuit STA.  Stages 2 and 3
 with no sites would solve the relaxed model again, so they reuse the
 stage-1 solution instead.
 
-The period sweep moves the relaxed model to each next period, which
-changes only its right-hand sides and bounds, and re-solves stage 1
-from the previous step's solution.  A warm re-solve may end on another
+The period sweep runs run_flow at each period.  Moving the relaxed
+model to the next period changes only its right-hand sides and bounds,
+so each step re-solves stage 1 from the stage1_solution of the report
+of the step before.  A warm re-solve may end on another
 optimal vertex than a cold one, so a sweep's placement may depend on
 the period it started from; it is still deterministic for a fixed
 input.
@@ -58,6 +61,8 @@ class OptimizationReport:
     n_b: int = 0
     area_before: float = 0.0
     area_after: float = 0.0
+    # the stage-1 milp.Solution, a start for a flow at another period
+    stage1_solution: object = field(default=None, repr=False, compare=False)
 
     def lines(self):
         out = []
@@ -110,23 +115,17 @@ def area(placed, cfg):
     return FF_AREA * (len(ffs) + len(latches)) + BUFFER_AREA * bufs
 
 
-def run_flow(graph, cfg):
+def run_flow(graph, cfg, start=None):
     """Run stages 1-4; returns (OptimizedCircuit, OptimizationReport) or
-    raises InfeasibleError naming the failing stage."""
-    return _flow(graph, cfg, [None])
-
-
-def _flow(graph, cfg, carry):
-    """run_flow, with stage 1 re-solved from the Solution that the
-    one-slot list carry holds (None, or the stage-1 Solution of the same
-    graph at another period), which is replaced by this flow's stage-1
-    Solution.  The old one is let go before the later stages run."""
+    raises InfeasibleError naming the failing stage.  Stage 1 is solved
+    cold, or re-solved from start, the report.stage1_solution of a flow
+    on the same graph at another period."""
     report = OptimizationReport()
     report.area_before = FF_AREA * graph.total_weight()
 
     arts = vsmodel.build_relaxed_model(graph, cfg)
-    sol = _solve_stage(arts, cfg, "relaxed", start=carry.pop())
-    carry.append(sol)
+    sol = _solve_stage(arts, cfg, "relaxed", start=start)
+    report.stage1_solution = sol
     _, S = vsmodel.decode_solution(arts, sol)
     S = set(S)
     report.stages.append(StageInfo("stage1", sol.status, len(S),
@@ -155,7 +154,6 @@ def _flow(graph, cfg, carry):
                                    sol2.objective))
 
     seen = set()
-    placed = None
     for _ in range(2 * len(graph.gates) + 2):
         key = frozenset(S_d)
         if key in seen:
@@ -167,13 +165,9 @@ def _flow(graph, cfg, carry):
             arts3 = vsmodel.build_legalization_model(graph, cfg, S_d)
             sol3 = _solve_stage(arts3, cfg, "legalization")
         placed, hot3 = vsmodel.decode_solution(arts3, sol3)
-        unit_sites = {k[0] for k, d in placed.decisions.items()
-                      if d.unit != "none"}
-        invalid = S_d - unit_sites
-        pad_sites = hot3 - S_d
-        if not invalid and not pad_sites:
+        if hot3 == S_d:
             break
-        S_d = (S_d - invalid) | pad_sites
+        S_d = hot3
     else:
         raise InfeasibleError("legalization", "iteration limit exceeded")
     report.stages.append(StageInfo("stage3", sol3.status, len(S_d),
@@ -247,14 +241,6 @@ def _reaches(graph, a, b):
     return False
 
 
-def _in_region(win, dec, cfg, p, key):
-    """Whether the unit of dec passes its capture-region checks for an
-    input window win."""
-    missed = []
-    sta.unit_region_checks(win, dec, cfg, p, missed, key)
-    return not missed
-
-
 def replace_buffers(placed, cfg):
     """Swap buffer chains longer than the replacement threshold for a
     single sequential unit when that is timing-clean and not larger.
@@ -288,7 +274,7 @@ def replace_buffers(placed, cfg):
                   for n in range(-2, 3) for phi in cfg.phases)
         if src_win is not None:
             trials = (t for t in trials
-                      if _in_region(src_win, t, cfg, p, k))
+                      if not sta.unit_region_checks(src_win, t, cfg, p, k))
         for trial_dec in trials:
             trial = replace(placed, decisions={**decisions, k: trial_dec})
             trial_windows, violations = sta.propagate_windows(trial, cfg)
@@ -299,23 +285,22 @@ def replace_buffers(placed, cfg):
 
 
 def sweep_clock_period(graph, cfg, step_fraction=0.005):
-    """Shrink T by step_fraction of the starting period until the flow
+    """Shrink T by step_fraction of the starting period until run_flow
     fails; returns (best placed, best report, best cfg).  Each step's
-    stage 1 is re-solved from the stage-1 solution of the step before."""
+    stage 1 is re-solved from the stage1_solution of the step before."""
     if not (0 < step_fraction <= 0.1):
         raise ValueError("step_fraction must be in (0, 0.1]")
     step = step_fraction * cfg.T
-    best = None
-    carry = [None]
+    best, start = None, None
     current = cfg
     while True:
         try:
-            placed, report = _flow(graph, current, carry)
+            placed, report = run_flow(graph, current, start)
         except InfeasibleError:
             if best is None:
                 raise
             return best
-        best = (placed, report, current)
+        best, start = (placed, report, current), report.stage1_solution
         next_T = current.T - step
         if next_T <= 0:
             return best
@@ -351,7 +336,8 @@ _PLACEMENT_STATEMENTS = {"period": (2, ()), "size": (2, ("d",)),
 def placement_from_text(text):
     """Parse a placement file back into (OptimizedCircuit, period).  A
     statement that does not fit the netlist (an unknown gate, edge, unit
-    or key, or a token without '=') raises a line-numbered NetlistError."""
+    or key, a token without '=', or a non-finite period, d, xi or phi)
+    raises a line-numbered NetlistError."""
     from . import netlist as nl
     head, _, tail = text.partition("\nplacement\n")
     circuit = nl.parse_netlist(head)
@@ -359,6 +345,13 @@ def placement_from_text(text):
     placed = sta.as_placed(graph)
     edges = {sta.edge_key(e) for e in graph.edges}
     period = circuit.T
+
+    def finite(text):
+        x = float(text)
+        if not math.isfinite(x):
+            raise nl.NetlistError(f"{text!r} is not a finite number", lineno)
+        return x
+
     # the tail starts two lines below the head's last line
     for lineno, raw in enumerate(tail.splitlines(), head.count("\n") + 3):
         line = raw.split("#", 1)[0].strip()
@@ -376,12 +369,12 @@ def placement_from_text(text):
             raise nl.NetlistError(
                 f"unknown keys {sorted(set(kv) - set(keys))}", lineno)
         if toks[0] == "period":
-            period = float(toks[1])
+            period = finite(toks[1])
         elif toks[0] == "size":
             if toks[1] not in graph.gates or "d" not in kv:
                 raise nl.NetlistError(
                     f"size {toks[1]!r} needs a netlist gate and d=", lineno)
-            placed.gate_delays[toks[1]] = float(kv["d"])
+            placed.gate_delays[toks[1]] = finite(kv["d"])
         else:
             key = (toks[1], toks[2], int(toks[3]))
             if key not in edges:
@@ -389,8 +382,8 @@ def placement_from_text(text):
             if kv.get("unit", "none") not in ("none", "flipflop", "latch"):
                 raise nl.NetlistError(f"unknown unit {kv['unit']!r}", lineno)
             placed.decisions[key] = EdgeDecision(
-                xi=float(kv.get("xi", 0.0)), unit=kv.get("unit", "none"),
-                n_cycle=int(kv.get("n", 0)), phi=float(kv.get("phi", 0.0)))
+                xi=finite(kv.get("xi", 0.0)), unit=kv.get("unit", "none"),
+                n_cycle=int(kv.get("n", 0)), phi=finite(kv.get("phi", 0.0)))
             if "lam" in kv:
                 placed.lam[key] = int(kv["lam"])
     return placed, period

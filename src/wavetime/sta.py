@@ -111,11 +111,12 @@ def launch_window(cfg, p):
     return ArrivalWindow(p.t_cq * cfg.r_u, p.t_cq * cfg.r_l)
 
 
-def unit_region_checks(win, dec, cfg, p, violations, key):
-    """Setup/hold-style checks of the unit's input against its capture
-    region; separate from window transfer because a unit's output does
-    not depend on its input (loops are legal through units)."""
+def unit_region_checks(win, dec, cfg, p, key):
+    """Violations of setup/hold-style checks of the unit's input against
+    its capture region; separate from window transfer because a unit's
+    output does not depend on its input (loops are legal through units)."""
     T, eps = cfg.T, cfg.eps
+    violations = []
     s, sp = win.s, win.s_prime
     if dec.unit == "flipflop":
         lo = dec.n_cycle * T + dec.phi + p.t_h * cfg.r_u
@@ -137,6 +138,7 @@ def unit_region_checks(win, dec, cfg, p, violations, key):
             violations.append(Violation(key, "latch_region", opens - sp))
         if s > hi + eps:
             violations.append(Violation(key, "latch_region", hi - s))
+    return violations
 
 
 def _edge_window(win, dec, lam, cfg, p):
@@ -241,7 +243,8 @@ def propagate_windows(placed, cfg):
         dec = placed.decision(e)
         if dec.unit == "none":
             continue
-        unit_region_checks(src_window(e), dec, cfg, p, violations, edge_key(e))
+        violations.extend(unit_region_checks(src_window(e), dec, cfg, p,
+                                             edge_key(e)))
         if not converged and dec.unit == "latch":
             violations.append(Violation(edge_key(e), "latch_region", -1.0))
 

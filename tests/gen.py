@@ -106,6 +106,31 @@ def random_circuit(rng: random.Random, max_gates=12, max_ffs=6, T=None,
     return c
 
 
+def random_chain(rng):
+    """A chain of 4-8 buffers of delay 4-7 from a boundary flip-flop to a
+    boundary flip-flop at T = 10, most of them followed by a removable
+    flip-flop, so that the flow places sequential units; on two thirds
+    of the seeds one more gate reads a gate near the end of the chain
+    and drives nothing."""
+    n = rng.randint(4, 8)
+    lines = ["circuit chain", "clock period=10 duty=0.5",
+             f"ffparams tcq={rng.choice([1, 2, 3])} tsu=1 th=1 tdq=1",
+             "input a", "ff F0 from=a boundary"]
+    src = "F0"
+    for i in range(n):
+        d = rng.choice([4, 5, 6, 7])
+        lines.append(f"gate g{i} fn=buf delay={d} lib={d - 1},{d} in={src}")
+        src = f"g{i}"
+        if i < n - 1 and rng.random() < 0.8:
+            lines.append(f"ff R{i} from={src}")
+            src = f"R{i}"
+    if rng.random() < 0.67:
+        lines.append(f"gate gx fn=buf delay=5 lib=4,5 "
+                     f"in=g{rng.randrange(n - 3, n - 1)}")
+    lines += [f"ff FO from={src} boundary", "output y from=FO"]
+    return parse_netlist("\n".join(lines) + "\n")
+
+
 def deep_chain_text(n, d=0.5, T=2000.0, ff_after=None):
     """Netlist text of an n-gate buffer chain from a boundary flip-flop
     to a boundary flip-flop, with a removable flip-flop FM after the

@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import pytest
 
@@ -187,6 +188,34 @@ def test_verify_rejects_an_unknown_placement_unit(tmp_path, capsys):
     code, _, err = run(capsys, "verify", net, opt, "--out-dir", tmp_path)
     assert code == 2
     assert "unknown unit 'latc'" in err
+
+
+def test_verify_rejects_non_finite_placement_numbers(tmp_path, capsys):
+    net = DATA / "deep_chain.net"
+    assert run(capsys, "optimize", net, "--out-dir", tmp_path)[0] == 0
+    text = (tmp_path / "opt.net").read_text()
+    edge = text.index("\nedge ")
+    bad = {"d": re.sub(r"size g1 d=\S+", "size g1 d=nan", text),
+           "xi": text[:edge] + re.sub(r"xi=\S+", "xi=nan",
+                                      text[edge:], count=1)}
+    for name, bad_text in bad.items():
+        assert bad_text != text
+        opt = tmp_path / f"{name}.net"
+        opt.write_text(bad_text)
+        code, _, err = run(capsys, "verify", net, opt, "--out-dir", tmp_path)
+        assert code == 2, name
+        assert "'nan' is not a finite number" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--dth-step", "0"), ("--dth-step", "-1"), ("--dth-step", "nan"),
+    ("--dth-start", "inf"), ("--dth-start", "nan"),
+    ("--dth-start", "1e17", "--dth-step", "1")])
+def test_dth_flags_must_bound_the_schedule(tmp_path, capsys, flags):
+    code, _, err = run(capsys, "optimize", DATA / "fig_c.net", *flags,
+                       "--out-dir", tmp_path)
+    assert code == 2
+    assert "--dth-st" in err
 
 
 def test_dth_flags_build_schedule(capsys):

@@ -37,6 +37,20 @@ def test_duplicate_name():
         parse_netlist(text)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("delay=1", "delay=nan"), ("delay=1", "delay=inf"),
+    ("lib=1,2", "lib=1,nan"), ("tcq=3", "tcq=nan"), ("tsu=1", "tsu=inf"),
+    ("th=1", "th=nan"), ("tdq=1", "tdq=inf")])
+def test_non_finite_numbers_are_rejected(old, new):
+    text = ("circuit c\nclock period=10 duty=0.5\n"
+            "ffparams tcq=3 tsu=1 th=1 tdq=1\ninput a\n"
+            "ff F from=a boundary\ngate g fn=buf delay=1 lib=1,2 in=F\n"
+            "ff G from=g boundary\noutput y from=G\n")
+    parse_netlist(text)
+    with pytest.raises(ValueError, match="finite"):
+        parse_netlist(text.replace(old, new))
+
+
 def test_combinational_loop_detected():
     # g0 is fed by the loop g1 -> g2 -> g3 -> g1 but is not on it
     inputs = {"g0": ["g2"], "g1": ["a", "g3"], "g2": ["g1"], "g3": ["g2"]}

@@ -161,6 +161,56 @@ def test_sweep_makes_one_cold_stage1_lp(fig_chain, monkeypatch):
     assert len(stage1) == len(models)
 
 
+def test_sweep_runs_every_flow_through_run_flow(fig_chain, monkeypatch):
+    """One relaxed model is built per period tried, each by a run_flow
+    call through the module global, where a tracer can wrap it."""
+    flows = count_calls(monkeypatch, optimizer, "run_flow")
+    periods = count_calls(monkeypatch, vsmodel, "build_relaxed_model")
+    sweep_clock_period(to_gate_graph(fig_chain), exact_cfg(10.0),
+                       step_fraction=0.01)
+    assert len(periods) >= 5
+    assert len(flows) == len(periods)
+
+
+def test_run_flow_rejects_a_start_from_another_graph(fig_c, fig_chain):
+    _, report = run_flow(to_gate_graph(fig_chain), exact_cfg(10.0))
+    assert report.stage1_solution is not None
+    with pytest.raises(ValueError, match="start"):
+        run_flow(to_gate_graph(fig_c), exact_cfg(9.0),
+                 report.stage1_solution)
+
+
+def test_legalized_unit_gates_are_the_hot_sites(monkeypatch):
+    """In every legalization model of a flow, the gates that carry a unit
+    on an out-edge are exactly the sites in the decoded hot set, which
+    is why stage 3 may iterate S_d <- hot to a fixed point."""
+    from gen import add_flipflop_loop, random_chain
+    decode = vsmodel.decode_solution
+    checked = []
+
+    def recorded(arts, sol):
+        placed, hot = decode(arts, sol)
+        if arts.site:
+            checked.append(arts.site.keys() & hot == {
+                k[0] for k, dec in placed.decisions.items()
+                if dec.unit != "none"})
+        return placed, hot
+
+    monkeypatch.setattr(vsmodel, "decode_solution", recorded)
+    for seed in range(30):
+        rng = random.Random(seed)
+        c = random_chain(rng)
+        if seed % 3 == 0:
+            c = add_flipflop_loop(rng, c)
+        for scale in (0.6, 0.8, 1.0):
+            try:
+                run_flow(to_gate_graph(c), Config(T=scale * c.T))
+            except InfeasibleError:
+                pass
+    assert len(checked) >= 20
+    assert all(checked)
+
+
 def test_report_text_format(fig_c):
     g = to_gate_graph(fig_c)
     _, report = run_flow(g, exact_cfg(9.0))
@@ -420,6 +470,10 @@ def test_placement_file_round_trip(fig_chain):
     ("size w d", "expected key=value"),
     ("size nosuch d=1.0", "needs a netlist gate"),
     ("edge w z", "too few fields"),
+    ("period nan", "'nan' is not a finite number"),
+    ("size w d=inf", "'inf' is not a finite number"),
+    ("edge w z 0 xi=nan", "'nan' is not a finite number"),
+    ("edge w z 0 unit=latch phi=-inf", "'-inf' is not a finite number"),
 ])
 def test_placement_file_statements_are_checked(fig_chain, statement, message):
     g = to_gate_graph(fig_chain)

@@ -104,14 +104,14 @@ def sweep_recording(graph, cfg, lines):
     per flow to lines: "T=<period> <cold|warm> objective=<stage-1
     objective>", ending "stopped=<stage>" on the flow that failed, or
     "stopped=period" when the next period would not be positive."""
-    flow, solve_stage, kernel = (optimizer._flow, optimizer._solve_stage,
+    flow, solve_stage, kernel = (optimizer.run_flow, optimizer._solve_stage,
                                  milp.lp_solve)
     rows = []
 
-    def record_flow(graph, cfg, carry):
+    def record_flow(graph, cfg, start=None):
         rows.append([f"T={cfg.T!r}"])
         try:
-            return flow(graph, cfg, carry)
+            return flow(graph, cfg, start)
         except optimizer.InfeasibleError as e:
             rows[-1].append(f"stopped={e.stage}")
             raise
@@ -132,14 +132,14 @@ def sweep_recording(graph, cfg, lines):
         rows[-1].append(f"objective={sol.objective!r}")
         return sol
 
-    optimizer._flow, optimizer._solve_stage = record_flow, record_stage
+    optimizer.run_flow, optimizer._solve_stage = record_flow, record_stage
     try:
         result = optimizer.sweep_clock_period(graph, cfg, 0.05)
         if not rows[-1][-1].startswith("stopped="):
             rows[-1].append("stopped=period")
         return result
     finally:
-        optimizer._flow, optimizer._solve_stage = flow, solve_stage
+        optimizer.run_flow, optimizer._solve_stage = flow, solve_stage
         lines.extend(" ".join(row) + "\n" for row in rows)
 
 
