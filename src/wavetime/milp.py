@@ -22,8 +22,9 @@ as its reference.
 """
 
 import heapq
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,15 +78,15 @@ class MilpModel:
     def add_var(self, kind=CONTINUOUS, lb=None, ub=None, name=None):
         if kind == BINARY:
             lb, ub = 0.0, 1.0
-        lb = -np.inf if lb is None else float(lb)
-        ub = np.inf if ub is None else float(ub)
-        if np.isnan(lb) or np.isnan(ub):
+        lb = -math.inf if lb is None else float(lb)
+        ub = math.inf if ub is None else float(ub)
+        if math.isnan(lb) or math.isnan(ub):
             raise ValueError("variable bounds must not be NaN")
-        if kind == INTEGER and not np.isfinite([lb, ub]).all():
+        if kind == INTEGER and not (math.isfinite(lb) and math.isfinite(ub)):
             raise ValueError("integer variables need finite bounds")
-        if lb == -np.inf:
+        if lb == -math.inf:
             lb = -FREE_BOUND
-        if ub == np.inf:
+        if ub == math.inf:
             ub = FREE_BOUND
         if lb > ub:
             raise ValueError(f"empty domain [{lb}, {ub}]")
@@ -99,9 +100,9 @@ class MilpModel:
         for v in coeffs:
             if not (0 <= v < len(self.vars)):
                 raise ValueError(f"unknown variable {v}")
-            if not np.isfinite(coeffs[v]):
+            if not math.isfinite(coeffs[v]):
                 raise ValueError("non-finite coefficient")
-        if not np.isfinite(rhs):
+        if not math.isfinite(rhs):
             raise ValueError("non-finite right-hand side")
         self.constraints.append(
             Constraint(dict(coeffs), rel, float(rhs),
@@ -110,7 +111,7 @@ class MilpModel:
     def set_objective(self, coeffs, sense="min", const=0.0):
         if sense not in ("min", "max"):
             raise ValueError(f"unknown objective sense {sense!r}")
-        if not np.isfinite([const, *coeffs.values()]).all():
+        if not all(map(math.isfinite, (const, *coeffs.values()))):
             raise ValueError("non-finite objective coefficient")
         self.obj = dict(coeffs)
         self.obj_const = float(const)
@@ -320,8 +321,8 @@ def _keep(tab, cols, basis, b, lb, ub):
         free[basis] = False
         nonbasic = free[:-1].nonzero()[0]
         packed = cols[free]
-    return replace(tab, packed=packed, nonbasic=nonbasic, basis=basis,
-                   b=b, lb=lb, ub=ub)
+    return Tableau(packed, nonbasic, basis, tab.n_real, tab.unit, tab.scale,
+                   tab.c, tab.A, tab.rel, b, lb, ub)
 
 
 def _two_phase(c, A, rel, b, lb, ub):

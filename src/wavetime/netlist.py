@@ -125,7 +125,7 @@ class Config:
         k = T / self.T
         return replace(self, T=T, phases=tuple(p * k for p in self.phases),
                        dth_schedule=tuple(d * k for d in self.dth_schedule),
-                       big_M=self.big_M * k,
+                       big_M=max(self.big_M * k, 4 * T),  # k may round
                        replace_threshold=self.replace_threshold * k)
 
 

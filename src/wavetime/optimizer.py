@@ -17,11 +17,11 @@ stage-1 solution instead.
 
 The period sweep runs run_flow at each period.  Moving the relaxed
 model to the next period changes only its right-hand sides and bounds,
-so each step re-solves stage 1 from the stage1_solution of the report
-of the step before.  A warm re-solve may end on another
-optimal vertex than a cold one, so a sweep's placement may depend on
-the period it started from; it is still deterministic for a fixed
-input.
+so a sweep builds one stage-1 model: each step moves the model of the
+step before in place (vsmodel.set_period) and re-solves it from that
+step's solution.  A warm re-solve may end on another optimal vertex
+than a cold one, so a sweep's placement may depend on the period it
+started from; it is still deterministic for a fixed input.
 """
 
 import math
@@ -61,8 +61,8 @@ class OptimizationReport:
     n_b: int = 0
     area_before: float = 0.0
     area_after: float = 0.0
-    # the stage-1 milp.Solution, a start for a flow at another period
-    stage1_solution: object = field(default=None, repr=False, compare=False)
+    # stage 1's (ModelArtifacts, milp.Solution), a start at another period
+    stage1: object = field(default=None, repr=False, compare=False)
 
     def lines(self):
         out = []
@@ -117,15 +117,20 @@ def area(placed, cfg):
 
 def run_flow(graph, cfg, start=None):
     """Run stages 1-4; returns (OptimizedCircuit, OptimizationReport) or
-    raises InfeasibleError naming the failing stage.  Stage 1 is solved
-    cold, or re-solved from start, the report.stage1_solution of a flow
-    on the same graph at another period."""
+    raises InfeasibleError naming the failing stage.  Stage 1 builds and
+    solves the relaxed model cold, or, given start, the report.stage1 of
+    a flow on the same graph at another period, moves start's model to
+    cfg.T in place (vsmodel.set_period) and re-solves it warm."""
     report = OptimizationReport()
     report.area_before = FF_AREA * graph.total_weight()
 
-    arts = vsmodel.build_relaxed_model(graph, cfg)
-    sol = _solve_stage(arts, cfg, "relaxed", start=start)
-    report.stage1_solution = sol
+    if start is None:
+        arts, prev = vsmodel.build_relaxed_model(graph, cfg), None
+    else:
+        arts, prev = start
+        vsmodel.set_period(arts, graph, cfg)
+    sol = _solve_stage(arts, cfg, "relaxed", start=prev)
+    report.stage1 = arts, sol
     _, S = vsmodel.decode_solution(arts, sol)
     S = set(S)
     report.stages.append(StageInfo("stage1", sol.status, len(S),
@@ -286,8 +291,9 @@ def replace_buffers(placed, cfg):
 
 def sweep_clock_period(graph, cfg, step_fraction=0.005):
     """Shrink T by step_fraction of the starting period until run_flow
-    fails; returns (best placed, best report, best cfg).  Each step's
-    stage 1 is re-solved from the stage1_solution of the step before."""
+    fails; returns (best placed, best report, best cfg).  Each step moves
+    the stage-1 model of the step before to its period and re-solves it
+    from there, so the sweep builds one stage-1 model."""
     if not (0 < step_fraction <= 0.1):
         raise ValueError("step_fraction must be in (0, 0.1]")
     step = step_fraction * cfg.T
@@ -300,7 +306,7 @@ def sweep_clock_period(graph, cfg, step_fraction=0.005):
             if best is None:
                 raise
             return best
-        best, start = (placed, report, current), report.stage1_solution
+        best, start = (placed, report, current), report.stage1
         next_T = current.T - step
         if next_T <= 0:
             return best
@@ -336,7 +342,7 @@ _PLACEMENT_STATEMENTS = {"period": (2, ()), "size": (2, ("d",)),
 def placement_from_text(text):
     """Parse a placement file back into (OptimizedCircuit, period).  A
     statement that does not fit the netlist (an unknown gate, edge, unit
-    or key, a token without '=', or a non-finite period, d, xi or phi)
+    or key, a token without '=', or a malformed or non-finite number)
     raises a line-numbered NetlistError."""
     from . import netlist as nl
     head, _, tail = text.partition("\nplacement\n")
@@ -346,11 +352,14 @@ def placement_from_text(text):
     edges = {sta.edge_key(e) for e in graph.edges}
     period = circuit.T
 
-    def finite(text):
-        x = float(text)
-        if not math.isfinite(x):
-            raise nl.NetlistError(f"{text!r} is not a finite number", lineno)
-        return x
+    def number(text, kind=float):
+        try:
+            if math.isfinite(x := kind(text)):
+                return x
+        except ValueError:
+            pass
+        what = "number" if kind is float else "integer"
+        raise nl.NetlistError(f"{text!r} is not a finite {what}", lineno)
 
     # the tail starts two lines below the head's last line
     for lineno, raw in enumerate(tail.splitlines(), head.count("\n") + 3):
@@ -369,21 +378,22 @@ def placement_from_text(text):
             raise nl.NetlistError(
                 f"unknown keys {sorted(set(kv) - set(keys))}", lineno)
         if toks[0] == "period":
-            period = finite(toks[1])
+            period = number(toks[1])
         elif toks[0] == "size":
             if toks[1] not in graph.gates or "d" not in kv:
                 raise nl.NetlistError(
                     f"size {toks[1]!r} needs a netlist gate and d=", lineno)
-            placed.gate_delays[toks[1]] = finite(kv["d"])
+            placed.gate_delays[toks[1]] = number(kv["d"])
         else:
-            key = (toks[1], toks[2], int(toks[3]))
+            key = (toks[1], toks[2], number(toks[3], int))
             if key not in edges:
                 raise nl.NetlistError(f"no edge {key} in the netlist", lineno)
             if kv.get("unit", "none") not in ("none", "flipflop", "latch"):
                 raise nl.NetlistError(f"unknown unit {kv['unit']!r}", lineno)
             placed.decisions[key] = EdgeDecision(
-                xi=finite(kv.get("xi", 0.0)), unit=kv.get("unit", "none"),
-                n_cycle=int(kv.get("n", 0)), phi=finite(kv.get("phi", 0.0)))
+                xi=number(kv.get("xi", 0.0)), unit=kv.get("unit", "none"),
+                n_cycle=number(kv.get("n", 0), int),
+                phi=number(kv.get("phi", 0.0)))
             if "lam" in kv:
-                placed.lam[key] = int(kv["lam"])
+                placed.lam[key] = number(kv["lam"], int)
     return placed, period

@@ -10,8 +10,9 @@ Three builders share one variable layout:
                either-or over the three insertion cases and the phases.
 
 With no sites, the cdq (built by the same body) and legalization models
-are the relaxed model.  set_dth moves a cdq model to another d_th in
-place, so that the solver can re-solve it from its last solution.
+are the relaxed model.  set_dth moves a cdq model to another d_th, and
+set_period a relaxed model to another clock period, in place, so that
+the solver can re-solve it from its last solution.
 
 The arrival variable s of a gate denotes the latest arrival at the gate
 output after its own pad/unit, before the anchor shifts of the outgoing
@@ -20,6 +21,7 @@ connections; s' is the earliest counterpart.
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import milp
 from .milp import BINARY, CONTINUOUS, INTEGER, MilpModel
@@ -47,27 +49,39 @@ class ModelArtifacts:
     delta_p: dict = field(default_factory=dict)
     x: dict = field(default_factory=dict)        # site -> presence binary
     dth_rows: list = field(default_factory=list)  # rows holding d_th
+    period_vars: list = field(default_factory=list)  # (var, bounds(cfg))
+    period_rows: list = field(default_factory=list)  # (row, rhs(cfg))
     site: dict = field(default_factory=dict)     # site -> legalization vars
+
+
+def _period_var(arts, bounds, name):
+    """A continuous variable whose bounds(cfg) read the period."""
+    arts.period_vars.append((len(arts.model.vars), bounds))
+    return arts.model.add_var(CONTINUOUS, *bounds(arts.cfg), name=name)
+
+
+def _period_constr(arts, coeffs, rel, rhs, name):
+    """A row whose right-hand side rhs(cfg) reads the period."""
+    arts.period_rows.append((len(arts.model.constraints), rhs))
+    arts.model.add_constr(coeffs, rel, rhs(arts.cfg), name=name)
 
 
 def _base(graph, cfg):
     m = MilpModel()
     arts = ModelArtifacts(m, graph, cfg)
-    T = cfg.T
-    lo, hi = -2 * T, 3 * T
     # terminal sources launch at a constant; only capture points (gates
     # and terminals with in-edges) get arrival variables
     for n in sorted(graph.gates) + sorted(t for t in graph.terminals
                                           if graph.in_edges(t)):
-        arts.s[n] = m.add_var(CONTINUOUS, lb=lo, ub=hi, name=f"s_{n}")
-        arts.sp[n] = m.add_var(CONTINUOUS, lb=lo, ub=hi, name=f"sp_{n}")
+        for arr, name in ((arts.s, f"s_{n}"), (arts.sp, f"sp_{n}")):
+            arr[n] = _period_var(arts, lambda c: (-2 * c.T, 3 * c.T), name)
     for g in sorted(graph.gates):
         lib = graph.gates[g].lib
         arts.d[g] = m.add_var(CONTINUOUS, lb=min(lib), ub=max(lib),
                               name=f"d_{g}")
     for e in graph.edges:
-        arts.xi[edge_key(e)] = m.add_var(CONTINUOUS, lb=0.0, ub=3 * T,
-                                         name=f"xi_{e.src}_{e.dst}_{e.dst_pin}")
+        arts.xi[edge_key(e)] = _period_var(
+            arts, lambda c: (0.0, 3 * c.T), f"xi_{e.src}_{e.dst}_{e.dst_pin}")
     return arts
 
 
@@ -87,10 +101,9 @@ def _pads(arts, gates):
     m, cfg = arts.model, arts.cfg
     terms = {}
     for g in sorted(gates):
-        arts.delta[g] = m.add_var(CONTINUOUS, lb=0.0, ub=2 * cfg.T,
-                                  name=f"delta_{g}")
-        arts.delta_p[g] = m.add_var(CONTINUOUS, lb=0.0, ub=2 * cfg.T,
-                                    name=f"deltap_{g}")
+        for pad, name in ((arts.delta, f"delta_{g}"),
+                          (arts.delta_p, f"deltap_{g}")):
+            pad[g] = _period_var(arts, lambda c: (0.0, 2 * c.T), name)
         # fast signals get at least as much padding as slow ones
         m.add_constr({arts.delta_p[g]: 1.0, arts.delta[g]: -1.0}, ">=", 0.0,
                      name=f"pad_order_{g}")
@@ -117,10 +130,11 @@ def _arrival_rows(arts, e, s, sp, add_s, add_sp):
         cs[v] = cs.get(v, 0.0) - a
     for v, a in add_sp.items():
         csp[v] = csp.get(v, 0.0) - a
-    m.add_constr(cs, ">=", sc - e.w * cfg.T,
-                 name=f"arr_{e.src}_{e.dst}_{e.dst_pin}")
-    m.add_constr(csp, "<=", spc - e.w * cfg.T,
-                 name=f"arrp_{e.src}_{e.dst}_{e.dst_pin}")
+    # sc and spc read only r_u and r_l, which set_period keeps
+    _period_constr(arts, cs, ">=", lambda c: sc - e.w * c.T,
+                   f"arr_{e.src}_{e.dst}_{e.dst_pin}")
+    _period_constr(arts, csp, "<=", lambda c: spc - e.w * c.T,
+                   f"arrp_{e.src}_{e.dst}_{e.dst_pin}")
 
 
 def _arrival_constraints(arts, pad_terms):
@@ -150,13 +164,10 @@ def _loop_order_constraints(arts, gates):
 
 
 def _stability(arts, extra=()):
-    m, cfg = arts.model, arts.cfg
-    for n in sorted(arts.s):
-        m.add_constr({arts.s[n]: 1.0, arts.sp[n]: -1.0}, "<=",
-                     cfg.T - cfg.t_stable, name=f"stable_{n}")
-    for name, s, sp in extra:
-        m.add_constr({s: 1.0, sp: -1.0}, "<=", cfg.T - cfg.t_stable,
-                     name=f"stable_{name}")
+    for name, s, sp in chain(((n, arts.s[n], arts.sp[n])
+                              for n in sorted(arts.s)), extra):
+        _period_constr(arts, {s: 1.0, sp: -1.0}, "<=",
+                       lambda c: c.T - c.t_stable, f"stable_{name}")
 
 
 def _boundary(arts):
@@ -164,8 +175,8 @@ def _boundary(arts):
     p = g.circuit.ff_params
     for t, kind in sorted(g.terminals.items()):
         if kind in ("output", "bff") and g.in_edges(t):
-            m.add_constr({arts.s[t]: 1.0}, "<=", cfg.T - p.t_su * cfg.r_u,
-                         name=f"setup_{t}")
+            _period_constr(arts, {arts.s[t]: 1.0}, "<=",
+                           lambda c: c.T - p.t_su * c.r_u, f"setup_{t}")
             m.add_constr({arts.sp[t]: 1.0}, ">=", p.t_h * cfg.r_u,
                          name=f"hold_{t}")
 
@@ -210,6 +221,24 @@ def set_dth(arts, d_th):
         raise ValueError("d_th must be finite")
     for i in arts.dth_rows:
         arts.model.constraints[i].rhs = rhs
+
+
+def set_period(arts, graph, cfg):
+    """Move a relaxed model of graph to the period cfg.T in place: each
+    bound and right-hand side that reads the period becomes what
+    build_relaxed_model(graph, cfg) gives.  Its matrix and objective
+    stay, so cfg must keep the knobs they read."""
+    knobs = ("r_u", "r_l", "alpha", "beta", "gamma")
+    if arts.graph != graph:
+        raise ValueError("a start must come from a flow on the same graph")
+    if any(getattr(arts.cfg, k) != getattr(cfg, k) for k in knobs):
+        raise ValueError(f"a start must be made under the same {knobs}")
+    arts.cfg = cfg
+    for v, bounds in arts.period_vars:
+        var = arts.model.vars[v]
+        var.lb, var.ub = map(float, bounds(cfg))
+    for i, rhs in arts.period_rows:
+        arts.model.constraints[i].rhs = float(rhs(cfg))
 
 
 def _pad_model(graph, cfg, S, d_th):

@@ -207,6 +207,21 @@ def test_verify_rejects_non_finite_placement_numbers(tmp_path, capsys):
         assert "'nan' is not a finite number" in err
 
 
+def test_verify_names_the_line_of_a_malformed_placement_number(tmp_path,
+                                                                capsys):
+    net = DATA / "deep_chain.net"
+    assert run(capsys, "optimize", net, "--out-dir", tmp_path)[0] == 0
+    text = (tmp_path / "opt.net").read_text()
+    bad = re.sub(r"size g1 d=\S+", "size g1 d=abc", text)
+    assert bad != text
+    lineno = bad.splitlines().index("size g1 d=abc") + 1
+    opt = tmp_path / "bad.net"
+    opt.write_text(bad)
+    code, _, err = run(capsys, "verify", net, opt, "--out-dir", tmp_path)
+    assert code == 2
+    assert f"line {lineno}: 'abc' is not a finite number" in err
+
+
 @pytest.mark.parametrize("flags", [
     ("--dth-step", "0"), ("--dth-step", "-1"), ("--dth-step", "nan"),
     ("--dth-start", "inf"), ("--dth-start", "nan"),

@@ -323,7 +323,9 @@ def test_infinite_bound_is_free_bound():
 
 
 @pytest.mark.parametrize("bounds", [(float("nan"), 1.0), (0.0, float("nan")),
-                                    (None, float("nan"))])
+                                    (None, float("nan")),
+                                    (np.float64("nan"), 1.0),
+                                    (0.0, np.float64("nan"))])
 def test_nan_bound_is_rejected(bounds):
     with pytest.raises(ValueError, match="NaN"):
         MilpModel().add_var(CONTINUOUS, *bounds)
@@ -339,8 +341,15 @@ def test_nan_bound_is_rejected(bounds):
     lambda m, x, v: m.linearize_product(v, x),
     lambda m, x, v: m.add_indicator(v, {x: 1.0}, 1.0, big_M=10.0),
     lambda m, x, v: m.add_either_or([[({v: 1.0}, ">=", 1.0)]], big_M=10.0),
+    lambda m, x, v: m.add_constr({v: float("nan")}, "<=", 1.0),
+    lambda m, x, v: m.add_constr({x: 1.0, v: -float("inf")}, ">=", 0.0),
+    lambda m, x, v: m.add_constr({v: 1.0}, "<=", np.float64("nan")),
+    lambda m, x, v: m.add_var(INTEGER, lb=0, ub=float("inf")),
+    lambda m, x, v: m.add_var(INTEGER, lb=None, ub=3),
 ], ids=["relation", "nan_rhs", "inf_rhs", "sense", "nan_objective",
-        "inf_constant", "product", "indicator", "either_or"])
+        "inf_constant", "product", "indicator", "either_or",
+        "nan_coefficient", "inf_coefficient", "numpy_nan_rhs",
+        "integer_inf_bound", "integer_free_bound"])
 def test_bad_arguments_raise_value_error(call):
     # ValueError, not assert: the checks must hold under python -O
     m = MilpModel()
@@ -348,6 +357,22 @@ def test_bad_arguments_raise_value_error(call):
     v = m.add_var(CONTINUOUS, lb=0, ub=10)
     with pytest.raises(ValueError):
         call(m, x, v)
+
+
+def test_numpy_scalars_are_accepted():
+    m = MilpModel()
+    v = m.add_var(INTEGER, lb=np.int64(0), ub=np.float64(4.5))
+    w = m.add_var(CONTINUOUS, lb=np.float64(-1.0), ub=np.int64(3))
+    m.add_constr({v: np.float64(1.0), w: np.int64(2)}, "<=", np.float64(7.5))
+    m.add_constr({v: np.int64(1)}, ">=", np.int64(1))
+    m.set_objective({v: np.int64(-1), w: np.float64(-1.0)},
+                    const=np.float64(0.5))
+    assert [(var.lb, var.ub) for var in m.vars] == [(0.0, 4.5), (-1.0, 3.0)]
+    assert [type(ct.rhs) for ct in m.constraints] == [float, float]
+    sol = milp.solve(m)
+    assert sol.status == "optimal"
+    assert sol.values == pytest.approx({v: 4.0, w: 1.75})
+    assert sol.objective == pytest.approx(-5.25)
 
 
 # -- linearizations ----------------------------------------------------------

@@ -128,8 +128,9 @@ def test_repeated_stage2_round_makes_no_cold_lp_call(monkeypatch):
 
 
 def test_sweep_makes_one_cold_stage1_lp(fig_chain, monkeypatch):
-    """Each sweep step re-solves stage 1 from the step before, so only
-    the first step's stage-1 LP starts from the slack basis."""
+    """A sweep builds one relaxed model and each step re-solves it, moved
+    to its period, from the step before, so only the first step's
+    stage-1 LP starts from the slack basis."""
     stage1 = []     # warm flag per lp_solve of a relaxed model
     models = []
     build, solve, kernel = (vsmodel.build_relaxed_model, milp.solve,
@@ -154,30 +155,34 @@ def test_sweep_makes_one_cold_stage1_lp(fig_chain, monkeypatch):
     monkeypatch.setattr(vsmodel, "build_relaxed_model", recorded_build)
     monkeypatch.setattr(milp, "solve", recorded_solve)
     monkeypatch.setattr(milp, "lp_solve", recorded_lp_solve)
+    flows = count_calls(monkeypatch, optimizer, "run_flow")
     sweep_clock_period(to_gate_graph(fig_chain), exact_cfg(10.0),
                        step_fraction=0.01)
-    assert len(models) >= 5
+    assert len(models) == 1
+    assert len(flows) >= 5
     assert stage1.count(False) == 1
-    assert len(stage1) == len(models)
+    assert len(stage1) == len(flows)
 
 
 def test_sweep_runs_every_flow_through_run_flow(fig_chain, monkeypatch):
-    """One relaxed model is built per period tried, each by a run_flow
-    call through the module global, where a tracer can wrap it."""
+    """One relaxed model is built per sweep and moved to each next period,
+    each period tried by a run_flow call through the module global,
+    where a tracer can wrap it."""
     flows = count_calls(monkeypatch, optimizer, "run_flow")
-    periods = count_calls(monkeypatch, vsmodel, "build_relaxed_model")
+    builds = count_calls(monkeypatch, vsmodel, "build_relaxed_model")
+    moves = count_calls(monkeypatch, vsmodel, "set_period")
     sweep_clock_period(to_gate_graph(fig_chain), exact_cfg(10.0),
                        step_fraction=0.01)
-    assert len(periods) >= 5
-    assert len(flows) == len(periods)
+    assert len(builds) == 1
+    assert len(flows) >= 5
+    assert len(flows) == len(builds) + len(moves)
 
 
 def test_run_flow_rejects_a_start_from_another_graph(fig_c, fig_chain):
     _, report = run_flow(to_gate_graph(fig_chain), exact_cfg(10.0))
-    assert report.stage1_solution is not None
+    assert report.stage1 is not None
     with pytest.raises(ValueError, match="start"):
-        run_flow(to_gate_graph(fig_c), exact_cfg(9.0),
-                 report.stage1_solution)
+        run_flow(to_gate_graph(fig_c), exact_cfg(9.0), report.stage1)
 
 
 def test_legalized_unit_gates_are_the_hot_sites(monkeypatch):
@@ -482,6 +487,40 @@ def test_placement_file_statements_are_checked(fig_chain, statement, message):
     with pytest.raises(netlist.NetlistError, match=message) as err:
         placement_from_text(text)
     assert err.value.line == len(text.splitlines())
+
+
+@pytest.mark.parametrize("statement, message", [
+    ("period ten", "'ten' is not a finite number"),
+    ("size w d=abc", "'abc' is not a finite number"),
+    ("edge w z 0 xi=1,5", "'1,5' is not a finite number"),
+    ("edge w z 0 unit=latch phi=x", "'x' is not a finite number"),
+    ("edge w z 0 n=1.5", "'1.5' is not a finite integer"),
+    ("edge w z 0 lam=x", "'x' is not a finite integer"),
+    ("edge w z pin0", "'pin0' is not a finite integer"),
+    ("edge w z 0.0", "'0.0' is not a finite integer"),
+])
+def test_malformed_placement_numbers_name_their_line(fig_chain, statement,
+                                                     message):
+    g = to_gate_graph(fig_chain)
+    text = placement_to_text(sta.as_placed(g), exact_cfg(10.0),
+                             netlist.serialize(fig_chain)) + statement + "\n"
+    with pytest.raises(netlist.NetlistError, match=message) as err:
+        placement_from_text(text)
+    assert err.value.line == len(text.splitlines())
+
+
+def test_with_period_keeps_big_m_at_least_4_t():
+    """big_M * k may round below 4 * T; the scaled config must still be
+    one that validate accepts."""
+    cfg = Config(T=11.6, big_M=46.4)
+    assert 46.4 * (14.169 / 11.6) < 4 * 14.169
+    moved = cfg.with_period(14.169)
+    assert moved.big_M == 4 * 14.169
+    rng = random.Random(7)
+    for _ in range(2000):
+        T = rng.uniform(0.1, 50.0)
+        moved = Config(T=T, big_M=4 * T).with_period(rng.uniform(0.1, 50.0))
+        assert moved.big_M >= 4 * moved.T
 
 
 def test_with_period_scales_relative_knobs():

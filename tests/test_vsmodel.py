@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from wavetime import milp, sta, vsmodel
 from wavetime.netlist import Config, to_gate_graph
+from wavetime.optimizer import run_flow
 from wavetime.sta import edge_key, propagate_windows
 
 from gen import exact_cfg, random_circuit
@@ -117,6 +119,46 @@ def test_set_dth_equals_a_rebuild(fig_chain):
         vsmodel.set_dth(arts, d_th)
         want = vsmodel.build_cdq_model(g, cfg, set(g.gates), d_th)
         assert milp.export_lp(arts.model) == milp.export_lp(want.model)
+
+
+def test_set_period_equals_a_rebuild():
+    """A relaxed model moved from period to period, as the sweep moves
+    it, equals the model built at each, t_stable read from the new cfg."""
+    import numpy as np
+    for name, c in stage_corpus():
+        g, cfg = to_gate_graph(c), Config(T=c.T)
+        arts = vsmodel.build_relaxed_model(g, cfg)
+        periods = [cfg.with_period(k * c.T) for k in (0.9, 0.995, 1.2)]
+        for to in periods + [replace(periods[-1], t_stable=0.25)]:
+            vsmodel.set_period(arts, g, to)
+            want = vsmodel.build_relaxed_model(g, to).model
+            for a, b in zip(milp._model_arrays(arts.model),
+                            milp._model_arrays(want)):
+                assert np.array_equal(a, b), (name, to.T)
+            assert milp.export_lp(arts.model) == milp.export_lp(want)
+            assert arts.cfg is to
+
+
+@pytest.mark.parametrize("knob", [{"r_u": 1.2}, {"gamma": 5.0}])
+def test_set_period_rejects_a_start_under_other_knobs(fig_chain, knob):
+    """A moved model keeps its matrix and objective, which read r_u, r_l,
+    alpha, beta and gamma, so a start made under others is refused."""
+    g = to_gate_graph(fig_chain)
+    cfg = Config(T=10.0)
+    arts = vsmodel.build_relaxed_model(g, cfg)
+    with pytest.raises(ValueError, match="start"):
+        vsmodel.set_period(arts, g, replace(cfg.with_period(9.0), **knob))
+    with pytest.raises(ValueError, match="start"):
+        run_flow(g, replace(cfg, **knob), (arts, milp.solve(arts.model)))
+
+
+def test_set_period_rejects_a_start_from_another_graph(fig_c, fig_chain):
+    g = to_gate_graph(fig_chain)
+    arts = vsmodel.build_relaxed_model(g, Config(T=10.0))
+    with pytest.raises(ValueError, match="start"):
+        vsmodel.set_period(arts, to_gate_graph(fig_c), Config(T=9.0))
+    # the same netlist parsed again is the same graph
+    vsmodel.set_period(arts, to_gate_graph(fig_chain), Config(T=9.0))
 
 
 def test_set_dth_rejects_nan(fig_chain):
