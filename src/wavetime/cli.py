@@ -48,7 +48,8 @@ _FLAGS = {
     "--sweep-step": (None, {"type": float, "default": 0.005,
                             "help": "period sweep step as a fraction of T"}),
     "--dump-model": (None, {"action": "store_true",
-                            "help": "write solver models in LP format"}),
+                            "help": "write solver models in LP format "
+                                    "(time in units of T)"}),
     "--retime-objective": (None, {"default": "min-removals",
                                   "choices": ["min-removals", "min-lags"]}),
     "--out-dir": (None, {"default": "."}),

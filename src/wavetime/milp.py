@@ -7,8 +7,10 @@ slack/artificial basis.  It re-solves warm, by dual simplex from a kept
 optimal tableau, wherever only bounds or right-hand sides changed: each
 branch-and-bound child from its parent's tableau, and a root from the
 root of an earlier solve of a model with the same objective, matrix and
-relations (the stage-2 d_th rounds, and stage 1 at the next period of
-a sweep).
+relations.  The flow's models keep time in units of the clock period,
+so that holds for the stage-2 d_th rounds and, at the next period of a
+sweep, for each stage that meets the sites of a model of the step
+before.
 
 The solver is deterministic: Bland's rule in the primal and the dual
 simplex, best-bound node selection with insertion-order tie-breaks,

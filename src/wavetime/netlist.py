@@ -118,15 +118,26 @@ class Config:
         if self.big_M < 4 * self.T:
             raise ValueError("big_M must be at least 4*T")
 
+    def fraction(self, value):
+        """value as a fraction of T, rounded to 12 significant digits.
+        with_period sets each knob that is a fraction of T to this
+        fraction times the new T, and dividing that by the new T lands
+        within a few ulps of the 12-digit fraction, far inside its
+        rounding step: the fraction reads the same, bit for bit, at every
+        step of a sweep, so a model moved along it keeps its matrix."""
+        return float(f"{value / self.T:.12g}")
+
     def with_period(self, T):
         """Same configuration at a different clock period; knobs that are
         fractions of T (phases, delay-bound schedule, big_M, replacement
         threshold) scale along, absolute delays stay put."""
-        k = T / self.T
-        return replace(self, T=T, phases=tuple(p * k for p in self.phases),
-                       dth_schedule=tuple(d * k for d in self.dth_schedule),
-                       big_M=max(self.big_M * k, 4 * T),  # k may round
-                       replace_threshold=self.replace_threshold * k)
+        def scaled(value):
+            return self.fraction(value) * T
+
+        return replace(self, T=T, phases=tuple(map(scaled, self.phases)),
+                       dth_schedule=tuple(map(scaled, self.dth_schedule)),
+                       big_M=scaled(self.big_M),
+                       replace_threshold=scaled(self.replace_threshold))
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,18 @@ placement is rejected before the whole-circuit STA.  Stages 2 and 3
 with no sites would solve the relaxed model again, so they reuse the
 stage-1 solution instead.
 
-The period sweep runs run_flow at each period.  Moving the relaxed
-model to the next period changes only its right-hand sides and bounds,
-so a sweep builds one stage-1 model: each step moves the model of the
-step before in place (vsmodel.set_period) and re-solves it from that
-step's solution.  A warm re-solve may end on another optimal vertex
-than a cold one, so a sweep's placement may depend on the period it
-started from; it is still deterministic for a fixed input.
+The period sweep runs run_flow at each period.  The models keep time in
+units of T, so moving one to the next period changes only its
+right-hand sides and bounds.  Each step therefore starts from the models
+of the step before (report.models): a stage whose sites are those of a
+model of the step before moves that model in place (vsmodel.set_period)
+and re-solves it warm from its last solution; a stage on other sites
+builds its model and solves it cold.  A sweep whose site sets hold
+still builds one model per stage.  A warm re-solve may end on another
+optimal vertex than a cold one, so a sweep's placement may depend on
+the period it started from; it is still deterministic for a fixed
+input.  Objectives in the report are in absolute time: the solver's,
+in units of T, times T.
 """
 
 import math
@@ -61,8 +66,10 @@ class OptimizationReport:
     n_b: int = 0
     area_before: float = 0.0
     area_after: float = 0.0
-    # stage 1's (ModelArtifacts, milp.Solution), a start at another period
-    stage1: object = field(default=None, repr=False, compare=False)
+    # (stage, frozenset of sites) -> (ModelArtifacts, milp.Solution) of
+    # each model the flow solved, with its last solution: a start for a
+    # flow at another period
+    models: dict = field(default_factory=dict, repr=False, compare=False)
 
     def lines(self):
         out = []
@@ -87,7 +94,8 @@ def _solve_stage(arts, cfg, stage, start=None):
                      time_ms=cfg.milp_time_ms, start=start)
     if sol.status != "optimal":
         raise InfeasibleError(stage, sol.status)
-    bad = arts.model.violated(sol.values)
+    # the model's time is in units of T: audit at FEAS_EPS absolute
+    bad = arts.model.violated(sol.values, milp.FEAS_EPS / cfg.T)
     if bad:
         raise InfeasibleError(stage, f"solution audit failed: {bad[:3]}")
     return sol
@@ -117,38 +125,53 @@ def area(placed, cfg):
 
 def run_flow(graph, cfg, start=None):
     """Run stages 1-4; returns (OptimizedCircuit, OptimizationReport) or
-    raises InfeasibleError naming the failing stage.  Stage 1 builds and
-    solves the relaxed model cold, or, given start, the report.stage1 of
-    a flow on the same graph at another period, moves start's model to
-    cfg.T in place (vsmodel.set_period) and re-solves it warm."""
+    raises InfeasibleError naming the failing stage.
+
+    Each stage builds its model and solves it cold, unless start, the
+    report.models of a flow on the same graph at another period, holds
+    a model of that stage on the same sites: that model is moved to
+    cfg.T in place (vsmodel.set_period) and re-solved warm from its last
+    solution."""
     report = OptimizationReport()
     report.area_before = FF_AREA * graph.total_weight()
+    start = start or {}
 
-    if start is None:
-        arts, prev = vsmodel.build_relaxed_model(graph, cfg), None
-    else:
-        arts, prev = start
+    def model(stage, sites, build):
+        """(model, solution to start from) of stage on sites."""
+        key = (stage, frozenset(sites))
+        if key not in start:
+            return build(), None
+        arts, prev = start[key]
         vsmodel.set_period(arts, graph, cfg)
-    sol = _solve_stage(arts, cfg, "relaxed", start=prev)
-    report.stage1 = arts, sol
+        return arts, prev
+
+    def solve(stage, sites, arts, prev):
+        sol = _solve_stage(arts, cfg, stage, start=prev)
+        report.models[stage, frozenset(sites)] = arts, sol
+        return sol
+
+    arts, prev = model("relaxed", (), lambda: vsmodel.build_relaxed_model(
+        graph, cfg))
+    sol = solve("relaxed", (), arts, prev)
     _, S = vsmodel.decode_solution(arts, sol)
     S = set(S)
     report.stages.append(StageInfo("stage1", sol.status, len(S),
-                                   sol.objective))
+                                   sol.objective * cfg.T))
 
     arts2, sol2 = arts, sol
     if S:
-        new = S     # the first round builds the model
+        new = S     # the first round takes the model of S
         # a zero round that does not stop grows S, so zeros cannot run out
         for d_th in chain(cfg.dth_schedule,
                           repeat(0.0, len(graph.gates) + 1)):
             if new:
-                arts2 = vsmodel.build_cdq_model(graph, cfg, S, d_th)
-                sol2 = _solve_stage(arts2, cfg, "cdq")
-            else:
-                # the same (T, S): re-solve from the last round's root
+                sites = frozenset(S)
+                arts2, sol2 = model("cdq", sites, lambda: (
+                    vsmodel.build_cdq_model(graph, cfg, sites, d_th)))
+            if arts2.d_th != d_th:
+                # re-solve from the root of the last round on these sites
                 vsmodel.set_dth(arts2, d_th)
-                sol2 = _solve_stage(arts2, cfg, "cdq", start=sol2)
+            sol2 = solve("cdq", sites, arts2, sol2)
             _, hot = vsmodel.decode_solution(arts2, sol2)
             new = hot - S
             S |= new
@@ -156,7 +179,7 @@ def run_flow(graph, cfg, start=None):
                 break
     S_d = {g for g, x in arts2.x.items() if sol2.values[x] > 0.5}
     report.stages.append(StageInfo("stage2", sol2.status, len(S_d),
-                                   sol2.objective))
+                                   sol2.objective * cfg.T))
 
     seen = set()
     for _ in range(2 * len(graph.gates) + 2):
@@ -167,8 +190,9 @@ def run_flow(graph, cfg, start=None):
         seen.add(key)
         arts3, sol3 = arts, sol
         if S_d:
-            arts3 = vsmodel.build_legalization_model(graph, cfg, S_d)
-            sol3 = _solve_stage(arts3, cfg, "legalization")
+            arts3, prev = model("legalization", key, lambda: (
+                vsmodel.build_legalization_model(graph, cfg, key)))
+            sol3 = solve("legalization", key, arts3, prev)
         placed, hot3 = vsmodel.decode_solution(arts3, sol3)
         if hot3 == S_d:
             break
@@ -176,7 +200,7 @@ def run_flow(graph, cfg, start=None):
     else:
         raise InfeasibleError("legalization", "iteration limit exceeded")
     report.stages.append(StageInfo("stage3", sol3.status, len(S_d),
-                                   sol3.objective))
+                                   sol3.objective * cfg.T))
 
     placed = discretize_delays(placed, cfg)
     placed = replace_buffers(placed, cfg)
@@ -291,9 +315,9 @@ def replace_buffers(placed, cfg):
 
 def sweep_clock_period(graph, cfg, step_fraction=0.005):
     """Shrink T by step_fraction of the starting period until run_flow
-    fails; returns (best placed, best report, best cfg).  Each step moves
-    the stage-1 model of the step before to its period and re-solves it
-    from there, so the sweep builds one stage-1 model."""
+    fails; returns (best placed, best report, best cfg).  Each step
+    starts from the models of the step before (report.models), so the
+    sweep builds one model per stage and site set."""
     if not (0 < step_fraction <= 0.1):
         raise ValueError("step_fraction must be in (0, 0.1]")
     step = step_fraction * cfg.T
@@ -306,7 +330,7 @@ def sweep_clock_period(graph, cfg, step_fraction=0.005):
             if best is None:
                 raise
             return best
-        best, start = (placed, report, current), report.stage1
+        best, start = (placed, report, current), report.models
         next_T = current.T - step
         if next_T <= 0:
             return best

@@ -10,9 +10,22 @@ Three builders share one variable layout:
                either-or over the three insertion cases and the phases.
 
 With no sites, the cdq (built by the same body) and legalization models
-are the relaxed model.  set_dth moves a cdq model to another d_th, and
-set_period a relaxed model to another clock period, in place, so that
-the solver can re-solve it from its last solution.
+are the relaxed model.
+
+Every time variable (arrivals, gate delays, buffer delays, pads) and
+every time row is in units of the clock period T: a row is its absolute
+form divided by T.  T then reaches only right-hand sides and variable
+bounds.  The objective and the matrix read r_u, r_l, the prices, and
+big_M and the phases as fractions of T (Config.fraction, which
+with_period keeps bit for bit), so the objective prices time in units of
+T, X_COST included.  The one product that would put T in the matrix, a
+cdq site's unit delay x * (pad + t_cq/T), is bounded by big_M instead of
+by its exact bounds, so that t_cq/T appears only in right-hand sides.
+
+set_period moves a model of any kind to another period, and set_dth a
+cdq model to another d_th, in place, so that the solver can re-solve
+it warm from its last solution.  decode_solution converts back to
+absolute time.
 
 The arrival variable s of a gate denotes the latest arrival at the gate
 output after its own pad/unit, before the anchor shifts of the outgoing
@@ -23,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 
-from . import milp
 from .milp import BINARY, CONTINUOUS, INTEGER, MilpModel
 from .sta import EdgeDecision, OptimizedCircuit, edge_key
 
@@ -34,6 +46,9 @@ X_COST = 1e-6
 
 # pads differing by more than this indicate a unit, not a buffer chain
 PAD_EPS = 1e-6
+
+# the upper bound of a pad, in units of T
+PAD_MAX = 2.0
 
 
 @dataclass
@@ -48,10 +63,21 @@ class ModelArtifacts:
     delta: dict = field(default_factory=dict)    # gate -> var id
     delta_p: dict = field(default_factory=dict)
     x: dict = field(default_factory=dict)        # site -> presence binary
+    d_th: float = None                           # a cdq model's bound
     dth_rows: list = field(default_factory=list)  # rows holding d_th
     period_vars: list = field(default_factory=list)  # (var, bounds(cfg))
     period_rows: list = field(default_factory=list)  # (row, rhs(cfg))
     site: dict = field(default_factory=dict)     # site -> legalization vars
+    knobs: dict = None                           # what c and A read
+
+
+def _matrix_knobs(cfg):
+    """The knobs that the objective and the matrix of a model read:
+    guard bands, prices, and big_M and the phases as fractions of T."""
+    return {"r_u": cfg.r_u, "r_l": cfg.r_l, "alpha": cfg.alpha,
+            "beta": cfg.beta, "gamma": cfg.gamma,
+            "big_M": cfg.fraction(cfg.big_M),
+            "phases": tuple(map(cfg.fraction, cfg.phases))}
 
 
 def _period_var(arts, bounds, name):
@@ -60,7 +86,7 @@ def _period_var(arts, bounds, name):
     return arts.model.add_var(CONTINUOUS, *bounds(arts.cfg), name=name)
 
 
-def _period_constr(arts, coeffs, rel, rhs, name):
+def _period_constr(arts, coeffs, rel, rhs, name=None):
     """A row whose right-hand side rhs(cfg) reads the period."""
     arts.period_rows.append((len(arts.model.constraints), rhs))
     arts.model.add_constr(coeffs, rel, rhs(arts.cfg), name=name)
@@ -68,26 +94,27 @@ def _period_constr(arts, coeffs, rel, rhs, name):
 
 def _base(graph, cfg):
     m = MilpModel()
-    arts = ModelArtifacts(m, graph, cfg)
+    arts = ModelArtifacts(m, graph, cfg, knobs=_matrix_knobs(cfg))
     # terminal sources launch at a constant; only capture points (gates
     # and terminals with in-edges) get arrival variables
     for n in sorted(graph.gates) + sorted(t for t in graph.terminals
                                           if graph.in_edges(t)):
         for arr, name in ((arts.s, f"s_{n}"), (arts.sp, f"sp_{n}")):
-            arr[n] = _period_var(arts, lambda c: (-2 * c.T, 3 * c.T), name)
+            arr[n] = m.add_var(CONTINUOUS, -2.0, 3.0, name=name)
     for g in sorted(graph.gates):
-        lib = graph.gates[g].lib
-        arts.d[g] = m.add_var(CONTINUOUS, lb=min(lib), ub=max(lib),
-                              name=f"d_{g}")
+        lo, hi = min(graph.gates[g].lib), max(graph.gates[g].lib)
+        arts.d[g] = _period_var(arts, lambda c, lo=lo, hi=hi:
+                                (lo / c.T, hi / c.T), f"d_{g}")
     for e in graph.edges:
-        arts.xi[edge_key(e)] = _period_var(
-            arts, lambda c: (0.0, 3 * c.T), f"xi_{e.src}_{e.dst}_{e.dst_pin}")
+        arts.xi[edge_key(e)] = m.add_var(
+            CONTINUOUS, 0.0, 3.0, name=f"xi_{e.src}_{e.dst}_{e.dst_pin}")
     return arts
 
 
 def _src_terms(arts, e):
     """(coeffs, const) for the latest/earliest arrival at the source of
-    an edge: a variable for gates, the launch constant for terminals."""
+    an edge: a variable for gates, the launch constant (absolute time,
+    reading only r_u and r_l) for terminals."""
     g, cfg = arts.graph, arts.cfg
     p = g.circuit.ff_params
     if e.src in g.gates:
@@ -103,7 +130,7 @@ def _pads(arts, gates):
     for g in sorted(gates):
         for pad, name in ((arts.delta, f"delta_{g}"),
                           (arts.delta_p, f"deltap_{g}")):
-            pad[g] = _period_var(arts, lambda c: (0.0, 2 * c.T), name)
+            pad[g] = m.add_var(CONTINUOUS, 0.0, PAD_MAX, name=name)
         # fast signals get at least as much padding as slow ones
         m.add_constr({arts.delta_p[g]: 1.0, arts.delta[g]: -1.0}, ">=", 0.0,
                      name=f"pad_order_{g}")
@@ -115,7 +142,7 @@ def _arrival_rows(arts, e, s, sp, add_s, add_sp):
     """Latest/earliest propagation rows of one edge into the arrival
     variables s/sp of its destination; add_s/add_sp are the extra
     linear terms of the destination's pad/unit."""
-    m, g, cfg = arts.model, arts.graph, arts.cfg
+    g, cfg = arts.graph, arts.cfg
     k = edge_key(e)
     (sv, sc), (spv, spc) = _src_terms(arts, e)
     cs = {s: 1.0, arts.xi[k]: -cfg.r_u}
@@ -130,10 +157,9 @@ def _arrival_rows(arts, e, s, sp, add_s, add_sp):
         cs[v] = cs.get(v, 0.0) - a
     for v, a in add_sp.items():
         csp[v] = csp.get(v, 0.0) - a
-    # sc and spc read only r_u and r_l, which set_period keeps
-    _period_constr(arts, cs, ">=", lambda c: sc - e.w * c.T,
+    _period_constr(arts, cs, ">=", lambda c: sc / c.T - e.w,
                    f"arr_{e.src}_{e.dst}_{e.dst_pin}")
-    _period_constr(arts, csp, "<=", lambda c: spc - e.w * c.T,
+    _period_constr(arts, csp, "<=", lambda c: spc / c.T - e.w,
                    f"arrp_{e.src}_{e.dst}_{e.dst_pin}")
 
 
@@ -151,7 +177,7 @@ def _arrival_constraints(arts, pad_terms):
 def _loop_order_constraints(arts, gates):
     """s'_u + delta' <= s_u + delta per in-edge: forces a sequential unit
     somewhere on every zero-weight cycle created by removal."""
-    m, g = arts.model, arts.graph
+    g = arts.graph
     for e in g.edges:
         if e.dst in gates:
             (sv, sc), (spv, spc) = _src_terms(arts, e)
@@ -159,26 +185,27 @@ def _loop_order_constraints(arts, gates):
             if sv is not None:
                 c[spv] = c.get(spv, 0.0) + 1.0
                 c[sv] = c.get(sv, 0.0) - 1.0
-            m.add_constr(c, "<=", sc - spc,
-                         name=f"order_{e.src}_{e.dst}_{e.dst_pin}")
+            _period_constr(arts, c, "<=", lambda c, t=sc - spc: t / c.T,
+                           f"order_{e.src}_{e.dst}_{e.dst_pin}")
 
 
 def _stability(arts, extra=()):
     for name, s, sp in chain(((n, arts.s[n], arts.sp[n])
                               for n in sorted(arts.s)), extra):
         _period_constr(arts, {s: 1.0, sp: -1.0}, "<=",
-                       lambda c: c.T - c.t_stable, f"stable_{name}")
+                       lambda c: 1.0 - c.t_stable / c.T, f"stable_{name}")
 
 
 def _boundary(arts):
-    m, g, cfg = arts.model, arts.graph, arts.cfg
+    g = arts.graph
     p = g.circuit.ff_params
     for t, kind in sorted(g.terminals.items()):
         if kind in ("output", "bff") and g.in_edges(t):
             _period_constr(arts, {arts.s[t]: 1.0}, "<=",
-                           lambda c: c.T - p.t_su * c.r_u, f"setup_{t}")
-            m.add_constr({arts.sp[t]: 1.0}, ">=", p.t_h * cfg.r_u,
-                         name=f"hold_{t}")
+                           lambda c: 1.0 - p.t_su * c.r_u / c.T,
+                           f"setup_{t}")
+            _period_constr(arts, {arts.sp[t]: 1.0}, ">=",
+                           lambda c: p.t_h * c.r_u / c.T, f"hold_{t}")
 
 
 def _objective(arts, pad_gates):
@@ -216,23 +243,30 @@ def build_cdq_model(graph, cfg, S, d_th):
 def set_dth(arts, d_th):
     """Move a cdq model to another delay bound d_th in place; only the
     right-hand sides of its indicator rows change."""
-    rhs = float(d_th - arts.cfg.big_M)
-    if not math.isfinite(rhs):
+    if not math.isfinite(d_th):
         raise ValueError("d_th must be finite")
+    arts.d_th = d_th
+    rhs = _dth_rhs(arts, arts.cfg)
     for i in arts.dth_rows:
         arts.model.constraints[i].rhs = rhs
 
 
+def _dth_rhs(arts, cfg):
+    """The right-hand side of a cdq model's indicator rows."""
+    return float(arts.d_th / cfg.T - arts.knobs["big_M"])
+
+
 def set_period(arts, graph, cfg):
-    """Move a relaxed model of graph to the period cfg.T in place: each
-    bound and right-hand side that reads the period becomes what
-    build_relaxed_model(graph, cfg) gives.  Its matrix and objective
-    stay, so cfg must keep the knobs they read."""
-    knobs = ("r_u", "r_l", "alpha", "beta", "gamma")
+    """Move a model of graph, relaxed, cdq or legalization, to the period
+    cfg.T in place: each bound and right-hand side that reads the period
+    becomes what its builder gives at cfg.  Its matrix and objective
+    stay, so cfg must keep the knobs they read (_matrix_knobs)."""
     if arts.graph != graph:
         raise ValueError("a start must come from a flow on the same graph")
-    if any(getattr(arts.cfg, k) != getattr(cfg, k) for k in knobs):
-        raise ValueError(f"a start must be made under the same {knobs}")
+    if _matrix_knobs(cfg) != arts.knobs:
+        raise ValueError("a start must be made under the same r_u, r_l, "
+                         "alpha, beta, gamma, and big_M and phases as "
+                         "fractions of T")
     arts.cfg = cfg
     for v, bounds in arts.period_vars:
         var = arts.model.vars[v]
@@ -241,29 +275,66 @@ def set_period(arts, graph, cfg):
         arts.model.constraints[i].rhs = float(rhs(cfg))
 
 
+def _unit_product(arts, x, pad, name):
+    """z = x * (pad + t_cq / T), the unit's pad plus its clock/data-to-q
+    delay when present.  The rows bound z by big_M (in units of T) where
+    the exact product would read T in its coefficients, so only their
+    right-hand sides carry t_cq / T."""
+    m = arts.model
+    t_cq = arts.graph.circuit.ff_params.t_cq
+    M = arts.knobs["big_M"]
+
+    def bounds(c):
+        if PAD_MAX + t_cq / c.T > M:
+            raise ValueError("big_M must be at least 2*T + t_cq")
+        return 0.0, PAD_MAX + t_cq / c.T
+
+    z = _period_var(arts, bounds, name)
+    m.add_constr({z: 1.0, x: -M}, "<=", 0.0)
+    _period_constr(arts, {z: 1.0, pad: -1.0}, "<=", lambda c: t_cq / c.T)
+    _period_constr(arts, {z: 1.0, pad: -1.0, x: -M}, ">=",
+                   lambda c: t_cq / c.T - M)
+    return z
+
+
 def _pad_model(graph, cfg, S, d_th):
     sites = set(S)
     arts = _base(graph, cfg)
     gates = set(graph.gates)
     pad_terms = _pads(arts, gates)
     m = arts.model
-    t_cdq = graph.circuit.ff_params.t_cq
+    arts.d_th = d_th
     for g in sorted(gates & sites):
         x = m.add_var(BINARY, name=f"x_{g}")
         arts.x[g] = x
-        z = m.linearize_product(x, arts.delta[g], name=f"xd_{g}")
-        zp = m.linearize_product(x, arts.delta_p[g], name=f"xdp_{g}")
-        pad_terms[g] = ({z: cfg.r_u, x: t_cdq * cfg.r_u},
-                        {zp: cfg.r_l, x: t_cdq * cfg.r_l})
+        z = _unit_product(arts, x, arts.delta[g], f"xd_{g}")
+        zp = _unit_product(arts, x, arts.delta_p[g], f"xdp_{g}")
+        pad_terms[g] = ({z: cfg.r_u}, {zp: cfg.r_l})
+        arts.dth_rows.append(len(m.constraints))
         m.add_indicator(x, {arts.delta_p[g]: 1.0, arts.delta[g]: -1.0},
-                        d_th, cfg.big_M)
-        arts.dth_rows.append(len(m.constraints) - 1)
+                        d_th / cfg.T, arts.knobs["big_M"])
+        arts.period_rows.append((arts.dth_rows[-1],
+                                 lambda c: _dth_rhs(arts, c)))
     _arrival_constraints(arts, pad_terms)
     _loop_order_constraints(arts, gates)
     _stability(arts)
     _boundary(arts)
     _objective(arts, sorted(gates - sites))
     return arts
+
+
+def _either_or(arts, branches):
+    """milp's either-or over branches of (coeffs, rel, rhs(cfg)) rows,
+    relaxed by big_M in units of T; each row is a period row."""
+    m, M = arts.model, arts.knobs["big_M"]
+    first = len(m.constraints) + 1      # after the one-selector row
+    sels = m.add_either_or([[(c, rel, rhs(arts.cfg)) for c, rel, rhs in b]
+                            for b in branches], M)
+    for i, (_, rel, rhs) in enumerate(chain(*branches), first):
+        shift = M if rel == "<=" else -M
+        arts.period_rows.append((i, lambda c, rhs=rhs, shift=shift:
+                                 rhs(c) + shift))
+    return sels
 
 
 def build_legalization_model(graph, cfg, S_d):
@@ -275,55 +346,58 @@ def build_legalization_model(graph, cfg, S_d):
     relaxed = set(graph.gates) - sites
     pad_terms = _pads(arts, relaxed)
     m = arts.model
-    T = cfg.T
     p = graph.circuit.ff_params
+    phases = arts.knobs["phases"]
+
+    hold, setup = p.t_h * cfg.r_u, p.t_su * cfg.r_u
+    cq_u, cq_l = p.t_cq * cfg.r_u, p.t_cq * cfg.r_l
     extra_stable = []
     for g in sorted(sites):
         # w: gate output before the unit; the site's s variable is the
         # post-unit point t
-        sw = m.add_var(CONTINUOUS, lb=-2 * T, ub=3 * T, name=f"sw_{g}")
-        swp = m.add_var(CONTINUOUS, lb=-2 * T, ub=3 * T, name=f"swp_{g}")
+        sw = m.add_var(CONTINUOUS, -2.0, 3.0, name=f"sw_{g}")
+        swp = m.add_var(CONTINUOUS, -2.0, 3.0, name=f"swp_{g}")
         st, stp = arts.s[g], arts.sp[g]
         N = m.add_var(INTEGER, lb=-2, ub=2, name=f"N_{g}")
         phase_sel = [m.add_var(BINARY, name=f"ph_{g}_{i}")
-                     for i in range(len(cfg.phases))]
+                     for i in range(len(phases))]
         m.add_constr({v: 1.0 for v in phase_sel}, "=", 1.0,
                      name=f"one_phase_{g}")
-        # PHI = sum(phi_k * y_k); REF = N*T + PHI as linear coefficients
-        phi = {v: ph for v, ph in zip(phase_sel, cfg.phases)}
+        # PHI = sum(phi_k * y_k); REF = N + PHI, both in units of T
+        phi = dict(zip(phase_sel, phases))
 
         def ref(vec):
             out = dict(vec)
-            out[N] = out.get(N, 0.0) + T
+            out[N] = out.get(N, 0.0) + 1.0
             for v, ph in phi.items():
                 out[v] = out.get(v, 0.0) + ph
             return out
 
         region = [
             # N*T + PHI + t_h*r_u <= s_w, s'_w <= (N+1)*T + PHI - t_su*r_u
-            (ref({sw: -1.0}), "<=", -p.t_h * cfg.r_u),
-            (ref({swp: -1.0}), "<=", -p.t_h * cfg.r_u),
-            (ref({sw: -1.0}), ">=", -T + p.t_su * cfg.r_u),
-            (ref({swp: -1.0}), ">=", -T + p.t_su * cfg.r_u),
+            (ref({sw: -1.0}), "<=", lambda c: -hold / c.T),
+            (ref({swp: -1.0}), "<=", lambda c: -hold / c.T),
+            (ref({sw: -1.0}), ">=", lambda c: -1.0 + setup / c.T),
+            (ref({swp: -1.0}), ">=", lambda c: -1.0 + setup / c.T),
         ]
         case1 = [
-            ({st: 1.0, sw: -1.0}, ">=", 0.0),
-            ({stp: 1.0, swp: -1.0}, "<=", 0.0),
+            ({st: 1.0, sw: -1.0}, ">=", lambda c: 0.0),
+            ({stp: 1.0, swp: -1.0}, "<=", lambda c: 0.0),
         ]
         case2 = region + [
             # s_t pinned to the next active edge plus clock-to-q
-            (ref({st: -1.0}), "<=", -T - p.t_cq * cfg.r_u),
-            (ref({stp: -1.0}), ">=", -T - p.t_cq * cfg.r_l),
+            (ref({st: -1.0}), "<=", lambda c: -1.0 - cq_u / c.T),
+            (ref({stp: -1.0}), ">=", lambda c: -1.0 - cq_l / c.T),
         ]
         case3 = region + [
             # fast signal confined to the non-transparent part
-            (ref({swp: -1.0}), ">=", -cfg.duty * T),
+            (ref({swp: -1.0}), ">=", lambda c: -c.duty),
             # latest leaves when the latch opens, or passes transparently
-            (ref({st: -1.0}), "<=", -cfg.duty * T - p.t_cq * cfg.r_u),
-            ({st: 1.0, sw: -1.0}, ">=", p.t_dq * cfg.r_u),
-            (ref({stp: -1.0}), ">=", -cfg.duty * T - p.t_cq * cfg.r_l),
+            (ref({st: -1.0}), "<=", lambda c: -c.duty - cq_u / c.T),
+            ({st: 1.0, sw: -1.0}, ">=", lambda c: p.t_dq * c.r_u / c.T),
+            (ref({stp: -1.0}), ">=", lambda c: -c.duty - cq_l / c.T),
         ]
-        sels = m.add_either_or([case1, case2, case3], cfg.big_M)
+        sels = _either_or(arts, [case1, case2, case3])
         arts.site[g] = {"sw": sw, "swp": swp, "N": N,
                         "phases": phase_sel, "cases": sels}
         # in-edge propagation lands on w instead of t
@@ -340,8 +414,9 @@ def build_legalization_model(graph, cfg, S_d):
 
 
 def decode_solution(arts, sol):
-    """Turn solver values into per-edge decisions plus the frozenset of
-    locations whose pads indicate (or realize) a sequential unit."""
+    """Turn solver values, in units of T, into per-edge decisions in
+    absolute time plus the frozenset of locations whose pads indicate (or
+    realize) a sequential unit."""
     if sol.status != "optimal":
         raise ValueError(f"cannot decode a {sol.status} solution")
     g, cfg = arts.graph, arts.cfg
@@ -349,13 +424,15 @@ def decode_solution(arts, sol):
     for vid, var in enumerate(arts.model.vars):
         if var.kind != CONTINUOUS and abs(vals[vid] - round(vals[vid])) > 1e-5:
             raise AssertionError(f"fractional integer value for {var.name}")
+
+    def time(v):
+        return vals[v] * cfg.T
+
     decisions = {}
-    gate_delays = {}
-    for name, vid in arts.d.items():
-        gate_delays[name] = vals[vid]
+    gate_delays = {name: time(vid) for name, vid in arts.d.items()}
     hot = set()
     for name in arts.delta:
-        if vals[arts.delta_p[name]] - vals[arts.delta[name]] > PAD_EPS:
+        if time(arts.delta_p[name]) - time(arts.delta[name]) > PAD_EPS:
             hot.add(name)
     for name, x in arts.x.items():
         if vals[x] > 0.5:
@@ -371,7 +448,7 @@ def decode_solution(arts, sol):
         hot.add(name)
     for e in g.edges:
         k = edge_key(e)
-        dec = EdgeDecision(xi=max(0.0, vals[arts.xi[k]]))
+        dec = EdgeDecision(xi=max(0.0, time(arts.xi[k])))
         src = e.src
         if src in unit_info:
             kind, n_cycle, phi = unit_info[src]
@@ -379,7 +456,7 @@ def decode_solution(arts, sol):
         if src in arts.delta:
             # equal pads emulate buffers: realize them as extra buffer
             # delay on every outgoing connection of the gate
-            d, dp = vals[arts.delta[src]], vals[arts.delta_p[src]]
+            d, dp = time(arts.delta[src]), time(arts.delta_p[src])
             if dp > PAD_EPS and dp - d <= PAD_EPS:
                 dec.xi += d
         decisions[k] = dec

@@ -127,41 +127,97 @@ def test_repeated_stage2_round_makes_no_cold_lp_call(monkeypatch):
     assert sum(map(len, repeated)) > len(repeated)  # children too
 
 
-def test_sweep_makes_one_cold_stage1_lp(fig_chain, monkeypatch):
-    """A sweep builds one relaxed model and each step re-solves it, moved
-    to its period, from the step before, so only the first step's
-    stage-1 LP starts from the slack basis."""
-    stage1 = []     # warm flag per lp_solve of a relaxed model
-    models = []
-    build, solve, kernel = (vsmodel.build_relaxed_model, milp.solve,
-                            milp.lp_solve)
-    on_stage1 = False
+def deep_chain():
+    import pathlib
+    return to_gate_graph(netlist.parse_netlist(
+        (pathlib.Path(__file__).parent / "data" / "deep_chain.net")
+        .read_text()))
 
-    def recorded_build(*args):
-        arts = build(*args)
-        models.append(arts.model)
-        return arts
 
-    def recorded_solve(model, *args, **kwargs):
-        nonlocal on_stage1
-        on_stage1 = any(model is m for m in models)
-        return solve(model, *args, **kwargs)
+def recorded_roots(monkeypatch):
+    """A list that grows by (stage, site set, cold, T) per stage solve,
+    cold telling whether its root LP started from the slack basis."""
+    roots = []
+    solve_stage, kernel = optimizer._solve_stage, milp.lp_solve
 
-    def recorded_lp_solve(*args, start=None):
-        if on_stage1:
-            stage1.append(start is not None)
-        return kernel(*args, start=start)
+    def recorded(arts, cfg, stage, start=None):
+        cold = []
 
-    monkeypatch.setattr(vsmodel, "build_relaxed_model", recorded_build)
-    monkeypatch.setattr(milp, "solve", recorded_solve)
-    monkeypatch.setattr(milp, "lp_solve", recorded_lp_solve)
+        def lp_solve(*args, start=None):
+            cold.append(start is None)
+            return kernel(*args, start=start)
+
+        monkeypatch.setattr(milp, "lp_solve", lp_solve)
+        try:
+            return solve_stage(arts, cfg, stage, start)
+        finally:
+            monkeypatch.setattr(milp, "lp_solve", kernel)
+            roots.append((stage, frozenset(arts.x) | frozenset(arts.site),
+                          cold[0], cfg.T))
+
+    monkeypatch.setattr(optimizer, "_solve_stage", recorded)
+    return roots
+
+
+def test_sweep_makes_one_cold_root_per_stage_and_site_set(monkeypatch):
+    """Each step re-solves the models of the step before, moved to its
+    period, wherever its stage meets the same sites again, so a sweep
+    whose site sets hold still starts one root LP per stage and site set
+    from the slack basis: stage 1's, stage 2's and stage 3's."""
+    roots = recorded_roots(monkeypatch)
     flows = count_calls(monkeypatch, optimizer, "run_flow")
-    sweep_clock_period(to_gate_graph(fig_chain), exact_cfg(10.0),
-                       step_fraction=0.01)
-    assert len(models) == 1
-    assert len(flows) >= 5
-    assert stage1.count(False) == 1
-    assert len(stage1) == len(flows)
+    sweep_clock_period(deep_chain(), Config(T=9.0), step_fraction=0.005)
+    assert len(flows) >= 10
+    keys = set()
+    for stage, sites, cold, T in roots:
+        assert cold == ((stage, sites) not in keys), (stage, T)
+        keys.add((stage, sites))
+    assert sorted(stage for stage, _ in keys) == ["cdq", "legalization",
+                                                  "relaxed"]
+    assert max(T for *_, T in roots) == 9.0 > min(T for *_, T in roots)
+
+
+def test_sweep_builds_cold_where_the_site_set_changes(monkeypatch):
+    """On deep_chain from T = 10 in steps of 1%, stages 2 and 3 meet new
+    site sets at later steps: there the flow builds cold and raises
+    nothing, and every root on a site set the step before solved
+    starts warm."""
+    roots = recorded_roots(monkeypatch)
+    _, _, best = sweep_clock_period(deep_chain(), Config(T=10.0),
+                                    step_fraction=0.01)
+    assert best.T < 9.0
+    seen = {}       # (stage, site set) -> the periods it was solved at
+    steps = sorted({T for *_, T in roots}, reverse=True)
+    for stage, sites, cold, T in roots:
+        before = seen.setdefault((stage, sites), set())
+        last = steps[steps.index(T) - 1] if T != steps[0] else None
+        assert cold == (last not in before and T not in before), \
+            (stage, sorted(sites), T)
+        before.add(T)
+    assert any(cold for _, _, cold, T in roots if T != steps[0])
+
+
+def test_solution_audit_keeps_its_absolute_tolerance(fig_chain,
+                                                     monkeypatch):
+    """The models' time is in units of T, but the audit of a stage's
+    solution still reports a row broken by 2e-6 time units at T = 20,
+    and passes one broken by less than milp.FEAS_EPS."""
+    cfg = exact_cfg(20.0)
+    arts = vsmodel.build_relaxed_model(to_gate_graph(fig_chain), cfg)
+    sol = milp.solve(arts.model)
+    row = next(c for c in arts.model.constraints
+               if c.name.startswith("setup_"))
+    (v, _), = row.coeffs.items()
+    for excess in (2e-6, 0.5e-6):
+        values = dict(sol.values)
+        values[v] = row.rhs + excess / cfg.T
+        monkeypatch.setattr(milp, "solve", lambda *args, **kwargs:
+                            milp.Solution("optimal", values, 0.0))
+        if excess > milp.FEAS_EPS:
+            with pytest.raises(InfeasibleError, match=row.name):
+                optimizer._solve_stage(arts, cfg, "relaxed")
+        else:
+            optimizer._solve_stage(arts, cfg, "relaxed")
 
 
 def test_sweep_runs_every_flow_through_run_flow(fig_chain, monkeypatch):
@@ -180,9 +236,9 @@ def test_sweep_runs_every_flow_through_run_flow(fig_chain, monkeypatch):
 
 def test_run_flow_rejects_a_start_from_another_graph(fig_c, fig_chain):
     _, report = run_flow(to_gate_graph(fig_chain), exact_cfg(10.0))
-    assert report.stage1 is not None
+    assert ("relaxed", frozenset()) in report.models
     with pytest.raises(ValueError, match="start"):
-        run_flow(to_gate_graph(fig_c), exact_cfg(9.0), report.stage1)
+        run_flow(to_gate_graph(fig_c), exact_cfg(9.0), report.models)
 
 
 def test_legalized_unit_gates_are_the_hot_sites(monkeypatch):
@@ -259,11 +315,12 @@ def test_absorb_equal_pads(fig_c):
     arts = vsmodel.build_relaxed_model(g, exact_cfg(9.0))
     values = dict(milp.solve(arts.model).values)
     ab, bc = ("g1", "g2", 0), ("g2", "g3", 0)
+    # the model's values are in units of T
     for key, xi, delta, delta_prime in ((ab, 1.0, 2.0, 2.0),
                                         (bc, 0.0, 1.0, 3.0)):
-        values[arts.xi[key]] = xi
-        values[arts.delta[key[0]]] = delta
-        values[arts.delta_p[key[0]]] = delta_prime
+        values[arts.xi[key]] = xi / 9.0
+        values[arts.delta[key[0]]] = delta / 9.0
+        values[arts.delta_p[key[0]]] = delta_prime / 9.0
     placed, _ = vsmodel.decode_solution(
         arts, milp.Solution("optimal", values, 0.0))
     assert placed.decisions[ab].xi == pytest.approx(3.0)
@@ -521,6 +578,23 @@ def test_with_period_keeps_big_m_at_least_4_t():
         T = rng.uniform(0.1, 50.0)
         moved = Config(T=T, big_M=4 * T).with_period(rng.uniform(0.1, 50.0))
         assert moved.big_M >= 4 * moved.T
+
+
+def test_with_period_keeps_fractions_of_t_along_a_sweep():
+    """A sweep reaches each period by with_period from the one before;
+    every knob that is a fraction of T reads the same fraction, bit for
+    bit, at each of 60 steps from every bench start period."""
+    def fractions(cfg):
+        return [cfg.fraction(v) for v in (*cfg.phases, *cfg.dth_schedule,
+                                          cfg.big_M, cfg.replace_threshold)]
+
+    for T0 in (8.5, 10.4, 8.0, 6.8, 13.5, 14.3, 20.1, 13.4):
+        for cfg in (Config(T=T0),
+                    Config(T=T0, phases=(0.0, 0.3 * T0), big_M=4.7 * T0)):
+            want = fractions(cfg)
+            for _ in range(60):
+                cfg = cfg.with_period(cfg.T - 0.005 * T0)
+                assert fractions(cfg) == want, (T0, cfg.T)
 
 
 def test_with_period_scales_relative_knobs():

@@ -18,6 +18,20 @@ def test_snapshot_tool_writes_every_output(tmp_path):
     designs = [n[:-len(".format_report")] for n in files
                if n.endswith(".format_report")]
     assert len(designs) >= 10
+    later = []      # the stage-2 and stage-3 roots after a first flow
     for name in designs:
-        last = files[f"{name}.sweep.trajectory"].read_text().splitlines()[-1]
-        assert any(tok.startswith("stopped=") for tok in last.split()), name
+        lines = files[f"{name}.sweep.trajectory"].read_text().splitlines()
+        for line in lines:
+            # each line tells how each stage's root LPs started
+            starts = dict(tok.split("=") for tok in line.split()[1:])
+            assert starts["relaxed"] in ("cold", "warm"), (name, line)
+            for stage in ("cdq", "legalization"):
+                assert set(starts.get(stage, "cold").split(",")) <= \
+                    {"cold", "warm"}, (name, line)
+        for line in lines[1:]:
+            later += [tok.split("=")[1].split(",")[0] for tok in line.split()
+                      if tok.startswith(("cdq=", "legalization="))]
+        assert "stopped=" in lines[-1].split()[-1], name
+    # a later step re-solves the stage-2 and stage-3 models of the one
+    # before it
+    assert "warm" in later

@@ -97,7 +97,7 @@ def test_cdq_site_binaries_only_on_sites(fig_c):
 
 def test_cdq_indicator_enforces_pad_bound(fig_chain):
     """Whenever a site's presence binary is on, the pad spread must meet
-    the current bound."""
+    the current bound; the model's pads are in units of T."""
     g = to_gate_graph(fig_chain)
     cfg = exact_cfg(10.0)
     arts = vsmodel.build_cdq_model(g, cfg, set(g.gates), d_th=2.0)
@@ -107,7 +107,7 @@ def test_cdq_indicator_enforces_pad_bound(fig_chain):
         if sol.values[x] > 0.5:
             spread = sol.values[arts.delta_p[name]] - \
                 sol.values[arts.delta[name]]
-            assert spread >= 2.0 - 1e-6
+            assert spread * cfg.T >= 2.0 - 1e-6
 
 
 def test_set_dth_equals_a_rebuild(fig_chain):
@@ -121,44 +121,106 @@ def test_set_dth_equals_a_rebuild(fig_chain):
         assert milp.export_lp(arts.model) == milp.export_lp(want.model)
 
 
-def test_set_period_equals_a_rebuild():
-    """A relaxed model moved from period to period, as the sweep moves
-    it, equals the model built at each, t_stable read from the new cfg."""
+# every kind of model a flow builds, on sites S, at cfg
+MODEL_KINDS = {
+    "relaxed": lambda g, cfg, S: vsmodel.build_relaxed_model(g, cfg),
+    "cdq@7T/8": lambda g, cfg, S: vsmodel.build_cdq_model(g, cfg, S,
+                                                          7 * cfg.T / 8),
+    "cdq@0": lambda g, cfg, S: vsmodel.build_cdq_model(g, cfg, S, 0.0),
+    "legalization": lambda g, cfg, S: vsmodel.build_legalization_model(
+        g, cfg, S),
+}
+
+
+def assert_same_model(got, want, label):
+    """Bit for bit: the solver's arrays and the LP text."""
     import numpy as np
+    for a, b in zip(milp._model_arrays(got), milp._model_arrays(want)):
+        assert np.array_equal(a, b), label
+    assert milp.export_lp(got) == milp.export_lp(want), label
+
+
+def test_set_period_equals_a_rebuild():
+    """A model of each kind moved from period to period, as the sweep
+    moves it, equals the model built at each, t_stable read from the
+    new cfg; a cdq model is also moved to the d_th of the rebuild."""
     for name, c in stage_corpus():
         g, cfg = to_gate_graph(c), Config(T=c.T)
-        arts = vsmodel.build_relaxed_model(g, cfg)
+        sites = set(sorted(g.gates)[:3])
         periods = [cfg.with_period(k * c.T) for k in (0.9, 0.995, 1.2)]
-        for to in periods + [replace(periods[-1], t_stable=0.25)]:
-            vsmodel.set_period(arts, g, to)
-            want = vsmodel.build_relaxed_model(g, to).model
-            for a, b in zip(milp._model_arrays(arts.model),
-                            milp._model_arrays(want)):
-                assert np.array_equal(a, b), (name, to.T)
-            assert milp.export_lp(arts.model) == milp.export_lp(want)
-            assert arts.cfg is to
+        for kind, build in MODEL_KINDS.items():
+            arts = build(g, cfg, sites)
+            for to in periods + [replace(periods[-1], t_stable=0.25)]:
+                want = build(g, to, sites)
+                vsmodel.set_period(arts, g, to)
+                if want.d_th is not None:
+                    vsmodel.set_dth(arts, want.d_th)
+                assert_same_model(arts.model, want.model, (name, kind, to.T))
+                assert arts.cfg is to
 
 
-@pytest.mark.parametrize("knob", [{"r_u": 1.2}, {"gamma": 5.0}])
+def test_model_moves_along_a_60_step_sweep():
+    """A sweep reaches each period by with_period from the one before.
+    Every model kind moved down 60 such steps from each bench start
+    period is refused at no step and equals the model built there."""
+    import pathlib
+    from wavetime import netlist
+    c = netlist.parse_netlist((pathlib.Path(__file__).parent / "data" /
+                               "deep_chain.net").read_text())
+    g = to_gate_graph(c)
+    for T0 in (8.5, 10.4, 8.0, 6.8, 13.5, 14.3, 20.1, 13.4):
+        cfg = Config(T=T0, phases=(0.0, 0.3 * T0, 0.61 * T0))
+        models = {kind: build(g, cfg, {"g1", "g2"})
+                  for kind, build in MODEL_KINDS.items()}
+        for _ in range(60):
+            cfg = cfg.with_period(cfg.T - 0.005 * T0)
+            for arts in models.values():
+                vsmodel.set_period(arts, g, cfg)
+        for kind, arts in models.items():
+            want = MODEL_KINDS[kind](g, cfg, {"g1", "g2"})
+            if want.d_th is not None:
+                vsmodel.set_dth(arts, want.d_th)
+            assert_same_model(arts.model, want.model, (T0, kind))
+
+
+def test_cdq_model_needs_big_m_above_a_unit_delay(fig_chain):
+    """The unit-delay product is bounded by big_M in units of T, so a
+    pad of 2T plus t_cq must fit under big_M."""
+    g = to_gate_graph(fig_chain)
+    cfg = Config(T=10.0, big_M=40.0)
+    vsmodel.build_cdq_model(g, cfg, set(g.gates), 0.0)
+    g.circuit.ff_params = replace(g.circuit.ff_params, t_cq=20.0 + 1e-9)
+    with pytest.raises(ValueError, match="big_M"):
+        vsmodel.build_cdq_model(g, cfg, set(g.gates), 0.0)
+
+
+@pytest.mark.parametrize("knob", [{"r_u": 1.2}, {"gamma": 5.0},
+                                  {"big_M": 90.0},
+                                  {"phases": (0.0, 2.5, 5.0)}])
 def test_set_period_rejects_a_start_under_other_knobs(fig_chain, knob):
     """A moved model keeps its matrix and objective, which read r_u, r_l,
-    alpha, beta and gamma, so a start made under others is refused."""
+    alpha, beta and gamma, and big_M and the phases as fractions of T, so
+    a start made under others is refused."""
     g = to_gate_graph(fig_chain)
     cfg = Config(T=10.0)
-    arts = vsmodel.build_relaxed_model(g, cfg)
+    for kind, build in MODEL_KINDS.items():
+        arts = build(g, cfg, set(g.gates))
+        with pytest.raises(ValueError, match="start"):
+            vsmodel.set_period(arts, g,
+                               replace(cfg.with_period(9.0), **knob))
+    _, report = run_flow(g, cfg)
     with pytest.raises(ValueError, match="start"):
-        vsmodel.set_period(arts, g, replace(cfg.with_period(9.0), **knob))
-    with pytest.raises(ValueError, match="start"):
-        run_flow(g, replace(cfg, **knob), (arts, milp.solve(arts.model)))
+        run_flow(g, replace(cfg, **knob), report.models)
 
 
 def test_set_period_rejects_a_start_from_another_graph(fig_c, fig_chain):
     g = to_gate_graph(fig_chain)
-    arts = vsmodel.build_relaxed_model(g, Config(T=10.0))
-    with pytest.raises(ValueError, match="start"):
-        vsmodel.set_period(arts, to_gate_graph(fig_c), Config(T=9.0))
-    # the same netlist parsed again is the same graph
-    vsmodel.set_period(arts, to_gate_graph(fig_chain), Config(T=9.0))
+    for kind, build in MODEL_KINDS.items():
+        arts = build(g, Config(T=10.0), set(g.gates))
+        with pytest.raises(ValueError, match="start"):
+            vsmodel.set_period(arts, to_gate_graph(fig_c), Config(T=9.0))
+        # the same netlist parsed again is the same graph
+        vsmodel.set_period(arts, to_gate_graph(fig_chain), Config(T=9.0))
 
 
 def test_set_dth_rejects_nan(fig_chain):

@@ -18,8 +18,9 @@ equivalence text, SDC, the window STA and the wave simulation of the
 placement (both sorted, so independent of visit order), and the report,
 placement and trajectory of a `sweep_clock_period` from the file period
 in steps of 5%.  The trajectory has one line per flow: the period, how
-its stage-1 LP started (cold or warm) and its objective, and for the
-flow that stopped the sweep the stage that failed.  Then the CLI
+the root LP of every stage's solves started (cold or warm), the stage-1
+objective in absolute time, and for the flow that stopped the sweep the
+stage that failed.  Then the CLI
 `extract`, `sdc` and `verify` outputs on both netlist pairs.
 """
 
@@ -101,9 +102,12 @@ def solve_recording(model, cfg):
 
 def sweep_recording(graph, cfg, lines):
     """sweep_clock_period from cfg in steps of 5%, appending one line
-    per flow to lines: "T=<period> <cold|warm> objective=<stage-1
-    objective>", ending "stopped=<stage>" on the flow that failed, or
-    "stopped=period" when the next period would not be positive."""
+    per flow to lines: "T=<period> relaxed=<start> objective=<stage-1
+    objective> cdq=<start>,... legalization=<start>,...", where each
+    <start> tells how the root LP of one solve of that stage started
+    (cold or warm) and the objective is in absolute time, ending
+    "stopped=<stage>" on the flow that failed, or "stopped=period" when
+    the next period would not be positive."""
     flow, solve_stage, kernel = (optimizer.run_flow, optimizer._solve_stage,
                                  milp.lp_solve)
     rows = []
@@ -116,20 +120,26 @@ def sweep_recording(graph, cfg, lines):
             rows[-1].append(f"stopped={e.stage}")
             raise
 
-    def record_lp(*args, **kwargs):
-        rows[-1].append("cold" if kwargs.get("start") is None else "warm")
-        return kernel(*args, **kwargs)
-
     def record_stage(arts, cfg, stage, start=None):
-        if stage != "relaxed":
-            return solve_stage(arts, cfg, stage, start)
-        # the relaxed model has no integer variables: one LP, the root
+        starts = []
+
+        def record_lp(*args, **kwargs):
+            starts.append("cold" if kwargs.get("start") is None else "warm")
+            return kernel(*args, **kwargs)
+
         milp.lp_solve = record_lp
         try:
             sol = solve_stage(arts, cfg, stage, start)
         finally:
             milp.lp_solve = kernel
-        rows[-1].append(f"objective={sol.objective!r}")
+            row = rows[-1]
+            # the first LP of a solve is its root
+            if row[-1].startswith(f"{stage}="):
+                row[-1] += f",{starts[0]}"
+            else:
+                row.append(f"{stage}={starts[0]}")
+        if stage == "relaxed":
+            rows[-1].append(f"objective={sol.objective * cfg.T!r}")
         return sol
 
     optimizer.run_flow, optimizer._solve_stage = record_flow, record_stage
