@@ -310,11 +310,11 @@ def _pad_model(graph, cfg, S, d_th):
         z = _unit_product(arts, x, arts.delta[g], f"xd_{g}")
         zp = _unit_product(arts, x, arts.delta_p[g], f"xdp_{g}")
         pad_terms[g] = ({z: cfg.r_u}, {zp: cfg.r_l})
-        arts.dth_rows.append(len(m.constraints))
+        row = len(m.constraints)
         m.add_indicator(x, {arts.delta_p[g]: 1.0, arts.delta[g]: -1.0},
                         d_th / cfg.T, arts.knobs["big_M"])
-        arts.period_rows.append((arts.dth_rows[-1],
-                                 lambda c: _dth_rhs(arts, c)))
+        arts.dth_rows.append(row)
+        arts.period_rows.append((row, lambda c: _dth_rhs(arts, c)))
     _arrival_constraints(arts, pad_terms)
     _loop_order_constraints(arts, gates)
     _stability(arts)
@@ -348,7 +348,6 @@ def build_legalization_model(graph, cfg, S_d):
     m = arts.model
     p = graph.circuit.ff_params
     phases = arts.knobs["phases"]
-
     hold, setup = p.t_h * cfg.r_u, p.t_su * cfg.r_u
     cq_u, cq_l = p.t_cq * cfg.r_u, p.t_cq * cfg.r_l
     extra_stable = []

@@ -583,18 +583,20 @@ def test_with_period_keeps_big_m_at_least_4_t():
 def test_with_period_keeps_fractions_of_t_along_a_sweep():
     """A sweep reaches each period by with_period from the one before;
     every knob that is a fraction of T reads the same fraction, bit for
-    bit, at each of 60 steps from every bench start period."""
-    def fractions(cfg):
-        return [cfg.fraction(v) for v in (*cfg.phases, *cfg.dth_schedule,
-                                          cfg.big_M, cfg.replace_threshold)]
+    bit, at each of 60 steps from every bench start period, and is that
+    fraction times T, so no rounding piles up along the sweep."""
+    def knobs(cfg):
+        return [*cfg.phases, *cfg.dth_schedule, cfg.big_M,
+                cfg.replace_threshold]
 
     for T0 in (8.5, 10.4, 8.0, 6.8, 13.5, 14.3, 20.1, 13.4):
         for cfg in (Config(T=T0),
                     Config(T=T0, phases=(0.0, 0.3 * T0), big_M=4.7 * T0)):
-            want = fractions(cfg)
+            want = list(map(cfg.fraction, knobs(cfg)))
             for _ in range(60):
                 cfg = cfg.with_period(cfg.T - 0.005 * T0)
-                assert fractions(cfg) == want, (T0, cfg.T)
+                assert list(map(cfg.fraction, knobs(cfg))) == want, cfg.T
+                assert knobs(cfg) == [f * cfg.T for f in want], cfg.T
 
 
 def test_with_period_scales_relative_knobs():

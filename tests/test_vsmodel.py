@@ -143,7 +143,8 @@ def assert_same_model(got, want, label):
 def test_set_period_equals_a_rebuild():
     """A model of each kind moved from period to period, as the sweep
     moves it, equals the model built at each, t_stable read from the
-    new cfg; a cdq model is also moved to the d_th of the rebuild."""
+    new cfg.  A moved cdq model keeps its d_th, and moved on to the d_th
+    of the rebuild, equals that too."""
     for name, c in stage_corpus():
         g, cfg = to_gate_graph(c), Config(T=c.T)
         sites = set(sorted(g.gates)[:3])
@@ -151,12 +152,15 @@ def test_set_period_equals_a_rebuild():
         for kind, build in MODEL_KINDS.items():
             arts = build(g, cfg, sites)
             for to in periods + [replace(periods[-1], t_stable=0.25)]:
-                want = build(g, to, sites)
+                label = (name, kind, to.T)
                 vsmodel.set_period(arts, g, to)
-                if want.d_th is not None:
-                    vsmodel.set_dth(arts, want.d_th)
-                assert_same_model(arts.model, want.model, (name, kind, to.T))
                 assert arts.cfg is to
+                want = build(g, to, sites)
+                if arts.d_th is not None:
+                    kept = vsmodel.build_cdq_model(g, to, sites, arts.d_th)
+                    assert_same_model(arts.model, kept.model, label)
+                    vsmodel.set_dth(arts, want.d_th)
+                assert_same_model(arts.model, want.model, label)
 
 
 def test_model_moves_along_a_60_step_sweep():
