@@ -4,13 +4,15 @@ kernel, and CPLEX-LP text export.
 
 The kernel solves a root LP cold, by the two-phase method from the
 slack/artificial basis.  It re-solves warm, by dual simplex from a kept
-optimal tableau, wherever only bounds or right-hand sides changed: each
-branch-and-bound child from its parent's tableau, and a root from the
-root of an earlier solve of a model with the same objective, matrix and
-relations.  The flow's models keep time in units of the clock period,
-so that holds for the stage-2 d_th rounds and, at the next period of a
-sweep, for each stage that meets the sites of a model of the step
-before.
+optimal tableau, wherever only bounds or right-hand sides changed.  A
+solve of a model with the same objective, matrix and relations as an
+earlier one (its start) re-solves its root from the start's root, and
+each branch-and-bound child from the same node of the start's tree,
+found by its branching path from the root; a child the start's tree
+lacks is re-solved from its parent's tableau.  The flow's models keep
+time in units of the clock period, so that holds for the stage-2 d_th
+rounds and, at the next period of a sweep, for each stage that meets
+the sites of a model of the step before.
 
 The solver is deterministic: Bland's rule in the primal and the dual
 simplex, best-bound node selection with insertion-order tie-breaks,
@@ -26,7 +28,7 @@ as its reference.
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +44,9 @@ FEAS_EPS = 1e-6
 PIVOT_EPS = 1e-9
 # a basic value below -DUAL_EPS makes its row leave in dual simplex
 DUAL_EPS = 1e-7
+# the most node tableaux a Solution keeps for a re-solve: the first ones
+# its branch-and-bound solved, so that a large tree keeps a bounded set
+NODE_KEEP = 32
 
 
 @dataclass
@@ -66,7 +71,12 @@ class Solution:
     status: str       # optimal | infeasible | bound_reached
     values: dict
     objective: float
-    root: object = None   # the root LP's Tableau, a start for a re-solve
+    # the start of a re-solve: the root LP's Tableau, and the Tableau of
+    # each kept branch-and-bound node by its branching path from the
+    # root, a tuple of (var, side, floor) with side 0 for var <= floor
+    # and 1 for var >= floor + 1
+    root: object = field(default=None, compare=False, repr=False)
+    nodes: dict = field(default=None, compare=False, repr=False)
 
 
 class MilpModel:
@@ -120,20 +130,6 @@ class MilpModel:
         self.sense = sense
 
     # -- linearization helpers ---------------------------------------------
-
-    def linearize_product(self, x, v, name=None):
-        """New variable z equal to x*v for binary x and bounded v."""
-        xv, vv = self.vars[x], self.vars[v]
-        if xv.kind != BINARY:
-            raise ValueError("product linearization needs a binary x")
-        L, U = vv.lb, vv.ub
-        z = self.add_var(CONTINUOUS, lb=min(L, 0.0), ub=max(U, 0.0),
-                         name=name or f"prod_{xv.name}_{vv.name}")
-        self.add_constr({z: 1.0, x: -U}, "<=", 0.0)
-        self.add_constr({z: 1.0, x: -L}, ">=", 0.0)
-        self.add_constr({z: 1.0, v: -1.0, x: -L}, "<=", -L)
-        self.add_constr({z: 1.0, v: -1.0, x: -U}, ">=", -U)
-        return z
 
     def add_either_or(self, branches, big_M):
         """One binary selector per branch, exactly one active; inactive
@@ -477,18 +473,29 @@ def _start(tab):
 
 
 def solve(m, max_nodes=100000, time_ms=120000, start=None):
-    """Best-first branch-and-bound; deterministic for a fixed model.
+    """Best-first branch-and-bound; deterministic for a fixed model and
+    start.
 
     Nodes leave the queue in order of their LP bound, so the first node
     with an integral solution is optimal and no incumbent is ever kept:
     a node or time budget hit returns "bound_reached" with no values.
 
-    The root LP is solved by the two-phase method, or, given start, an
-    optimal Solution of a model that differs from m only in right-hand
-    sides and variable bounds, by dual simplex from start's root
-    tableau; a root tableau that cannot start a re-solve (a basic
-    artificial column) falls back to the two-phase method.  Each child
-    node is re-solved by dual simplex from its parent's tableau.
+    Without start, the root LP is solved by the two-phase method and
+    each child node is re-solved by dual simplex from its parent's
+    tableau.  start is an optimal Solution of a model that differs from
+    m only in right-hand sides and variable bounds.  It supplies the
+    root tableau, from which the root LP is re-solved by dual simplex,
+    and its kept node tableaux (Solution.nodes), from which each child
+    on a branching path of start's tree is re-solved instead of from its
+    parent.  A tableau that cannot start a re-solve (a basic artificial
+    column) falls back to the two-phase method at the root and to the
+    parent at a child.  The node tableaux are used up: solve takes them
+    out of start, so a second solve from the same start re-solves only
+    its root from it.
+
+    An optimal Solution keeps its root tableau and the tableaux of the
+    first NODE_KEEP child nodes it solved, as a start for the next
+    re-solve.
 
     The root LP cannot be unbounded: add_var boxes every variable, a
     missing bound becoming -FREE_BOUND or FREE_BOUND, so a root LP that
@@ -496,23 +503,27 @@ def solve(m, max_nodes=100000, time_ms=120000, start=None):
     """
     c, A, rel, b, lb0, ub0 = _model_arrays(m)
     int_vars = [v.id for v in m.vars if v.kind != CONTINUOUS]
+    # path -> Tableau of the start's tree; each is used once
+    old = {}
     if start is not None:
         if start.root is None or not start.root.same_lp(c, A, rel):
             raise ValueError("a start must be an optimal solution of the "
                              "model with only right-hand sides and bounds "
                              "changed")
+        old, start.nodes = start.nodes or {}, None
         start = _start(start.root)
     status, x, obj, root = lp_solve(c, A, rel, b, lb0, ub0, start=start)
     if status != "optimal":
         return Solution("infeasible", {}, float("nan"))
 
     # a node's bounds are those of its Tableau
-    heap = [(obj, 0, x, root)]
+    heap = [(obj, 0, x, root, ())]
+    kept = {}
     seq = 0
     nodes = 0
     deadline = time.monotonic() + time_ms / 1000.0
     while heap:
-        _, _, x, tab = heapq.heappop(heap)
+        _, _, x, tab, path = heapq.heappop(heap)
         nodes += 1
         if nodes > max_nodes or time.monotonic() > deadline:
             return Solution("bound_reached", {}, float("nan"))
@@ -526,7 +537,7 @@ def solve(m, max_nodes=100000, time_ms=120000, start=None):
             for v in int_vars:
                 values[v] = float(round(values[v]))
             return Solution("optimal", values, m.objective_value(values),
-                            root)
+                            root, kept)
         lo = float(np.floor(x[frac_var]))
         for side in (0, 1):
             nlb, nub = tab.lb.copy(), tab.ub.copy()
@@ -534,11 +545,15 @@ def solve(m, max_nodes=100000, time_ms=120000, start=None):
                 nub[frac_var] = lo
             else:
                 nlb[frac_var] = lo + 1.0
-            st, nx, nobj, ntab = lp_solve(c, A, rel, b, nlb, nub,
-                                          start=_start(tab))
+            child = path + ((frac_var, side, lo),)
+            st, nx, nobj, ntab = lp_solve(
+                c, A, rel, b, nlb, nub,
+                start=_start(old.pop(child, None)) or _start(tab))
             if st == "optimal":
                 seq += 1
-                heapq.heappush(heap, (nobj, seq, nx, ntab))
+                heapq.heappush(heap, (nobj, seq, nx, ntab, child))
+                if len(kept) < NODE_KEEP:
+                    kept[child] = ntab
     return Solution("infeasible", {}, float("nan"))
 
 

@@ -3,7 +3,7 @@
 Stage 1 solves the relaxed pad model and collects candidate unit sites S.
 Stage 2 refines S with unit presence binaries while lowering the pad
 bound d_th; it builds its model once per S and moves it to each next
-d_th, re-solving from the previous round's root.  Stage 3 legalizes
+d_th, re-solving from the previous round's solution.  Stage 3 legalizes
 the surviving sites S_d with the exact flip-flop/latch model and takes
 the sites it finds as the next S_d, until they are S_d again: a site
 that legalizes to "no unit" drops out, and a relaxed gate whose pads
@@ -20,9 +20,10 @@ units of T, so moving one to the next period changes only its
 right-hand sides and bounds.  Each step therefore starts from the models
 of the step before (report.models): a stage whose sites are those of a
 model of the step before moves that model in place (vsmodel.set_period)
-and re-solves it warm from its last solution; a stage on other sites
-builds its model and solves it cold.  A sweep whose site sets hold
-still builds one model per stage.  A warm re-solve may end on another
+and re-solves it warm from its last solution, each branch-and-bound
+node from the same node of that solution's tree (milp.solve); a stage
+on other sites builds its model and solves it cold.  A sweep whose site
+sets hold still builds one model per stage.  A warm re-solve may end on another
 optimal vertex than a cold one, so a sweep's placement may depend on
 the period it started from; it is still deterministic for a fixed
 input.  Objectives in the report are in absolute time: the solver's,
@@ -169,7 +170,7 @@ def run_flow(graph, cfg, start=None):
                 arts2, sol2 = model("cdq", sites, lambda: (
                     vsmodel.build_cdq_model(graph, cfg, sites, d_th)))
             if arts2.d_th != d_th:
-                # re-solve from the root of the last round on these sites
+                # re-solve from the last round on these sites
                 vsmodel.set_dth(arts2, d_th)
             sol2 = solve("cdq", sites, arts2, sol2)
             _, hot = vsmodel.decode_solution(arts2, sol2)

@@ -338,7 +338,6 @@ def test_nan_bound_is_rejected(bounds):
     lambda m, x, v: m.set_objective({v: 1.0}, sense="maximize"),
     lambda m, x, v: m.set_objective({v: float("nan")}),
     lambda m, x, v: m.set_objective({v: 1.0}, const=float("inf")),
-    lambda m, x, v: m.linearize_product(v, x),
     lambda m, x, v: m.add_indicator(v, {x: 1.0}, 1.0, big_M=10.0),
     lambda m, x, v: m.add_either_or([[({v: 1.0}, ">=", 1.0)]], big_M=10.0),
     lambda m, x, v: m.add_constr({v: float("nan")}, "<=", 1.0),
@@ -347,7 +346,7 @@ def test_nan_bound_is_rejected(bounds):
     lambda m, x, v: m.add_var(INTEGER, lb=0, ub=float("inf")),
     lambda m, x, v: m.add_var(INTEGER, lb=None, ub=3),
 ], ids=["relation", "nan_rhs", "inf_rhs", "sense", "nan_objective",
-        "inf_constant", "product", "indicator", "either_or",
+        "inf_constant", "indicator", "either_or",
         "nan_coefficient", "inf_coefficient", "numpy_nan_rhs",
         "integer_inf_bound", "integer_free_bound"])
 def test_bad_arguments_raise_value_error(call):
@@ -376,38 +375,6 @@ def test_numpy_scalars_are_accepted():
 
 
 # -- linearizations ----------------------------------------------------------
-
-def test_linearize_product_trivial_cases():
-    for xval, vval in ((0.0, 3.0), (1.0, 7.5)):
-        m = MilpModel()
-        x = m.add_var(BINARY)
-        v = m.add_var(CONTINUOUS, lb=0, ub=10)
-        z = m.linearize_product(x, v)
-        m.add_constr({x: 1.0}, "=", xval)
-        m.add_constr({v: 1.0}, "=", vval)
-        m.set_objective({z: 1.0}, "min")
-        lo = milp.solve(m)
-        m.set_objective({z: 1.0}, "max")
-        hi = milp.solve(m)
-        want = xval * vval
-        assert lo.objective == pytest.approx(want, abs=1e-6)
-        assert hi.objective == pytest.approx(want, abs=1e-6)
-
-
-def test_linearize_product_grid():
-    for i in range(101):
-        vval = -5 + 0.1 * i
-        for xval in (0.0, 1.0):
-            m = MilpModel()
-            x = m.add_var(BINARY)
-            v = m.add_var(CONTINUOUS, lb=-5, ub=5)
-            z = m.linearize_product(x, v)
-            m.add_constr({x: 1.0}, "=", xval)
-            m.add_constr({v: 1.0}, "=", vval)
-            m.set_objective({z: 1.0}, "min")
-            sol = milp.solve(m)
-            assert sol.values[z] == pytest.approx(xval * vval, abs=1e-6)
-
 
 def test_either_or_forces_branch():
     m = MilpModel()
@@ -504,17 +471,149 @@ def knapsack(capacity):
     return m
 
 
-def test_solve_from_start_matches_a_cold_solve():
+def node_starts(monkeypatch):
+    """A list that counts, per milp.solve call with a start, the child
+    LPs re-solved from a node tableau of that start, as the solves
+    run."""
+    counts = []
+    solve, kernel = milp.solve, milp.lp_solve
+    kept = {}
+
+    def record_solve(m, *args, start=None, **kwargs):
+        kept.clear()
+        if start is not None:
+            kept.update((id(t), t) for t in (start.nodes or {}).values())
+            counts.append(0)
+        return solve(m, *args, start=start, **kwargs)
+
+    def record_lp(*args, start=None):
+        if start is not None and kept.get(id(start)) is start:
+            counts[-1] += 1
+        return kernel(*args, start=start)
+
+    monkeypatch.setattr(milp, "solve", record_solve)
+    monkeypatch.setattr(milp, "lp_solve", record_lp)
+    return counts
+
+
+def assert_matches_cold(warm, cold, m):
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+        assert m.violated(warm.values) == []
+
+
+def test_solve_from_start_matches_a_cold_solve(monkeypatch):
     m = knapsack(7.0)
     sol = milp.solve(m)
+    starts = node_starts(monkeypatch)
     for capacity in (9.5, 6.0, 12.0, 2.0, 0.5, 30.0):
         m.constraints[0].rhs = capacity
         warm = milp.solve(m, start=sol)
         cold = milp.solve(knapsack(capacity))
-        assert warm.status == cold.status == "optimal"
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
-        assert m.violated(warm.values) == []
+        assert warm.status == "optimal"
+        assert_matches_cold(warm, cold, m)
         sol = warm
+    assert len(starts) == 6 and sum(starts) > 0
+
+
+def test_solve_with_unchanged_data_pivots_at_no_node(monkeypatch):
+    """Every node of a re-solve of the same data starts from its own
+    final tableau, so no node pivots and the values repeat bit for
+    bit."""
+    m = knapsack(7.0)
+    sol = milp.solve(m)
+    paths = set(sol.nodes)
+    assert len(paths) > 2       # the knapsack branches
+    pivots = []
+    kernel = milp._pivot
+    monkeypatch.setattr(milp, "_pivot",
+                        lambda *args: pivots.append(args) or kernel(*args))
+    again = milp.solve(m, start=sol)
+    assert pivots == []
+    assert sol.nodes is None    # used up
+    assert set(again.nodes) == paths
+    assert again == sol
+    assert [again.values[v].hex() for v in sorted(again.values)] == \
+        [sol.values[v].hex() for v in sorted(sol.values)]
+
+
+def test_solves_from_moved_starts_match_cold_solves(monkeypatch):
+    """Chains of re-solves, each from the solution before it, with one
+    variable bound moved at each step: each matches a cold solve and the
+    enumeration oracle."""
+    rng = random.Random(8)
+    starts = node_starts(monkeypatch)
+    chains = 0
+    for _ in range(40):
+        m = random_model(rng)
+        sol = milp.solve(m)
+        for _ in range(4):
+            if sol.status != "optimal":
+                break
+            v = m.vars[rng.randrange(len(m.vars))]
+            if v.kind == BINARY:
+                v.lb = v.ub = float(rng.randint(0, 1))
+            else:
+                v.lb += rng.uniform(-2.0, 2.0)
+                v.ub = max(v.lb, v.ub + rng.uniform(-2.0, 2.0))
+            warm = milp.solve(m, start=sol)
+            cold = milp.solve(m)
+            assert_matches_cold(warm, cold, m)
+            oracle = enumeration_oracle(m)
+            if oracle is None:
+                assert warm.status == "infeasible"
+            else:
+                assert warm.objective == pytest.approx(oracle, abs=1e-6)
+            sol = warm
+            chains += 1
+    assert chains > 40
+    assert len(starts) == chains and sum(starts) > 0
+
+
+def wide_knapsack(capacity):
+    rng = random.Random(3)
+    m = MilpModel()
+    xs = [m.add_var(BINARY) for _ in range(12)]
+    m.add_constr({x: float(rng.randint(3, 20)) for x in xs}, "<=",
+                 capacity)
+    m.set_objective({x: float(rng.randint(3, 20)) for x in xs}, "max")
+    return m
+
+
+def test_large_tree_keeps_node_keep_tableaux(monkeypatch):
+    """A tree larger than the cap keeps exactly NODE_KEEP node tableaux,
+    and a re-solve from them still matches a cold solve."""
+    lps = []
+    kernel = milp.lp_solve
+
+    def record(*args, start=None):
+        lps.append(args)
+        return kernel(*args, start=start)
+
+    m = wide_knapsack(30.5)
+    with monkeypatch.context() as mp:
+        mp.setattr(milp, "lp_solve", record)
+        sol = milp.solve(m)
+    assert sol.status == "optimal"
+    assert len(lps) - 1 > milp.NODE_KEEP      # the root is no node
+    assert len(sol.nodes) == milp.NODE_KEEP
+    starts = node_starts(monkeypatch)
+    for capacity in (30.75, 31.0, 30.25):
+        m.constraints[0].rhs = capacity
+        warm = milp.solve(m, start=sol)
+        assert_matches_cold(warm, milp.solve(wide_knapsack(capacity)), m)
+        assert len(warm.nodes) <= milp.NODE_KEEP
+        sol = warm
+    assert len(starts) == 3 and sum(starts) > 0
+
+
+def test_solutions_compare_and_print_without_tableaux():
+    a, b = milp.solve(knapsack(7.0)), milp.solve(knapsack(7.0))
+    assert a.root is not None and a.nodes
+    assert a == b
+    assert repr(a) == repr(b)
+    assert "array" not in repr(a) and "Tableau" not in repr(a)
 
 
 @pytest.mark.parametrize("change", [
