@@ -1,6 +1,6 @@
-"""Mixed-integer linear programming: model container, big-M linearization
-helpers, an embedded branch-and-bound solver over a dense simplex
-kernel, and CPLEX-LP text export.
+"""Mixed-integer linear programming: model container, an embedded
+branch-and-bound solver over a dense simplex kernel, and CPLEX-LP text
+export.
 
 The kernel solves a root LP cold, by the two-phase method from the
 slack/artificial basis.  It re-solves warm, by dual simplex from a kept
@@ -128,39 +128,6 @@ class MilpModel:
         self.obj = dict(coeffs)
         self.obj_const = float(const)
         self.sense = sense
-
-    # -- linearization helpers ---------------------------------------------
-
-    def add_either_or(self, branches, big_M):
-        """One binary selector per branch, exactly one active; inactive
-        branches are relaxed by big_M.  Each branch is a list of
-        (coeffs, rel, rhs) with rel in {"<=", ">="}."""
-        if len(branches) < 2:
-            raise ValueError("either-or needs at least two branches")
-        sels = [self.add_var(BINARY, name=f"sel{len(self.vars)}")
-                for _ in branches]
-        self.add_constr({s: 1.0 for s in sels}, "=", 1.0)
-        for sel, branch in zip(sels, branches):
-            for coeffs, rel, rhs in branch:
-                c = dict(coeffs)
-                if rel == ">=":
-                    # expr >= rhs - M(1 - sel)
-                    c[sel] = c.get(sel, 0.0) - big_M
-                    self.add_constr(c, ">=", rhs - big_M)
-                elif rel == "<=":
-                    c[sel] = c.get(sel, 0.0) + big_M
-                    self.add_constr(c, "<=", rhs + big_M)
-                else:
-                    raise ValueError("either-or branches use <= or >=")
-        return sels
-
-    def add_indicator(self, x, coeffs, rhs, big_M):
-        """expr >= rhs whenever binary x is 1 (big-M relaxed otherwise)."""
-        if self.vars[x].kind != BINARY:
-            raise ValueError("an indicator needs a binary x")
-        c = dict(coeffs)
-        c[x] = c.get(x, 0.0) - big_M
-        self.add_constr(c, ">=", rhs - big_M)
 
     # -- audit -------------------------------------------------------------
 

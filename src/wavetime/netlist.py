@@ -117,6 +117,8 @@ class Config:
             raise ValueError("dth_schedule entries must be >= 0")
         if self.big_M < 4 * self.T:
             raise ValueError("big_M must be at least 4*T")
+        if not (self.milp_nodes >= 1 and self.milp_time_ms > 0):
+            raise ValueError("milp_nodes must be >= 1 and milp_time_ms > 0")
 
     def fraction(self, value):
         """value as a fraction of T, rounded to 12 significant digits.

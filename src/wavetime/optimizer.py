@@ -23,10 +23,10 @@ model of the step before moves that model in place (vsmodel.set_period)
 and re-solves it warm from its last solution, each branch-and-bound
 node from the same node of that solution's tree (milp.solve); a stage
 on other sites builds its model and solves it cold.  A sweep whose site
-sets hold still builds one model per stage.  A warm re-solve may end on another
-optimal vertex than a cold one, so a sweep's placement may depend on
-the period it started from; it is still deterministic for a fixed
-input.  Objectives in the report are in absolute time: the solver's,
+sets hold still builds one model per stage.  A warm re-solve may end on
+another optimal vertex than a cold one, so a sweep's placement may
+depend on the period it started from; it is still deterministic for a
+fixed input.  Objectives in the report are in absolute time: the solver's,
 in units of T, times T.
 """
 

@@ -43,9 +43,6 @@ class WavePathClass:
     constraints: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
-    def waves(self):
-        return self.k + 1
-
 
 def _in_pin(graph, gate, idx):
     n = len(graph.gates[gate].inputs)

@@ -25,9 +25,6 @@ class ArrivalWindow:
     s: float        # latest arrival
     s_prime: float  # earliest arrival
 
-    def width(self):
-        return self.s - self.s_prime
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -22,10 +22,12 @@ T, X_COST included.  The one product that would put T in the matrix, a
 cdq site's unit delay x * (pad + t_cq/T), is bounded by big_M instead of
 by its exact bounds, so that t_cq/T appears only in right-hand sides.
 
-set_period moves a model of any kind to another period, and set_dth a
-cdq model to another d_th, in place, so that the solver can re-solve
-it warm from its last solution.  decode_solution converts back to
-absolute time.
+The module writes its own big-M rows (the cdq indicators, the unit
+products, the legalization either-or) and registers each row and
+variable that reads the period where it makes it.  set_period moves a
+model of any kind to another period, and set_dth a cdq model to another
+d_th, in place, so that the solver can re-solve it warm from its last
+solution.  decode_solution converts back to absolute time.
 
 The arrival variable s of a gate denotes the latest arrival at the gate
 output after its own pad/unit, before the anchor shifts of the outgoing
@@ -87,9 +89,12 @@ def _period_var(arts, bounds, name):
 
 
 def _period_constr(arts, coeffs, rel, rhs, name=None):
-    """A row whose right-hand side rhs(cfg) reads the period."""
-    arts.period_rows.append((len(arts.model.constraints), rhs))
+    """A row whose right-hand side rhs(cfg) reads the period; returns
+    its index."""
+    row = len(arts.model.constraints)
+    arts.period_rows.append((row, rhs))
     arts.model.add_constr(coeffs, rel, rhs(arts.cfg), name=name)
+    return row
 
 
 def _base(graph, cfg):
@@ -310,11 +315,11 @@ def _pad_model(graph, cfg, S, d_th):
         z = _unit_product(arts, x, arts.delta[g], f"xd_{g}")
         zp = _unit_product(arts, x, arts.delta_p[g], f"xdp_{g}")
         pad_terms[g] = ({z: cfg.r_u}, {zp: cfg.r_l})
-        row = len(m.constraints)
-        m.add_indicator(x, {arts.delta_p[g]: 1.0, arts.delta[g]: -1.0},
-                        d_th / cfg.T, arts.knobs["big_M"])
-        arts.dth_rows.append(row)
-        arts.period_rows.append((row, lambda c: _dth_rhs(arts, c)))
+        # the indicator: a present unit pads at least d_th
+        arts.dth_rows.append(_period_constr(
+            arts, {arts.delta_p[g]: 1.0, arts.delta[g]: -1.0,
+                   x: -arts.knobs["big_M"]}, ">=",
+            lambda c: _dth_rhs(arts, c)))
     _arrival_constraints(arts, pad_terms)
     _loop_order_constraints(arts, gates)
     _stability(arts)
@@ -324,16 +329,18 @@ def _pad_model(graph, cfg, S, d_th):
 
 
 def _either_or(arts, branches):
-    """milp's either-or over branches of (coeffs, rel, rhs(cfg)) rows,
-    relaxed by big_M in units of T; each row is a period row."""
+    """One binary selector per branch of (coeffs, rel, rhs(cfg)) rows,
+    rel "<=" or ">=", exactly one of them 1; a row of a branch whose
+    selector is 0 is relaxed by big_M in units of T.  Each row is a
+    period row."""
     m, M = arts.model, arts.knobs["big_M"]
-    first = len(m.constraints) + 1      # after the one-selector row
-    sels = m.add_either_or([[(c, rel, rhs(arts.cfg)) for c, rel, rhs in b]
-                            for b in branches], M)
-    for i, (_, rel, rhs) in enumerate(chain(*branches), first):
-        shift = M if rel == "<=" else -M
-        arts.period_rows.append((i, lambda c, rhs=rhs, shift=shift:
-                                 rhs(c) + shift))
+    sels = [m.add_var(BINARY, name=f"sel{len(m.vars)}") for _ in branches]
+    m.add_constr({s: 1.0 for s in sels}, "=", 1.0)
+    for sel, branch in zip(sels, branches):
+        for coeffs, rel, rhs in branch:
+            shift = M if rel == "<=" else -M
+            _period_constr(arts, {**coeffs, sel: shift}, rel,
+                           lambda c, rhs=rhs, shift=shift: rhs(c) + shift)
     return sels
 
 

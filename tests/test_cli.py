@@ -132,6 +132,12 @@ def test_usage_errors(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys, "analyze", "/nonexistent/file.net")[0] == 2
     assert run(capsys, "analyze", DATA / "fig_a.net", "--T", "frog")[0] == 2
+    # a solver budget that admits no node or no time
+    for flag, value in (("--milp-nodes", "0"), ("--milp-nodes", "-3"),
+                        ("--milp-time-ms", "0"), ("--milp-time-ms", "-1")):
+        code, _, err = run(capsys, "optimize", DATA / "fig_c.net", flag, value)
+        assert code == 2, (flag, value)
+        assert "milp_nodes must be >= 1 and milp_time_ms > 0" in err
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

@@ -338,17 +338,14 @@ def test_nan_bound_is_rejected(bounds):
     lambda m, x, v: m.set_objective({v: 1.0}, sense="maximize"),
     lambda m, x, v: m.set_objective({v: float("nan")}),
     lambda m, x, v: m.set_objective({v: 1.0}, const=float("inf")),
-    lambda m, x, v: m.add_indicator(v, {x: 1.0}, 1.0, big_M=10.0),
-    lambda m, x, v: m.add_either_or([[({v: 1.0}, ">=", 1.0)]], big_M=10.0),
     lambda m, x, v: m.add_constr({v: float("nan")}, "<=", 1.0),
     lambda m, x, v: m.add_constr({x: 1.0, v: -float("inf")}, ">=", 0.0),
     lambda m, x, v: m.add_constr({v: 1.0}, "<=", np.float64("nan")),
     lambda m, x, v: m.add_var(INTEGER, lb=0, ub=float("inf")),
     lambda m, x, v: m.add_var(INTEGER, lb=None, ub=3),
 ], ids=["relation", "nan_rhs", "inf_rhs", "sense", "nan_objective",
-        "inf_constant", "indicator", "either_or",
-        "nan_coefficient", "inf_coefficient", "numpy_nan_rhs",
-        "integer_inf_bound", "integer_free_bound"])
+        "inf_constant", "nan_coefficient", "inf_coefficient",
+        "numpy_nan_rhs", "integer_inf_bound", "integer_free_bound"])
 def test_bad_arguments_raise_value_error(call):
     # ValueError, not assert: the checks must hold under python -O
     m = MilpModel()
@@ -372,55 +369,6 @@ def test_numpy_scalars_are_accepted():
     assert sol.status == "optimal"
     assert sol.values == pytest.approx({v: 4.0, w: 1.75})
     assert sol.objective == pytest.approx(-5.25)
-
-
-# -- linearizations ----------------------------------------------------------
-
-def test_either_or_forces_branch():
-    m = MilpModel()
-    v = m.add_var(CONTINUOUS, lb=0, ub=10)
-    sels = m.add_either_or([[({v: 1.0}, ">=", 5.0)],
-                            [({v: 1.0}, "<=", 1.0)]], big_M=100)
-    m.add_constr({sels[0]: 1.0}, "=", 1.0)
-    m.set_objective({v: 1.0}, "min")
-    sol = milp.solve(m)
-    assert sol.values[v] == pytest.approx(5.0, abs=1e-6)
-
-
-def test_either_or_vs_enumeration():
-    rng = random.Random(4)
-    for _ in range(20):
-        m = MilpModel()
-        v = m.add_var(CONTINUOUS, lb=-5, ub=15)
-        w = m.add_var(CONTINUOUS, lb=-5, ub=15)
-        b1 = [({v: 1.0, w: 1.0}, ">=", rng.uniform(0, 6))]
-        b2 = [({v: 1.0}, "<=", rng.uniform(-3, 3)),
-              ({w: 1.0}, ">=", rng.uniform(0, 4))]
-        m.add_either_or([b1, b2], big_M=200)
-        m.set_objective({v: 1.0, w: 2.0}, "min")
-        sol = milp.solve(m)
-        oracle = enumeration_oracle(m)
-        assert sol.objective == pytest.approx(oracle, abs=1e-5)
-
-
-def test_indicator():
-    m = MilpModel()
-    x = m.add_var(BINARY)
-    d = m.add_var(CONTINUOUS, lb=0, ub=20)
-    m.add_indicator(x, {d: 1.0}, 8.75, big_M=100)
-    m.add_constr({x: 1.0}, "=", 1.0)
-    m.set_objective({d: 1.0}, "min")
-    assert milp.solve(m).objective == pytest.approx(8.75, abs=1e-6)
-
-
-def test_indicator_off_is_vacuous():
-    m = MilpModel()
-    x = m.add_var(BINARY)
-    d = m.add_var(CONTINUOUS, lb=0, ub=20)
-    m.add_indicator(x, {d: 1.0}, 8.75, big_M=100)
-    m.add_constr({x: 1.0}, "=", 0.0)
-    m.set_objective({d: 1.0}, "min")
-    assert milp.solve(m).objective == pytest.approx(0.0, abs=1e-6)
 
 
 # -- branch and bound --------------------------------------------------------

@@ -18,6 +18,15 @@ def test_snapshot_tool_writes_every_output(tmp_path):
     designs = [n[:-len(".format_report")] for n in files
                if n.endswith(".format_report")]
     assert len(designs) >= 10
+    # an optimal model's solve went through milp.lp_solve, root first, so
+    # its recording shows that the tool's wrapper of the kernel was called
+    optimal = [n[:-len(".values")] for n, p in files.items()
+               if n.endswith(".values")
+               and p.read_text().startswith("optimal")]
+    assert optimal
+    for model in optimal:
+        lps = files[f"{model}.lps"].read_text()
+        assert lps.startswith("cold"), model
     later = []      # the stage-2 and stage-3 roots after a first flow
     for name in designs:
         lines = files[f"{name}.sweep.trajectory"].read_text().splitlines()

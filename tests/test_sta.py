@@ -176,7 +176,7 @@ def test_ff_unit_output_width_collapses(fig_chain):
     windows, _ = propagate_windows(placed, cfg)
     w = windows[("w", "z", 0)]
     p = fig_chain.ff_params
-    assert w.width() == pytest.approx((cfg.r_u - cfg.r_l) * p.t_cq)
+    assert w.s - w.s_prime == pytest.approx((cfg.r_u - cfg.r_l) * p.t_cq)
 
 
 def test_anchor_shift_linear(fig_chain):

@@ -9,6 +9,7 @@ from wavetime.optimizer import run_flow
 from wavetime.sta import edge_key, propagate_windows
 
 from gen import exact_cfg, random_circuit
+from test_milp import enumeration_oracle
 
 
 def constraint_names(arts):
@@ -108,6 +109,65 @@ def test_cdq_indicator_enforces_pad_bound(fig_chain):
             spread = sol.values[arts.delta_p[name]] - \
                 sol.values[arts.delta[name]]
             assert spread * cfg.T >= 2.0 - 1e-6
+
+
+@pytest.mark.parametrize("on", [1.0, 0.0], ids=["on", "off"])
+def test_cdq_indicator_binds_only_a_present_unit(fig_chain, on):
+    """With x fixed, the least pad spread of the site is d_th when its
+    unit is present and 0 when it is absent: off, the big-M row is
+    vacuous even for a d_th no pad could reach (PAD_MAX is 2T)."""
+    g = to_gate_graph(fig_chain)
+    cfg = exact_cfg(10.0)
+    d_th = 8.75 if on else 3 * cfg.T
+    arts = vsmodel.build_cdq_model(g, cfg, {"w"}, d_th)
+    m = arts.model
+    m.add_constr({arts.x["w"]: 1.0}, "=", on)
+    m.set_objective({arts.delta_p["w"]: 1.0, arts.delta["w"]: -1.0})
+    sol = milp.solve(m)
+    assert sol.status == "optimal"
+    assert sol.objective * cfg.T == pytest.approx(on * d_th, abs=1e-6)
+
+
+def bare_arts(big_M=100.0):
+    """ModelArtifacts of an empty model whose big_M is big_M times T."""
+    cfg = Config(T=1.0, big_M=big_M)
+    return vsmodel.ModelArtifacts(milp.MilpModel(), None, cfg,
+                                  knobs=vsmodel._matrix_knobs(cfg))
+
+
+@pytest.mark.parametrize("branch, want", [(0, 5.0), (1, 0.0)],
+                         ids=["ge_branch", "le_branch"])
+def test_either_or_forces_branch(branch, want):
+    arts = bare_arts()
+    m = arts.model
+    v = m.add_var(milp.CONTINUOUS, lb=0, ub=10)
+    sels = vsmodel._either_or(arts, [[({v: 1.0}, ">=", lambda c: 5.0)],
+                                     [({v: 1.0}, "<=", lambda c: 1.0)]])
+    # the one-selector row, then one period row per branch row
+    assert [i for i, _ in arts.period_rows] == [1, 2]
+    for i, rhs in arts.period_rows:
+        assert m.constraints[i].rhs == rhs(arts.cfg)
+    m.add_constr({sels[branch]: 1.0}, "=", 1.0)
+    m.set_objective({v: 1.0}, "min")
+    sol = milp.solve(m)
+    assert sol.values[v] == pytest.approx(want, abs=1e-6)
+
+
+def test_either_or_vs_enumeration():
+    rng = random.Random(4)
+    for _ in range(20):
+        arts = bare_arts(200.0)
+        m = arts.model
+        v = m.add_var(milp.CONTINUOUS, lb=-5, ub=15)
+        w = m.add_var(milp.CONTINUOUS, lb=-5, ub=15)
+        b1 = [({v: 1.0, w: 1.0}, ">=", lambda c, r=rng.uniform(0, 6): r)]
+        b2 = [({v: 1.0}, "<=", lambda c, r=rng.uniform(-3, 3): r),
+              ({w: 1.0}, ">=", lambda c, r=rng.uniform(0, 4): r)]
+        vsmodel._either_or(arts, [b1, b2])
+        m.set_objective({v: 1.0, w: 2.0}, "min")
+        sol = milp.solve(m)
+        oracle = enumeration_oracle(m)
+        assert sol.objective == pytest.approx(oracle, abs=1e-5)
 
 
 def test_set_dth_equals_a_rebuild(fig_chain):
