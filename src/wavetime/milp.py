@@ -5,14 +5,21 @@ export.
 The kernel solves a root LP cold, by the two-phase method from the
 slack/artificial basis.  It re-solves warm, by dual simplex from a kept
 optimal tableau, wherever only bounds or right-hand sides changed.  A
-solve of a model with the same objective, matrix and relations as an
-earlier one (its start) re-solves its root from the start's root, and
-each branch-and-bound child from the same node of the start's tree,
-found by its branching path from the root; a child the start's tree
-lacks is re-solved from its parent's tableau.  The flow's models keep
-time in units of the clock period, so that holds for the stage-2 d_th
-rounds and, at the next period of a sweep, for each stage that meets
-the sites of a model of the step before.
+kept tableau stores its nonbasic columns, read-only, apart from its
+right-hand side.  A warm re-solve moves the right-hand side through
+those columns and copies the tableau only if it must pivot; one that
+needs no pivot shares its start's columns.  A solve of a model with the
+same objective, matrix and relations as an earlier one (its start)
+re-solves its root from the start's root, and each branch-and-bound
+child from the same node of the start's tree, found by its branching
+path from the root; a child the start's tree lacks is re-solved from
+its parent's tableau.  A child that dual simplex proved infeasible
+keeps the row that proved it, and the next solve checks that row
+against its own right-hand sides and bounds before it solves any LP
+for that child.  The flow's models keep time in units of the clock
+period, so that holds for the stage-2 d_th rounds and, at the next
+period of a sweep, for each stage that meets the sites of a model of
+the step before.
 
 The solver is deterministic: Bland's rule in the primal and the dual
 simplex, best-bound node selection with insertion-order tie-breaks,
@@ -28,7 +35,7 @@ as its reference.
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,6 +54,8 @@ DUAL_EPS = 1e-7
 # the most node tableaux a Solution keeps for a re-solve: the first ones
 # its branch-and-bound solved, so that a large tree keeps a bounded set
 NODE_KEEP = 32
+# the most proofs of infeasible child nodes a Solution keeps, likewise
+PROOF_KEEP = 32
 
 
 @dataclass
@@ -71,12 +80,14 @@ class Solution:
     status: str       # optimal | infeasible | bound_reached
     values: dict
     objective: float
-    # the start of a re-solve: the root LP's Tableau, and the Tableau of
-    # each kept branch-and-bound node by its branching path from the
-    # root, a tuple of (var, side, floor) with side 0 for var <= floor
-    # and 1 for var >= floor + 1
+    # the start of a re-solve: the root LP's Tableau, the Tableau of
+    # each kept branch-and-bound node and the Proof of each kept
+    # infeasible child, both by branching path from the root, a tuple of
+    # (var, side, floor) with side 0 for var <= floor and 1 for
+    # var >= floor + 1
     root: object = field(default=None, compare=False, repr=False)
     nodes: dict = field(default=None, compare=False, repr=False)
+    proofs: dict = field(default=None, compare=False, repr=False)
 
 
 class MilpModel:
@@ -212,19 +223,20 @@ def _dual_simplex(cols, basis, n_enter):
     """Make the basic values of a dual feasible tableau nonnegative with
     the dual of Bland's rule: of the rows below -DUAL_EPS, the one whose
     basic column comes first leaves, and the first column of least ratio
-    among the first n_enter enters.  False when a leaving row has no
-    negative entry, which proves the LP infeasible."""
+    among the first n_enter enters.  None when that succeeds; else the
+    leaving row that has no negative entry, which proves the LP
+    infeasible."""
     m = len(basis)
     cost, rhs = cols[:n_enter, m], cols[-1, :m]
     while True:
         rows = (rhs < -DUAL_EPS).nonzero()[0].tolist()
         if not rows:
-            return True
+            return None
         leave = min(rows, key=basis.__getitem__)
         row = cols[:n_enter, leave]
         cand = (row < -PIVOT_EPS).nonzero()[0]
         if not cand.size:
-            return False
+            return leave
         ratios = np.maximum(cost[cand], 0.0) / -row[cand]
         _pivot(cols, basis, leave, cand[ratios.argmin()])
 
@@ -236,8 +248,10 @@ class Tableau:
 
     A basic column is exactly the unit vector of its row (a pivot divides
     the entry to 1.0 and subtracts the column from itself elsewhere), so
-    only the nonbasic columns are stored: packed holds them, then the
-    right-hand side.
+    only the nonbasic columns are stored, in packed, and the right-hand
+    side apart from them, in rhs.  packed is read-only: a re-solve that
+    makes no pivot moves only rhs, and its Tableau shares packed,
+    nonbasic and basis with its start.
 
     Row i of the starting tableau held a unit column, its slack (or, for
     an equality row, its artificial), now column unit[i]; times scale[i]
@@ -246,6 +260,7 @@ class Tableau:
     packed: np.ndarray       # None when an artificial column stayed basic
     nonbasic: np.ndarray
     basis: list
+    rhs: np.ndarray          # the basic values, then minus the objective
     n_real: int              # the columns that may enter: x and slacks
     unit: np.ndarray
     scale: np.ndarray
@@ -268,26 +283,85 @@ class Tableau:
         return all(np.array_equal(u, v) for u, v in
                    ((self.c, c), (self.A, A), (self.rel, rel)))
 
+    def columns(self, js):
+        """Tableau columns js, as unpacked() holds them, without
+        unpacking."""
+        m = len(self.basis)
+        # a nonbasic column's index in packed; -1 - r for the basic
+        # column of row r
+        slot = np.empty(len(self.nonbasic) + m, int)
+        slot[self.nonbasic] = np.arange(len(self.nonbasic))
+        slot[self.basis] = -1 - np.arange(m)
+        slot = slot[js]
+        out = np.zeros((len(js), m + 1))
+        packed = slot >= 0
+        out[packed] = self.packed[slot[packed]]
+        basic = (~packed).nonzero()[0]
+        out[basic, -1 - slot[basic]] = 1.0
+        return out
+
     def unpacked(self):
         """A new full transposed tableau."""
         m = len(self.basis)
         cols = np.zeros((len(self.nonbasic) + m + 1, m + 1))
-        cols[self.nonbasic] = self.packed[:-1]
-        cols[-1] = self.packed[-1]
+        cols[self.nonbasic] = self.packed
+        cols[-1] = self.rhs
         cols[self.basis, np.arange(m)] = 1.0
         return cols
+
+
+@dataclass
+class Proof:
+    """The row that proved an LP infeasible, kept so that the LP can be
+    proved infeasible again after its right-hand sides or bounds change.
+
+    row is the leaving row of dual simplex, transposed-tableau row
+    cols[:, leave]: its right-hand side row[-1] is below -DUAL_EPS and
+    no column that may enter has an entry below -PIVOT_EPS, so no
+    nonnegative values of those columns meet it.  Moving b, lb and ub
+    moves only row[-1], as it moves a Tableau's rhs; while that stays
+    below -DUAL_EPS, the row proves the moved LP infeasible too.
+
+    unit, scale, b, lb and ub are those of the Tableau of the LP."""
+    row: np.ndarray
+    unit: np.ndarray
+    scale: np.ndarray
+    b: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+
+    def holds(self, A, b, lb, ub):
+        """Whether the row proves the LP moved to b, lb and ub
+        infeasible."""
+        js, weights = _shift(self, A, b, lb, ub)
+        return self.row[-1] + (self.row[js] * weights).sum() < -DUAL_EPS
+
+
+def _shift(lp, A, b, lb, ub):
+    """(js, weights) for the LP of lp, a Tableau or a Proof, moved to b,
+    lb and ub: the change of the shifted right-hand side goes through
+    B^-1, adding weights[i] times tableau column js[i] to the right-hand
+    side."""
+    dlb = lb - lp.lb
+    delta = np.concatenate([b - lp.b, ub - lp.ub - dlb])
+    moved = dlb.nonzero()[0]
+    if moved.size:
+        delta[:len(b)] -= (A[:, moved] * dlb[moved]).sum(axis=1)
+    rows = delta.nonzero()[0]
+    return lp.unit[rows], delta[rows] * lp.scale[rows]
 
 
 def _keep(tab, cols, basis, b, lb, ub):
     """tab moved to the LP with b, lb and ub and final tableau cols."""
     packed = nonbasic = None
     if max(basis, default=-1) < tab.n_real:
-        free = np.ones(len(cols), bool)
+        free = np.ones(len(cols) - 1, bool)
         free[basis] = False
-        nonbasic = free[:-1].nonzero()[0]
-        packed = cols[free]
-    return Tableau(packed, nonbasic, basis, tab.n_real, tab.unit, tab.scale,
-                   tab.c, tab.A, tab.rel, b, lb, ub)
+        nonbasic = free.nonzero()[0]
+        packed = cols[nonbasic]
+        packed.flags.writeable = False
+    return Tableau(packed, nonbasic, basis, cols[-1].copy(), tab.n_real,
+                   tab.unit, tab.scale, tab.c, tab.A, tab.rel, b, lb, ub)
 
 
 def _two_phase(c, A, rel, b, lb, ub):
@@ -328,7 +402,8 @@ def _two_phase(c, A, rel, b, lb, ub):
     unit = np.zeros(m, int)
     unit[slack] = n + np.arange(len(slack))
     unit[eq] = n_real + np.arange(len(eq))
-    tab = Tableau(None, None, None, n_real, unit, scale, c, A, rel, b, lb, ub)
+    tab = Tableau(None, None, None, None, n_real, unit, scale, c, A, rel, b,
+                  lb, ub)
 
     if len(art):
         cols[n_real:ncols, m] = 1.0
@@ -361,35 +436,41 @@ def _two_phase(c, A, rel, b, lb, ub):
 
 
 def _dual_resolve(tab, A, b, lb, ub):
-    """(status, cols, basis) of the LP of tab moved to b, lb and ub: the
-    change of the shifted right-hand side goes through B^-1, which leaves
-    the tableau dual feasible, and dual simplex restores primal
-    feasibility."""
-    cols, basis = tab.unpacked(), list(tab.basis)
-    dlb = lb - tab.lb
-    delta = np.concatenate([b - tab.b, ub - tab.ub - dlb])
-    moved = dlb.nonzero()[0]
-    if moved.size:
-        delta[:len(b)] -= (A[:, moved] * dlb[moved]).sum(axis=1)
-    rows = delta.nonzero()[0]
-    weights = (delta[rows] * tab.scale[rows])[:, None]
+    """(status, result) of the LP of tab moved to b, lb and ub: the
+    Tableau of the optimal LP, or the Proof of the infeasible one.
+
+    The moved right-hand side is formed from tab's packed columns, which
+    leaves the tableau dual feasible.  If no basic value is below
+    -DUAL_EPS, the LP is optimal with no pivot, and its Tableau shares
+    tab's packed columns: nothing is copied but the right-hand side.
+    Only otherwise is the tableau unpacked, and dual simplex restores
+    primal feasibility or proves the LP infeasible."""
+    js, weights = _shift(tab, A, b, lb, ub)
     # an elementwise sum, not a matrix product, keeps BLAS out
-    cols[-1] += (cols[tab.unit[rows]] * weights).sum(axis=0)
-    if not _dual_simplex(cols, basis, tab.n_real):
-        return "infeasible", None, None
-    return "optimal", cols, basis
+    rhs = tab.rhs + (tab.columns(js) * weights[:, None]).sum(axis=0)
+    moved = replace(tab, rhs=rhs, b=b, lb=lb, ub=ub)
+    if not (rhs[:-1] < -DUAL_EPS).any():
+        return "optimal", moved
+    cols, basis = moved.unpacked(), list(tab.basis)
+    leave = _dual_simplex(cols, basis, tab.n_real)
+    if leave is not None:
+        return "infeasible", Proof(cols[:, leave].copy(), tab.unit,
+                                   tab.scale, b, lb, ub)
+    return "optimal", _keep(tab, cols, basis, b, lb, ub)
 
 
 def lp_solve(c, A, rel, b, lb, ub, start=None):
     """Minimize c.x subject to A x rel b (rel[i] in "<=", ">=", "=") and
     lb <= x <= ub.
 
-    Returns (status, x, objective, tableau) with status in
-    {"optimal", "infeasible", "unbounded"} and tableau the Tableau of an
-    optimal LP (else None).  Without start the LP is solved from the
+    Returns (status, x, objective, kept) with status in
+    {"optimal", "infeasible", "unbounded"}.  kept is the Tableau of an
+    optimal LP, the Proof of an LP that dual simplex proved infeasible,
+    else None.  Without start the LP is solved from the
     slack/artificial basis by the two-phase method.  start is the warm
     Tableau of an LP with the same c, A and rel, which is left as it is;
-    the LP is re-solved from it by dual simplex.
+    the LP is re-solved from it by dual simplex (_dual_resolve), and its
+    Tableau copies a tableau only when dual simplex pivots.
     """
     lb = np.asarray(lb, float)
     ub = np.asarray(ub, float)
@@ -398,19 +479,19 @@ def lp_solve(c, A, rel, b, lb, ub, start=None):
     b = np.asarray(b, float)
     if start is None:
         status, cols, basis, tab = _two_phase(c, A, rel, b, lb, ub)
+        if status == "optimal":
+            tab = _keep(tab, cols, basis, b, lb, ub)
     elif not start.warm:
         raise ValueError("a start tableau with a basic artificial column")
     else:
-        status, cols, basis = _dual_resolve(start, A, b, lb, ub)
-        tab = start
+        status, tab = _dual_resolve(start, A, b, lb, ub)
     if status != "optimal":
-        return status, None, None, None
-    n, m = len(c), len(basis)
+        return status, None, None, tab
+    n, m = len(c), len(tab.basis)
     y = np.zeros(tab.n_real + m)
-    y[basis] = cols[-1, :m]
+    y[tab.basis] = tab.rhs[:m]
     x = y[:n] + lb
-    return ("optimal", x, float(np.dot(c, y[:n]) + np.dot(c, lb)),
-            _keep(tab, cols, basis, b, lb, ub))
+    return ("optimal", x, float(np.dot(c, y[:n]) + np.dot(c, lb)), tab)
 
 
 # -- branch and bound --------------------------------------------------------
@@ -452,17 +533,22 @@ def solve(m, max_nodes=100000, time_ms=120000, start=None):
     tableau.  start is an optimal Solution of a model that differs from
     m only in right-hand sides and variable bounds.  It supplies the
     root tableau, from which the root LP is re-solved by dual simplex,
-    and its kept node tableaux (Solution.nodes), from which each child
-    on a branching path of start's tree is re-solved instead of from its
-    parent.  A tableau that cannot start a re-solve (a basic artificial
-    column) falls back to the two-phase method at the root and to the
-    parent at a child.  The node tableaux are used up: solve takes them
-    out of start, so a second solve from the same start re-solves only
-    its root from it.
+    its kept node tableaux (Solution.nodes), from which each child on a
+    branching path of start's tree is re-solved instead of from its
+    parent, and its kept proofs (Solution.proofs).  A child with a
+    proof whose row, moved to the child's right-hand sides and bounds,
+    still proves it infeasible is discarded with no LP; otherwise it is
+    re-solved as if it had no proof.  A tableau that cannot start a
+    re-solve (a basic artificial column) falls back to the two-phase
+    method at the root and to the parent at a child.  The node tableaux
+    and proofs are used up: solve takes them out of start, so a second
+    solve from the same start re-solves only its root from it.
 
-    An optimal Solution keeps its root tableau and the tableaux of the
-    first NODE_KEEP child nodes it solved, as a start for the next
-    re-solve.
+    An optimal Solution keeps, as a start for the next re-solve, its
+    root tableau, the tableaux of the first NODE_KEEP child nodes it
+    solved and the proofs of the first PROOF_KEEP children it found
+    infeasible by dual simplex or by a kept proof.  A child re-solved
+    with no pivot shares its tableau's columns with its start.
 
     The root LP cannot be unbounded: add_var boxes every variable, a
     missing bound becoming -FREE_BOUND or FREE_BOUND, so a root LP that
@@ -470,14 +556,16 @@ def solve(m, max_nodes=100000, time_ms=120000, start=None):
     """
     c, A, rel, b, lb0, ub0 = _model_arrays(m)
     int_vars = [v.id for v in m.vars if v.kind != CONTINUOUS]
-    # path -> Tableau of the start's tree; each is used once
-    old = {}
+    # path -> Tableau and path -> Proof of the start's tree; each is used
+    # once
+    old, proved = {}, {}
     if start is not None:
         if start.root is None or not start.root.same_lp(c, A, rel):
             raise ValueError("a start must be an optimal solution of the "
                              "model with only right-hand sides and bounds "
                              "changed")
         old, start.nodes = start.nodes or {}, None
+        proved, start.proofs = start.proofs or {}, None
         start = _start(start.root)
     status, x, obj, root = lp_solve(c, A, rel, b, lb0, ub0, start=start)
     if status != "optimal":
@@ -485,7 +573,7 @@ def solve(m, max_nodes=100000, time_ms=120000, start=None):
 
     # a node's bounds are those of its Tableau
     heap = [(obj, 0, x, root, ())]
-    kept = {}
+    kept, proofs = {}, {}
     seq = 0
     nodes = 0
     deadline = time.monotonic() + time_ms / 1000.0
@@ -504,7 +592,7 @@ def solve(m, max_nodes=100000, time_ms=120000, start=None):
             for v in int_vars:
                 values[v] = float(round(values[v]))
             return Solution("optimal", values, m.objective_value(values),
-                            root, kept)
+                            root, kept, proofs)
         lo = float(np.floor(x[frac_var]))
         for side in (0, 1):
             nlb, nub = tab.lb.copy(), tab.ub.copy()
@@ -513,14 +601,20 @@ def solve(m, max_nodes=100000, time_ms=120000, start=None):
             else:
                 nlb[frac_var] = lo + 1.0
             child = path + ((frac_var, side, lo),)
-            st, nx, nobj, ntab = lp_solve(
-                c, A, rel, b, nlb, nub,
-                start=_start(old.pop(child, None)) or _start(tab))
-            if st == "optimal":
-                seq += 1
-                heapq.heappush(heap, (nobj, seq, nx, ntab, child))
-                if len(kept) < NODE_KEEP:
-                    kept[child] = ntab
+            proof = proved.pop(child, None)
+            if proof is None or not proof.holds(A, b, nlb, nub):
+                st, nx, nobj, ntab = lp_solve(
+                    c, A, rel, b, nlb, nub,
+                    start=_start(old.pop(child, None)) or _start(tab))
+                if st == "optimal":
+                    seq += 1
+                    heapq.heappush(heap, (nobj, seq, nx, ntab, child))
+                    if len(kept) < NODE_KEEP:
+                        kept[child] = ntab
+                    continue
+                proof = ntab            # a Proof, or None
+            if proof is not None and len(proofs) < PROOF_KEEP:
+                proofs[child] = proof
     return Solution("infeasible", {}, float("nan"))
 
 

@@ -257,17 +257,57 @@ def test_lp_kernel_matches_reference_on_random_models(monkeypatch):
     assert_matches_reference(calls)
 
 
-def test_kept_tableau_unpacks_bit_for_bit():
+def unpacked_resolve_start(tab, A, b, lb, ub):
+    """The full tableau of tab with its right-hand side moved to b, lb
+    and ub, formed the unpacked way: unpack, then add the moved columns
+    of the unpacked tableau."""
+    cols = tab.unpacked()
+    dlb = lb - tab.lb
+    delta = np.concatenate([b - tab.b, ub - tab.ub - dlb])
+    moved = dlb.nonzero()[0]
+    if moved.size:
+        delta[:len(b)] -= (A[:, moved] * dlb[moved]).sum(axis=1)
+    rows = delta.nonzero()[0]
+    weights = (delta[rows] * tab.scale[rows])[:, None]
+    cols[-1] += (cols[tab.unit[rows]] * weights).sum(axis=0)
+    return cols
+
+
+def test_kept_tableau_unpacks_bit_for_bit(monkeypatch):
+    """A kept tableau unpacks to the final tableau of its LP.  A re-solve
+    that needs no pivot shares its start's packed columns, read-only,
+    and unpacks to the tableau that the unpacked path ends with."""
+    pivots = []
+    kernel = milp._pivot
+    monkeypatch.setattr(milp, "_pivot",
+                        lambda *args: pivots.append(args) or kernel(*args))
     rng = random.Random(5)
-    kept = 0
+    kept = shared = 0
     for _ in range(100):
         c, A, rel, b, lb, ub = milp._model_arrays(random_model(rng))
         status, cols, basis, tab = milp._two_phase(c, A, rel, b, lb, ub)
-        if status == "optimal":
-            tab = milp._keep(tab, cols, basis, b, lb, ub)
-            assert tab.unpacked().tobytes() == cols.tobytes()
-            kept += 1
-    assert kept > 20
+        if status != "optimal":
+            continue
+        tab = milp._keep(tab, cols, basis, b, lb, ub)
+        assert tab.unpacked().tobytes() == cols.tobytes()
+        kept += 1
+        if not tab.warm:
+            continue
+        b2 = b + np.array([rng.uniform(-0.05, 0.05) for _ in b])
+        lb2 = lb.copy()
+        lb2[rng.randrange(len(lb))] -= rng.uniform(0.0, 0.05)
+        ref = unpacked_resolve_start(tab, A, b2, lb2, ub)
+        pivots.clear()
+        if milp._dual_simplex(ref, list(tab.basis), tab.n_real) is not None \
+                or pivots:
+            continue
+        status, warm = milp._dual_resolve(tab, A, b2, lb2, ub)
+        assert status == "optimal" and pivots == []
+        assert np.shares_memory(warm.packed, tab.packed)
+        assert not warm.packed.flags.writeable
+        assert warm.unpacked().tobytes() == ref.tobytes()
+        shared += 1
+    assert kept > 20 and shared > 10
 
 
 def test_lp_kernel_closed_forms():
@@ -467,44 +507,87 @@ def test_solve_from_start_matches_a_cold_solve(monkeypatch):
 
 def test_solve_with_unchanged_data_pivots_at_no_node(monkeypatch):
     """Every node of a re-solve of the same data starts from its own
-    final tableau, so no node pivots and the values repeat bit for
-    bit."""
-    m = knapsack(7.0)
-    sol = milp.solve(m)
-    paths = set(sol.nodes)
-    assert len(paths) > 2       # the knapsack branches
-    pivots = []
-    kernel = milp._pivot
-    monkeypatch.setattr(milp, "_pivot",
-                        lambda *args: pivots.append(args) or kernel(*args))
-    again = milp.solve(m, start=sol)
-    assert pivots == []
-    assert sol.nodes is None    # used up
-    assert set(again.nodes) == paths
-    assert again == sol
-    assert [again.values[v].hex() for v in sorted(again.values)] == \
-        [sol.values[v].hex() for v in sorted(sol.values)]
+    final tableau, so no node pivots and the values repeat bit for bit;
+    every infeasible child is proved again by its kept proof, with no
+    LP."""
+    pivots, statuses = [], []
+    kernel, lp = milp._pivot, milp.lp_solve
+
+    def record(*args, start=None):
+        result = lp(*args, start=start)
+        statuses.append(result[0])
+        return result
+
+    for capacity in (7.0, 6.0):
+        m = knapsack(capacity)
+        sol = milp.solve(m)
+        paths, proved = set(sol.nodes), set(sol.proofs)
+        assert len(paths) > 2       # the knapsack branches
+        assert proved               # and some children are infeasible
+        with monkeypatch.context() as mp:
+            mp.setattr(milp, "_pivot",
+                       lambda *args: pivots.append(args) or kernel(*args))
+            mp.setattr(milp, "lp_solve", record)
+            again = milp.solve(m, start=sol)
+        assert pivots == []
+        assert "infeasible" not in statuses
+        assert sol.nodes is None and sol.proofs is None     # used up
+        assert set(again.nodes) == paths and set(again.proofs) == proved
+        assert again == sol
+        assert [again.values[v].hex() for v in sorted(again.values)] == \
+            [sol.values[v].hex() for v in sorted(sol.values)]
+
+
+def move_bound(rng, m):
+    v = m.vars[rng.randrange(len(m.vars))]
+    if v.kind == BINARY:
+        v.lb = v.ub = float(rng.randint(0, 1))
+    else:
+        v.lb += rng.uniform(-2.0, 2.0)
+        v.ub = max(v.lb, v.ub + rng.uniform(-2.0, 2.0))
+
+
+def two_row_knapsack(rng):
+    """Five binaries and two bounded continuous items under two
+    capacities: children that overfill one capacity are infeasible."""
+    m = MilpModel()
+    xs = [m.add_var(BINARY) for _ in range(5)]
+    xs += [m.add_var(CONTINUOUS, lb=0, ub=rng.uniform(1, 4))
+           for _ in range(2)]
+    for _ in range(2):
+        m.add_constr({x: float(rng.randint(1, 9)) for x in xs}, "<=",
+                     rng.uniform(5, 20))
+    m.set_objective({x: float(rng.randint(1, 9)) for x in xs}, "max")
+    return m
+
+
+def move_capacity(rng, m):
+    m.constraints[rng.randrange(len(m.constraints))].rhs += \
+        rng.uniform(-2.0, 2.0)
 
 
 def test_solves_from_moved_starts_match_cold_solves(monkeypatch):
     """Chains of re-solves, each from the solution before it, with one
-    variable bound moved at each step: each matches a cold solve and the
-    enumeration oracle."""
+    variable bound of a random model or one capacity of a two-row
+    knapsack moved at each step: each matches a cold solve and the
+    enumeration oracle.  Some infeasible children are settled by a kept
+    proof; some have a proof that no longer holds and are re-solved from
+    their parent."""
     rng = random.Random(8)
     starts = node_starts(monkeypatch)
+    held = []
+    holds = milp.Proof.holds
+    monkeypatch.setattr(milp.Proof, "holds", lambda *args: held.append(
+        bool(holds(*args))) or held[-1])
     chains = 0
-    for _ in range(40):
-        m = random_model(rng)
+    for make, move in [(random_model, move_bound)] * 40 + \
+            [(two_row_knapsack, move_capacity)] * 20:
+        m = make(rng)
         sol = milp.solve(m)
         for _ in range(4):
             if sol.status != "optimal":
                 break
-            v = m.vars[rng.randrange(len(m.vars))]
-            if v.kind == BINARY:
-                v.lb = v.ub = float(rng.randint(0, 1))
-            else:
-                v.lb += rng.uniform(-2.0, 2.0)
-                v.ub = max(v.lb, v.ub + rng.uniform(-2.0, 2.0))
+            move(rng, m)
             warm = milp.solve(m, start=sol)
             cold = milp.solve(m)
             assert_matches_cold(warm, cold, m)
@@ -515,8 +598,9 @@ def test_solves_from_moved_starts_match_cold_solves(monkeypatch):
                 assert warm.objective == pytest.approx(oracle, abs=1e-6)
             sol = warm
             chains += 1
-    assert chains > 40
+    assert chains > 60
     assert len(starts) == chains and sum(starts) > 0
+    assert held.count(True) > 0 and held.count(False) > 0
 
 
 def wide_knapsack(capacity):
@@ -531,7 +615,10 @@ def wide_knapsack(capacity):
 
 def test_large_tree_keeps_node_keep_tableaux(monkeypatch):
     """A tree larger than the cap keeps exactly NODE_KEEP node tableaux,
-    and a re-solve from them still matches a cold solve."""
+    and a re-solve from them still matches a cold solve.  Its proofs stay
+    within PROOF_KEEP, here lowered below the 11 children the tree
+    proves infeasible."""
+    monkeypatch.setattr(milp, "PROOF_KEEP", 4)
     lps = []
     kernel = milp.lp_solve
 
@@ -546,12 +633,14 @@ def test_large_tree_keeps_node_keep_tableaux(monkeypatch):
     assert sol.status == "optimal"
     assert len(lps) - 1 > milp.NODE_KEEP      # the root is no node
     assert len(sol.nodes) == milp.NODE_KEEP
+    assert len(sol.proofs) == milp.PROOF_KEEP
     starts = node_starts(monkeypatch)
     for capacity in (30.75, 31.0, 30.25):
         m.constraints[0].rhs = capacity
         warm = milp.solve(m, start=sol)
         assert_matches_cold(warm, milp.solve(wide_knapsack(capacity)), m)
         assert len(warm.nodes) <= milp.NODE_KEEP
+        assert len(warm.proofs) <= milp.PROOF_KEEP
         sol = warm
     assert len(starts) == 3 and sum(starts) > 0
 
