@@ -1,41 +1,35 @@
-"""Mixed-integer linear programming: model container, an embedded
-branch-and-bound solver over a dense simplex kernel, and CPLEX-LP text
-export.
+"""Mixed-integer linear programming: an array-backed model, a
+branch-and-bound solver over a dense simplex kernel, and CPLEX-LP export.
 
-The kernel solves a root LP cold, by the two-phase method from the
-slack/artificial basis.  It re-solves warm, by dual simplex from a kept
-optimal tableau, wherever only bounds or right-hand sides changed.  A
-kept tableau stores its nonbasic columns, read-only, apart from its
-right-hand side.  A warm re-solve moves the right-hand side through
-those columns and copies the tableau only if it must pivot; one that
-needs no pivot shares its start's columns.  A solve of a model with the
-same objective, matrix and relations as an earlier one (its start)
-re-solves its root from the start's root, and each branch-and-bound
-child from the same node of the start's tree, found by its branching
-path from the root; a child the start's tree lacks is re-solved from
-its parent's tableau.  A child that dual simplex proved infeasible
-keeps the row that proved it, and the next solve checks that row
-against its own right-hand sides and bounds before it solves any LP
-for that child.  The flow's models keep time in units of the clock
-period, so that holds for the stage-2 d_th rounds and, at the next
-period of a sweep, for each stage that meets the sites of a model of
-the step before.
+A MilpModel owns one set of arrays, c (negated for "max"), A, rel, b, lb,
+ub and an integer mask, folded from the rows the builder appends when
+first read; vars, constraints and obj are read-only views of them.  Its
+setters give it new b, lb and ub arrays rather than write in place, for
+a kept tableau holds the arrays of the LP it solved.
+
+The kernel solves a root LP cold, by the two-phase method, and re-solves
+it by dual simplex from a kept optimal tableau (its nonbasic columns,
+read-only, shared by a re-solve with no pivot) where only right-hand
+sides and bounds changed.  A solve from a start, the Solution of a model
+with the same c, A and rel (the same arrays when moved by the setters,
+else equal ones), starts its root and each branch-and-bound node from
+the same node of the start's tree, and re-checks each kept proof of an
+infeasible child before any LP of it.
 
 The solver is deterministic: Bland's rule in the primal and the dual
 simplex, best-bound node selection with insertion-order tie-breaks,
 branching on the most fractional integer variable with lowest-id ties.
-
-The kernel keeps its tableau transposed, one contiguous array row per
-tableau column, so that a pivot rewrites only the columns where the pivot
-row is nonzero.  A cold solve makes the same pivots and returns the same
-values as the row-major textbook tableau, which tests/test_milp.py keeps
-as its reference.
+The tableau is kept transposed, one array row per tableau column; a cold
+solve matches the row-major textbook tableau of tests/test_milp.py.
 """
 
 import heapq
 import math
 import time
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -58,21 +52,10 @@ NODE_KEEP = 32
 PROOF_KEEP = 32
 
 
-@dataclass
-class Var:
-    id: int
-    kind: str
-    lb: float
-    ub: float
-    name: str
-
-
-@dataclass
-class Constraint:
-    coeffs: dict      # var id -> coefficient
-    rel: str          # "<=", ">=", "="
-    rhs: float
-    name: str
+# a variable and a row of a model as its views read them from the arrays;
+# Constraint.coeffs maps var id to nonzero coefficient, read-only
+Var = namedtuple("Var", "id kind lb ub name")
+Constraint = namedtuple("Constraint", "coeffs rel rhs name")
 
 
 @dataclass
@@ -80,23 +63,56 @@ class Solution:
     status: str       # optimal | infeasible | bound_reached
     values: dict
     objective: float
-    # the start of a re-solve: the root LP's Tableau, the Tableau of
-    # each kept branch-and-bound node and the Proof of each kept
-    # infeasible child, both by branching path from the root, a tuple of
-    # (var, side, floor) with side 0 for var <= floor and 1 for
-    # var >= floor + 1
+    # the start of a re-solve: the root Tableau, and by branching path, a
+    # tuple of (var, side, floor) with side 0 for var <= floor and 1 for
+    # var >= floor + 1, kept node Tableaux and infeasible children's Proofs
     root: object = field(default=None, compare=False, repr=False)
     nodes: dict = field(default=None, compare=False, repr=False)
     proofs: dict = field(default=None, compare=False, repr=False)
 
 
+class _View(Sequence):
+    """A model's variables or rows, read-only, each read when indexed."""
+
+    def __init__(self, names, item):
+        self._names, self._item = names, item
+
+    def __len__(self):
+        return len(self._names)
+
+    def __getitem__(self, i):
+        return self._item(range(len(self))[i])
+
+
+def _array(slot):
+    return property(lambda m: getattr(m._fold(), slot))
+
+
+def _replaced(a, idx, values):
+    """A new read-only array: a with a[idx] = values."""
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite right-hand side or bound")
+    a = a.copy()
+    a[idx] = values
+    a.flags.writeable = False
+    return a
+
+
 class MilpModel:
+    """A MILP that owns its arrays (see the module docstring)."""
+
+    c, A, rel, b, lb, ub, integer = map(_array, (
+        "_c", "_A", "_rel", "_b", "_lb", "_ub", "_integer"))
+
     def __init__(self):
-        self.vars = []
-        self.constraints = []
-        self.obj = {}
-        self.obj_const = 0.0
-        self.sense = "min"
+        self.sense, self.obj_const = "min", 0.0
+        self._kinds, self._names, self._row_names = [], [], []
+        self._c = self._b = self._lb = self._ub = np.zeros(0)
+        self._A, self._rel = np.zeros((0, 0)), np.zeros(0, "U2")
+        self._integer = np.zeros(0, bool)
+        self._obj_vars = []     # the objective's variables, in given order
+        # what was appended since the last fold
+        self._new_vars, self._new_rows, self._new_obj = [], [], None
 
     def add_var(self, kind=CONTINUOUS, lb=None, ub=None, name=None):
         if kind == BINARY:
@@ -107,59 +123,118 @@ class MilpModel:
             raise ValueError("variable bounds must not be NaN")
         if kind == INTEGER and not (math.isfinite(lb) and math.isfinite(ub)):
             raise ValueError("integer variables need finite bounds")
-        if lb == -math.inf:
-            lb = -FREE_BOUND
-        if ub == math.inf:
-            ub = FREE_BOUND
+        lb = -FREE_BOUND if lb == -math.inf else lb
+        ub = FREE_BOUND if ub == math.inf else ub
         if lb > ub:
             raise ValueError(f"empty domain [{lb}, {ub}]")
-        vid = len(self.vars)
-        self.vars.append(Var(vid, kind, lb, ub, name or f"v{vid}"))
-        return vid
+        self._kinds.append(kind)
+        self._names.append(name or f"v{len(self._names)}")
+        self._new_vars.append((lb, ub))
+        return len(self._names) - 1
 
     def add_constr(self, coeffs, rel, rhs, name=None):
+        """Append a row; returns its index."""
         if rel not in ("<=", ">=", "="):
             raise ValueError(f"unknown relation {rel!r}")
         for v in coeffs:
-            if not (0 <= v < len(self.vars)):
+            if not (0 <= v < len(self._names)):
                 raise ValueError(f"unknown variable {v}")
             if not math.isfinite(coeffs[v]):
                 raise ValueError("non-finite coefficient")
         if not math.isfinite(rhs):
             raise ValueError("non-finite right-hand side")
-        self.constraints.append(
-            Constraint(dict(coeffs), rel, float(rhs),
-                       name or f"c{len(self.constraints)}"))
+        self._row_names.append(name or f"c{len(self._row_names)}")
+        self._new_rows.append((dict(coeffs), rel, float(rhs)))
+        return len(self._row_names) - 1
 
     def set_objective(self, coeffs, sense="min", const=0.0):
         if sense not in ("min", "max"):
             raise ValueError(f"unknown objective sense {sense!r}")
         if not all(map(math.isfinite, (const, *coeffs.values()))):
             raise ValueError("non-finite objective coefficient")
-        self.obj = dict(coeffs)
+        self._new_obj = dict(coeffs)
         self.obj_const = float(const)
         self.sense = sense
+
+    def _fold(self):
+        new_vars, new_rows, new_obj = self._new_vars, self._new_rows, \
+            self._new_obj
+        if not (new_vars or new_rows or new_obj is not None):
+            return self
+        n, n0, m0 = len(self._names), len(self._lb), len(self._b)
+        A = np.zeros((len(self._row_names), n))
+        A[:m0, :n0] = self._A
+        for i, (coeffs, _, _) in enumerate(new_rows, m0):
+            A[i, list(coeffs)] = list(coeffs.values())
+        c = np.zeros(n)
+        if new_obj is None:
+            c[:n0] = self._c
+        else:
+            self._obj_vars = list(new_obj)
+            c[self._obj_vars] = list(new_obj.values())
+            c = -c if self.sense == "max" else c
+        lb, ub = zip(*new_vars) if new_vars else ((), ())
+        _, rel, b = zip(*new_rows) if new_rows else ((), (), ())
+        self._A, self._c = A, c
+        self._rel = np.concatenate([self._rel, np.array(rel, "U2")])
+        self._b = np.concatenate([self._b, b])
+        self._lb = np.concatenate([self._lb, lb])
+        self._ub = np.concatenate([self._ub, ub])
+        self._integer = np.array([k != CONTINUOUS for k in self._kinds], bool)
+        for a in (A, c, self._rel, self._b, self._lb, self._ub, self._integer):
+            a.flags.writeable = False
+        self._new_vars, self._new_rows, self._new_obj = [], [], None
+        return self
+
+    # the setters replace b, lb and ub, for kept Tableaux and Proofs hold
+    # the arrays of the LP they solved
+
+    def set_rhs(self, rows, values):
+        self._b = _replaced(self.b, rows, values)
+
+    def set_bounds(self, vars, lb, ub):
+        self._lb, self._ub = (_replaced(self.lb, vars, lb),
+                              _replaced(self.ub, vars, ub))
+
+    @property
+    def vars(self):
+        return _View(self._names, lambda i: Var(
+            i, self._kinds[i], float(self.lb[i]), float(self.ub[i]),
+            self._names[i]))
+
+    @property
+    def constraints(self):
+        def row(i):
+            js = self.A[i].nonzero()[0].tolist()
+            return Constraint(MappingProxyType(dict(zip(
+                js, self.A[i, js].tolist()))), str(self.rel[i]),
+                float(self.b[i]), self._row_names[i])
+        return _View(self._row_names, row)
+
+    @property
+    def obj(self):
+        """The objective's coefficients, read-only, in the order given."""
+        c = self.c[self._obj_vars]
+        return MappingProxyType(dict(zip(
+            self._obj_vars, (-c if self.sense == "max" else c).tolist())))
 
     # -- audit -------------------------------------------------------------
 
     def violated(self, values, eps=FEAS_EPS):
-        """Names of constraints (or variable bounds) broken by values."""
+        """Names of constraints (or variable bounds) broken by values: per
+        variable its bound, then its integrality, then the rows."""
+        x = np.array([values[v] for v in range(len(self._names))], float)
+        self._fold()
+        bound = (x < self._lb - eps) | (x > self._ub + eps)
+        frac = self._integer & (np.abs(x - np.round(x)) > eps)
         bad = []
-        for v in self.vars:
-            x = values[v.id]
-            if x < v.lb - eps or x > v.ub + eps:
-                bad.append(f"bound:{v.name}")
-            if v.kind != CONTINUOUS and abs(x - round(x)) > eps:
-                bad.append(f"integrality:{v.name}")
-        for c in self.constraints:
-            lhs = sum(a * values[v] for v, a in c.coeffs.items())
-            if c.rel == "<=" and lhs > c.rhs + eps:
-                bad.append(c.name)
-            elif c.rel == ">=" and lhs < c.rhs - eps:
-                bad.append(c.name)
-            elif c.rel == "=" and abs(lhs - c.rhs) > eps:
-                bad.append(c.name)
-        return bad
+        for v in (bound | frac).nonzero()[0].tolist():
+            bad += [f"{kind}:{self._names[v]}" for kind, hit in
+                    (("bound", bound[v]), ("integrality", frac[v])) if hit]
+        lhs, b, rel = self._A @ x, self._b, self._rel
+        rows = np.where(rel == "<=", lhs > b + eps, np.where(
+            rel == ">=", lhs < b - eps, np.abs(lhs - b) > eps))
+        return bad + [self._row_names[i] for i in rows.nonzero()[0].tolist()]
 
     def objective_value(self, values):
         return self.obj_const + sum(a * values[v] for v, a in self.obj.items())
@@ -167,18 +242,13 @@ class MilpModel:
 
 # -- LP kernel ---------------------------------------------------------------
 #
-# The tableau is stored transposed: cols[j] is tableau column j, cols[-1]
-# the right-hand side and cols[:, -1] the cost row.  A pivot divides the
-# pivot row and then updates only the columns where it is nonzero, each
-# with the product-then-difference of the row-major update.  The entries
-# this skips are exactly those from which the row-major update would
-# subtract a signed zero, so at most the sign of a zero differs.  No zero
-# sign reaches a decision: pivot choices compare against +-PIVOT_EPS and
-# nonzero() ignores -0.0.  Nor a result: x = y + lb turns -0.0 into 0.0
-# unless lb is -0.0 itself, and likewise for the objective sum.
-#
-# Columns are updated independently of each other, so the columns kept
-# for warm starts (an equality row's artificial) change no other entry.
+# cols[j] is tableau column j, cols[-1] the right-hand side and cols[:, -1]
+# the cost row.  A pivot updates only the columns where the pivot row is
+# nonzero, with the row-major update's product-then-difference; the
+# skipped entries would have lost a signed zero, whose sign reaches no
+# decision (pivots compare against +-PIVOT_EPS, nonzero() ignores -0.0)
+# nor result (x = y + lb turns -0.0 into 0.0).  Columns update
+# independently, so a column kept for warm starts changes no other.
 
 def _pivot(cols, basis, row, col):
     prow = cols[:, row]
@@ -243,20 +313,14 @@ def _dual_simplex(cols, basis, n_enter):
 
 @dataclass
 class Tableau:
-    """The final tableau of an optimal LP, kept so that the LP can be
-    re-solved after its right-hand sides or bounds change.
-
-    A basic column is exactly the unit vector of its row (a pivot divides
-    the entry to 1.0 and subtracts the column from itself elsewhere), so
-    only the nonbasic columns are stored, in packed, and the right-hand
-    side apart from them, in rhs.  packed is read-only: a re-solve that
-    makes no pivot moves only rhs, and its Tableau shares packed,
-    nonbasic and basis with its start.
-
-    Row i of the starting tableau held a unit column, its slack (or, for
-    an equality row, its artificial), now column unit[i]; times scale[i]
-    it is the column of B^-1 for row i in its original orientation.
-    """
+    """The final tableau of an optimal LP, kept for a re-solve after its
+    right-hand sides or bounds change.  A basic column is exactly the
+    unit vector of its row, so only the nonbasic columns are stored, in
+    packed (read-only), and the right-hand side in rhs; a re-solve with
+    no pivot shares packed, nonbasic, basis and slot with its start.
+    Row i of the starting tableau held a unit column (slack, or an
+    equality row's artificial), now column unit[i]; times scale[i] it is
+    the column of B^-1 for row i in its original orientation."""
     packed: np.ndarray       # None when an artificial column stayed basic
     nonbasic: np.ndarray
     basis: list
@@ -270,6 +334,9 @@ class Tableau:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    # a nonbasic column's index in packed, -1 - r for the basic column of
+    # row r; made by the first columns() call, shared while the basis is
+    slot: np.ndarray = field(default=None, repr=False)
 
     @property
     def warm(self):
@@ -279,20 +346,20 @@ class Tableau:
 
     def same_lp(self, c, A, rel):
         """Whether a re-solve may start here: b, lb and ub may differ,
-        since _dual_resolve moves right-hand sides and bounds alike."""
-        return all(np.array_equal(u, v) for u, v in
+        since _dual_resolve moves right-hand sides and bounds alike.  The
+        arrays of the model solved last are the very objects kept here."""
+        return all(u is v or np.array_equal(u, v) for u, v in
                    ((self.c, c), (self.A, A), (self.rel, rel)))
 
     def columns(self, js):
         """Tableau columns js, as unpacked() holds them, without
         unpacking."""
         m = len(self.basis)
-        # a nonbasic column's index in packed; -1 - r for the basic
-        # column of row r
-        slot = np.empty(len(self.nonbasic) + m, int)
-        slot[self.nonbasic] = np.arange(len(self.nonbasic))
-        slot[self.basis] = -1 - np.arange(m)
-        slot = slot[js]
+        if self.slot is None:
+            self.slot = np.empty(len(self.nonbasic) + m, int)
+            self.slot[self.nonbasic] = np.arange(len(self.nonbasic))
+            self.slot[self.basis] = -1 - np.arange(m)
+        slot = self.slot[js]
         out = np.zeros((len(js), m + 1))
         packed = slot >= 0
         out[packed] = self.packed[slot[packed]]
@@ -312,17 +379,12 @@ class Tableau:
 
 @dataclass
 class Proof:
-    """The row that proved an LP infeasible, kept so that the LP can be
-    proved infeasible again after its right-hand sides or bounds change.
-
-    row is the leaving row of dual simplex, transposed-tableau row
-    cols[:, leave]: its right-hand side row[-1] is below -DUAL_EPS and
-    no column that may enter has an entry below -PIVOT_EPS, so no
-    nonnegative values of those columns meet it.  Moving b, lb and ub
-    moves only row[-1], as it moves a Tableau's rhs; while that stays
-    below -DUAL_EPS, the row proves the moved LP infeasible too.
-
-    unit, scale, b, lb and ub are those of the Tableau of the LP."""
+    """The leaving row cols[:, leave] that proved an LP infeasible in dual
+    simplex: row[-1] is below -DUAL_EPS and no column that may enter has
+    an entry below -PIVOT_EPS.  Moving b, lb and ub moves only row[-1],
+    as it moves a Tableau's rhs; while it stays below -DUAL_EPS, the row
+    proves the moved LP infeasible.  unit, scale, b, lb and ub are those
+    of the LP's Tableau."""
     row: np.ndarray
     unit: np.ndarray
     scale: np.ndarray
@@ -368,7 +430,8 @@ def _two_phase(c, A, rel, b, lb, ub):
     """(status, cols, basis, tab) of the LP solved from the
     slack/artificial basis; tab is the Tableau without its columns."""
     n = len(c)
-    rel = np.asarray(rel, "U2")
+    # a model's own rel is kept, so that its Tableau holds the same object
+    rel = rel if isinstance(rel, np.ndarray) else np.asarray(rel, "U2")
     # shift to y = x - lb >= 0, one np.dot per row: A @ lb rounds
     # differently, and the solver's values end up printed with repr
     shifted = b - np.array([np.dot(a, lb) for a in A], float)
@@ -437,18 +500,17 @@ def _two_phase(c, A, rel, b, lb, ub):
 
 def _dual_resolve(tab, A, b, lb, ub):
     """(status, result) of the LP of tab moved to b, lb and ub: the
-    Tableau of the optimal LP, or the Proof of the infeasible one.
-
-    The moved right-hand side is formed from tab's packed columns, which
-    leaves the tableau dual feasible.  If no basic value is below
-    -DUAL_EPS, the LP is optimal with no pivot, and its Tableau shares
-    tab's packed columns: nothing is copied but the right-hand side.
-    Only otherwise is the tableau unpacked, and dual simplex restores
-    primal feasibility or proves the LP infeasible."""
+    Tableau of the optimal LP, or the Proof of the infeasible one.  The
+    moved right-hand side is formed from tab's packed columns.  If no
+    basic value is below -DUAL_EPS, the LP is optimal with no pivot and
+    nothing is copied but the right-hand side; only otherwise is the
+    tableau unpacked for dual simplex."""
     js, weights = _shift(tab, A, b, lb, ub)
     # an elementwise sum, not a matrix product, keeps BLAS out
     rhs = tab.rhs + (tab.columns(js) * weights[:, None]).sum(axis=0)
-    moved = replace(tab, rhs=rhs, b=b, lb=lb, ub=ub)
+    moved = Tableau(tab.packed, tab.nonbasic, tab.basis, rhs, tab.n_real,
+                    tab.unit, tab.scale, tab.c, tab.A, tab.rel, b, lb, ub,
+                    tab.slot)
     if not (rhs[:-1] < -DUAL_EPS).any():
         return "optimal", moved
     cols, basis = moved.unpacked(), list(tab.basis)
@@ -463,15 +525,12 @@ def lp_solve(c, A, rel, b, lb, ub, start=None):
     """Minimize c.x subject to A x rel b (rel[i] in "<=", ">=", "=") and
     lb <= x <= ub.
 
-    Returns (status, x, objective, kept) with status in
-    {"optimal", "infeasible", "unbounded"}.  kept is the Tableau of an
-    optimal LP, the Proof of an LP that dual simplex proved infeasible,
-    else None.  Without start the LP is solved from the
-    slack/artificial basis by the two-phase method.  start is the warm
-    Tableau of an LP with the same c, A and rel, which is left as it is;
-    the LP is re-solved from it by dual simplex (_dual_resolve), and its
-    Tableau copies a tableau only when dual simplex pivots.
-    """
+    Returns (status, x, objective, kept) with status in {"optimal",
+    "infeasible", "unbounded"}; kept is the Tableau of an optimal LP, the
+    Proof of an LP that dual simplex proved infeasible, else None.
+    Without start the LP is solved by the two-phase method; start, the
+    warm Tableau of an LP with the same c, A and rel, is left as it is
+    and the LP re-solved from it by dual simplex (_dual_resolve)."""
     lb = np.asarray(lb, float)
     ub = np.asarray(ub, float)
     if np.any(ub - lb < -FEAS_EPS):
@@ -496,25 +555,6 @@ def lp_solve(c, A, rel, b, lb, ub, start=None):
 
 # -- branch and bound --------------------------------------------------------
 
-def _model_arrays(m):
-    """(c, A, rel, b, lb, ub) of the model, with c negated for "max"."""
-    n = len(m.vars)
-    c = np.zeros(n)
-    for v, a in m.obj.items():
-        c[v] = a
-    if m.sense == "max":
-        c = -c
-    A = np.zeros((len(m.constraints), n))
-    for i, ct in enumerate(m.constraints):
-        for v, coef in ct.coeffs.items():
-            A[i, v] = coef
-    rel = np.array([ct.rel for ct in m.constraints], "U2")
-    b = np.array([ct.rhs for ct in m.constraints], float)
-    lb = np.array([v.lb for v in m.vars])
-    ub = np.array([v.ub for v in m.vars])
-    return c, A, rel, b, lb, ub
-
-
 def _start(tab):
     """The start for a re-solve from tab, or None for a cold solve."""
     return tab if tab is not None and tab.warm else None
@@ -522,48 +562,29 @@ def _start(tab):
 
 def solve(m, max_nodes=100000, time_ms=120000, start=None):
     """Best-first branch-and-bound; deterministic for a fixed model and
-    start.
+    start.  Nodes leave the queue in order of their LP bound, so the first
+    integral node is optimal, and a node or time budget hit returns
+    "bound_reached" with no values.  A child node is re-solved by dual
+    simplex from its parent's tableau.
 
-    Nodes leave the queue in order of their LP bound, so the first node
-    with an integral solution is optimal and no incumbent is ever kept:
-    a node or time budget hit returns "bound_reached" with no values.
-
-    Without start, the root LP is solved by the two-phase method and
-    each child node is re-solved by dual simplex from its parent's
-    tableau.  start is an optimal Solution of a model that differs from
-    m only in right-hand sides and variable bounds.  It supplies the
-    root tableau, from which the root LP is re-solved by dual simplex,
-    its kept node tableaux (Solution.nodes), from which each child on a
-    branching path of start's tree is re-solved instead of from its
-    parent, and its kept proofs (Solution.proofs).  A child with a
-    proof whose row, moved to the child's right-hand sides and bounds,
-    still proves it infeasible is discarded with no LP; otherwise it is
-    re-solved as if it had no proof.  A tableau that cannot start a
-    re-solve (a basic artificial column) falls back to the two-phase
-    method at the root and to the parent at a child.  The node tableaux
-    and proofs are used up: solve takes them out of start, so a second
-    solve from the same start re-solves only its root from it.
-
-    An optimal Solution keeps, as a start for the next re-solve, its
-    root tableau, the tableaux of the first NODE_KEEP child nodes it
-    solved and the proofs of the first PROOF_KEEP children it found
-    infeasible by dual simplex or by a kept proof.  A child re-solved
-    with no pivot shares its tableau's columns with its start.
-
-    The root LP cannot be unbounded: add_var boxes every variable, a
-    missing bound becoming -FREE_BOUND or FREE_BOUND, so a root LP that
-    is not optimal is infeasible.
-    """
-    c, A, rel, b, lb0, ub0 = _model_arrays(m)
-    int_vars = [v.id for v in m.vars if v.kind != CONTINUOUS]
-    # path -> Tableau and path -> Proof of the start's tree; each is used
-    # once
+    start is an optimal Solution of a model with the same c, A and rel.
+    Its root tableau starts the root LP, its node tableaux
+    (Solution.nodes) the children on its tree's branching paths, and a
+    child whose kept proof (Solution.proofs) still holds at the child's
+    bounds is discarded with no LP; solve takes nodes and proofs out of
+    start.  A tableau with a basic artificial column falls back to the
+    two-phase method at the root and to the parent at a child.  An
+    optimal Solution keeps its root tableau and the first NODE_KEEP node
+    tableaux and PROOF_KEEP proofs as the next start.  The root LP cannot
+    be unbounded: add_var boxes every variable."""
+    c, A, rel, b, lb0, ub0 = m.c, m.A, m.rel, m.b, m.lb, m.ub
+    int_vars = m.integer.nonzero()[0].tolist()
+    # the start's node Tableaux and Proofs by path, each used once
     old, proved = {}, {}
     if start is not None:
         if start.root is None or not start.root.same_lp(c, A, rel):
-            raise ValueError("a start must be an optimal solution of the "
-                             "model with only right-hand sides and bounds "
-                             "changed")
+            raise ValueError("a start must be an optimal solution of the model"
+                             " with only right-hand sides and bounds changed")
         old, start.nodes = start.nodes or {}, None
         proved, start.proofs = start.proofs or {}, None
         start = _start(start.root)
@@ -574,32 +595,29 @@ def solve(m, max_nodes=100000, time_ms=120000, start=None):
     # a node's bounds are those of its Tableau
     heap = [(obj, 0, x, root, ())]
     kept, proofs = {}, {}
-    seq = 0
-    nodes = 0
+    seq = nodes = 0
     deadline = time.monotonic() + time_ms / 1000.0
     while heap:
         _, _, x, tab, path = heapq.heappop(heap)
         nodes += 1
         if nodes > max_nodes or time.monotonic() > deadline:
             return Solution("bound_reached", {}, float("nan"))
+        xs = x.tolist()
         frac_var, frac = -1, 0.0
         for v in int_vars:
-            f = abs(x[v] - round(x[v]))
+            f = abs(xs[v] - round(xs[v]))
             if f > FEAS_EPS and f > frac + 1e-12:
                 frac_var, frac = v, f
         if frac_var < 0:
-            values = {v.id: float(x[v.id]) for v in m.vars}
+            values = dict(enumerate(xs))
             for v in int_vars:
                 values[v] = float(round(values[v]))
             return Solution("optimal", values, m.objective_value(values),
                             root, kept, proofs)
-        lo = float(np.floor(x[frac_var]))
+        lo = float(math.floor(xs[frac_var]))
         for side in (0, 1):
             nlb, nub = tab.lb.copy(), tab.ub.copy()
-            if side == 0:
-                nub[frac_var] = lo
-            else:
-                nlb[frac_var] = lo + 1.0
+            (nlb if side else nub)[frac_var] = lo + side
             child = path + ((frac_var, side, lo),)
             proof = proved.pop(child, None)
             if proof is None or not proof.holds(A, b, nlb, nub):
@@ -620,47 +638,28 @@ def solve(m, max_nodes=100000, time_ms=120000, start=None):
 
 # -- LP-file export ----------------------------------------------------------
 
-def _lp_terms(coeffs, vars):
-    parts = []
-    for v in sorted(coeffs):
-        a = coeffs[v]
-        if a == 0:
-            continue
-        sign = "-" if a < 0 else "+"
-        mag = abs(a)
-        term = f"{mag:.12g} {vars[v].name}"
-        parts.append((sign, term))
-    if not parts:
-        return "0"
-    first_sign, first = parts[0]
-    text = (("- " if first_sign == "-" else "") + first)
-    for sign, term in parts[1:]:
-        text += f" {sign} {term}"
-    return text
+def _lp_terms(coeffs, names):
+    """The terms of (var, coefficient) pairs in var order."""
+    text = " ".join(f"{'-' if a < 0 else '+'} {abs(a):.12g} {names[v]}"
+                    for v, a in coeffs if a != 0)
+    return (text[2:] if text.startswith("+") else text) or "0"
 
 
 def export_lp(m):
-    """CPLEX-LP-format text for external solvers."""
-    out = []
-    out.append("Minimize" if m.sense == "min" else "Maximize")
-    out.append(f" obj: {_lp_terms(m.obj, m.vars)}")
-    out.append("Subject To")
-    for ct in m.constraints:
-        rel = {"<=": "<=", ">=": ">=", "=": "="}[ct.rel]
-        out.append(f" {ct.name}: {_lp_terms(ct.coeffs, m.vars)} {rel} "
-                   f"{ct.rhs:.12g}")
+    """CPLEX-LP-format text for external solvers, read from the arrays."""
+    names, kinds, A = m._names, m._kinds, m.A
+    out = ["Minimize" if m.sense == "min" else "Maximize",
+           f" obj: {_lp_terms(sorted(m.obj.items()), names)}", "Subject To"]
+    for i, (name, rel, rhs) in enumerate(zip(m._row_names, m.rel.tolist(),
+                                             m.b.tolist())):
+        js = A[i].nonzero()[0]
+        terms = _lp_terms(zip(js.tolist(), A[i, js].tolist()), names)
+        out.append(f" {name}: {terms} {rel} {rhs:.12g}")
     out.append("Bounds")
-    for v in m.vars:
-        if v.kind == BINARY:
-            continue
-        out.append(f" {v.lb:.12g} <= {v.name} <= {v.ub:.12g}")
-    bins = [v.name for v in m.vars if v.kind == BINARY]
-    if bins:
-        out.append("Binaries")
-        out.append(" " + " ".join(bins))
-    gens = [v.name for v in m.vars if v.kind == INTEGER]
-    if gens:
-        out.append("Generals")
-        out.append(" " + " ".join(gens))
-    out.append("End")
-    return "\n".join(out) + "\n"
+    out += [f" {lo:.12g} <= {name} <= {hi:.12g}" for name, kind, lo, hi
+            in zip(names, kinds, m.lb.tolist(), m.ub.tolist())
+            if kind != BINARY]
+    for head, kind in (("Binaries", BINARY), ("Generals", INTEGER)):
+        group = [name for name, k in zip(names, kinds) if k == kind]
+        out += [head, " " + " ".join(group)] if group else []
+    return "\n".join(out + ["End"]) + "\n"

@@ -26,8 +26,8 @@ The module writes its own big-M rows (the cdq indicators, the unit
 products, the legalization either-or) and registers each row and
 variable that reads the period where it makes it.  set_period moves a
 model of any kind to another period, and set_dth a cdq model to another
-d_th, in place, so that the solver can re-solve it warm from its last
-solution.  decode_solution converts back to absolute time.
+d_th, by the model's setters, so that the solver can re-solve it warm
+from its last solution.  decode_solution converts back to absolute time.
 
 The arrival variable s of a gate denotes the latest arrival at the gate
 output after its own pad/unit, before the anchor shifts of the outgoing
@@ -84,16 +84,16 @@ def _matrix_knobs(cfg):
 
 def _period_var(arts, bounds, name):
     """A continuous variable whose bounds(cfg) read the period."""
-    arts.period_vars.append((len(arts.model.vars), bounds))
-    return arts.model.add_var(CONTINUOUS, *bounds(arts.cfg), name=name)
+    v = arts.model.add_var(CONTINUOUS, *bounds(arts.cfg), name=name)
+    arts.period_vars.append((v, bounds))
+    return v
 
 
 def _period_constr(arts, coeffs, rel, rhs, name=None):
     """A row whose right-hand side rhs(cfg) reads the period; returns
     its index."""
-    row = len(arts.model.constraints)
+    row = arts.model.add_constr(coeffs, rel, rhs(arts.cfg), name=name)
     arts.period_rows.append((row, rhs))
-    arts.model.add_constr(coeffs, rel, rhs(arts.cfg), name=name)
     return row
 
 
@@ -251,9 +251,7 @@ def set_dth(arts, d_th):
     if not math.isfinite(d_th):
         raise ValueError("d_th must be finite")
     arts.d_th = d_th
-    rhs = _dth_rhs(arts, arts.cfg)
-    for i in arts.dth_rows:
-        arts.model.constraints[i].rhs = rhs
+    arts.model.set_rhs(arts.dth_rows, _dth_rhs(arts, arts.cfg))
 
 
 def _dth_rhs(arts, cfg):
@@ -273,11 +271,11 @@ def set_period(arts, graph, cfg):
                          "alpha, beta, gamma, and big_M and phases as "
                          "fractions of T")
     arts.cfg = cfg
-    for v, bounds in arts.period_vars:
-        var = arts.model.vars[v]
-        var.lb, var.ub = map(float, bounds(cfg))
-    for i, rhs in arts.period_rows:
-        arts.model.constraints[i].rhs = float(rhs(cfg))
+    box = [bounds(cfg) for _, bounds in arts.period_vars]
+    arts.model.set_bounds([v for v, _ in arts.period_vars],
+                          [lb for lb, _ in box], [ub for _, ub in box])
+    arts.model.set_rhs([i for i, _ in arts.period_rows],
+                       [rhs(cfg) for _, rhs in arts.period_rows])
 
 
 def _unit_product(arts, x, pad, name):
@@ -427,9 +425,10 @@ def decode_solution(arts, sol):
         raise ValueError(f"cannot decode a {sol.status} solution")
     g, cfg = arts.graph, arts.cfg
     vals = sol.values
-    for vid, var in enumerate(arts.model.vars):
-        if var.kind != CONTINUOUS and abs(vals[vid] - round(vals[vid])) > 1e-5:
-            raise AssertionError(f"fractional integer value for {var.name}")
+    for vid in arts.model.integer.nonzero()[0].tolist():
+        if abs(vals[vid] - round(vals[vid])) > 1e-5:
+            raise AssertionError("fractional integer value for "
+                                 f"{arts.model.vars[vid].name}")
 
     def time(v):
         return vals[v] * cfg.T

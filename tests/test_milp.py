@@ -62,6 +62,12 @@ def enumeration_oracle(m):
     return best
 
 
+def model_arrays(m):
+    """(c, A, rel, b, lb, ub) of a model: what milp.solve passes to
+    lp_solve for the root LP."""
+    return m.c, m.A, m.rel, m.b, m.lb, m.ub
+
+
 def random_model(rng, max_bin=8, max_cont=6):
     m = MilpModel()
     nb = rng.randint(0, max_bin)
@@ -284,7 +290,7 @@ def test_kept_tableau_unpacks_bit_for_bit(monkeypatch):
     rng = random.Random(5)
     kept = shared = 0
     for _ in range(100):
-        c, A, rel, b, lb, ub = milp._model_arrays(random_model(rng))
+        c, A, rel, b, lb, ub = model_arrays(random_model(rng))
         status, cols, basis, tab = milp._two_phase(c, A, rel, b, lb, ub)
         if status != "optimal":
             continue
@@ -338,7 +344,7 @@ def test_lp_kernel_vs_scipy_random():
     rng = random.Random(21)
     for _ in range(100):
         m = random_model(rng)
-        st, x, obj, _ = milp.lp_solve(*milp._model_arrays(m))
+        st, x, obj, _ = milp.lp_solve(*model_arrays(m))
         oracle = scipy_lp(m, fixed=None)
         # make both pure relaxations: scipy_lp ignores integrality too
         if oracle is None:
@@ -448,12 +454,11 @@ def test_solver_matches_enumeration_oracle():
             assert m.violated(sol.values) == []
 
 
-def knapsack(capacity):
+def knapsack(capacity, weights=(3.0, 4.0, 5.0, 2.5), rel="<="):
     m = MilpModel()
     xs = [m.add_var(BINARY) for _ in range(4)]
     v = m.add_var(CONTINUOUS, lb=0, ub=3)
-    m.add_constr({**dict(zip(xs, (3.0, 4.0, 5.0, 2.5))), v: 1.0}, "<=",
-                 capacity)
+    m.add_constr({**dict(zip(xs, weights)), v: 1.0}, rel, capacity)
     m.set_objective({**dict(zip(xs, (4.0, 5.0, 7.0, 3.0))), v: 0.7},
                     "max")
     return m
@@ -496,7 +501,7 @@ def test_solve_from_start_matches_a_cold_solve(monkeypatch):
     sol = milp.solve(m)
     starts = node_starts(monkeypatch)
     for capacity in (9.5, 6.0, 12.0, 2.0, 0.5, 30.0):
-        m.constraints[0].rhs = capacity
+        m.set_rhs([0], [capacity])
         warm = milp.solve(m, start=sol)
         cold = milp.solve(knapsack(capacity))
         assert warm.status == "optimal"
@@ -541,10 +546,11 @@ def test_solve_with_unchanged_data_pivots_at_no_node(monkeypatch):
 def move_bound(rng, m):
     v = m.vars[rng.randrange(len(m.vars))]
     if v.kind == BINARY:
-        v.lb = v.ub = float(rng.randint(0, 1))
+        lb = ub = float(rng.randint(0, 1))
     else:
-        v.lb += rng.uniform(-2.0, 2.0)
-        v.ub = max(v.lb, v.ub + rng.uniform(-2.0, 2.0))
+        lb = v.lb + rng.uniform(-2.0, 2.0)
+        ub = max(lb, v.ub + rng.uniform(-2.0, 2.0))
+    m.set_bounds([v.id], [lb], [ub])
 
 
 def two_row_knapsack(rng):
@@ -562,8 +568,8 @@ def two_row_knapsack(rng):
 
 
 def move_capacity(rng, m):
-    m.constraints[rng.randrange(len(m.constraints))].rhs += \
-        rng.uniform(-2.0, 2.0)
+    row = rng.randrange(len(m.constraints))
+    m.set_rhs([row], [m.b[row] + rng.uniform(-2.0, 2.0)])
 
 
 def test_solves_from_moved_starts_match_cold_solves(monkeypatch):
@@ -636,7 +642,7 @@ def test_large_tree_keeps_node_keep_tableaux(monkeypatch):
     assert len(sol.proofs) == milp.PROOF_KEEP
     starts = node_starts(monkeypatch)
     for capacity in (30.75, 31.0, 30.25):
-        m.constraints[0].rhs = capacity
+        m.set_rhs([0], [capacity])
         warm = milp.solve(m, start=sol)
         assert_matches_cold(warm, milp.solve(wide_knapsack(capacity)), m)
         assert len(warm.nodes) <= milp.NODE_KEEP
@@ -653,16 +659,45 @@ def test_solutions_compare_and_print_without_tableaux():
     assert "array" not in repr(a) and "Tableau" not in repr(a)
 
 
+def objective_moved(m):
+    m.set_objective({0: 1.0}, "max")
+    return m
+
+
 @pytest.mark.parametrize("change", [
-    lambda m: m.constraints[0].coeffs.update({0: 2.0}),
-    lambda m: m.set_objective({0: 1.0}, "max"),
-    lambda m: m.constraints.__setitem__(0, milp.Constraint(
-        m.constraints[0].coeffs, ">=", 7.0, "c0")),
+    lambda m: knapsack(7.0, weights=(2.0, 4.0, 5.0, 2.5)),
+    objective_moved,
+    lambda m: knapsack(7.0, rel=">="),
 ], ids=["A", "c", "rel"])
 def test_solve_start_of_another_model_raises(change):
+    """A start is refused by a model whose matrix, objective or relations
+    differ: the same model with a new objective, or a model built with a
+    changed coefficient or relation."""
     m = knapsack(7.0)
     sol = milp.solve(m)
-    change(m)
+    m = change(m)
+    with pytest.raises(ValueError, match="start"):
+        milp.solve(m, start=sol)
+
+
+def test_appends_after_a_solve_fold_into_new_arrays():
+    """A variable and a row appended after a solve give the model new
+    arrays, equal to those of the model built in one go; the kept root
+    keeps the old ones and refuses to start the grown model."""
+    def grow(m):
+        y = m.add_var(CONTINUOUS, lb=0, ub=1)
+        m.add_constr({0: 1.0, y: 1.0}, "<=", 1.5)
+        return m
+    m = knapsack(7.0)
+    sol = milp.solve(m)
+    A = m.A
+    grow(m)
+    want = grow(knapsack(7.0))
+    for a, b in zip(model_arrays(m) + (m.integer,),
+                    model_arrays(want) + (want.integer,)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert sol.root.A is A and A.shape == (1, 5) and m.A.shape == (2, 6)
+    assert milp.export_lp(m) == milp.export_lp(want)
     with pytest.raises(ValueError, match="start"):
         milp.solve(m, start=sol)
 
@@ -727,6 +762,56 @@ def test_repeated_equality_row_keeps_branching_cold(monkeypatch):
     assert len(calls) > 1
     assert not any(warm for _, _, warm, _ in calls)
     assert milp.solve(m).objective == pytest.approx(enumeration_oracle(m))
+
+
+def violated_row_by_row(m, values, eps=milp.FEAS_EPS):
+    """The audit as a loop over the model's views, variable by variable
+    and row by row: the oracle of MilpModel.violated."""
+    bad = []
+    for v in m.vars:
+        x = values[v.id]
+        if x < v.lb - eps or x > v.ub + eps:
+            bad.append(f"bound:{v.name}")
+        if v.kind != CONTINUOUS and abs(x - round(x)) > eps:
+            bad.append(f"integrality:{v.name}")
+    for c in m.constraints:
+        lhs = sum(a * values[v] for v, a in c.coeffs.items())
+        if c.rel == "<=" and lhs > c.rhs + eps:
+            bad.append(c.name)
+        elif c.rel == ">=" and lhs < c.rhs - eps:
+            bad.append(c.name)
+        elif c.rel == "=" and abs(lhs - c.rhs) > eps:
+            bad.append(c.name)
+    return bad
+
+
+def test_vector_audit_matches_the_row_by_row_audit():
+    """On random models, with values moved off their solution by amounts
+    that break bounds, integrality and rows, some only at FEAS_EPS / T,
+    the vector audit names what the loop names, in the same order."""
+    rng = random.Random(12)
+    T = 8.5
+    seen = {"bound": 0, "integrality": 0, "row": 0, "only_at_eps_by_T": 0}
+    for _ in range(300):
+        m = random_model(rng)
+        if rng.random() < 0.3:
+            m.add_constr({0: 1.0}, "=", m.vars[0].lb)
+        sol = milp.solve(m)
+        values = dict(sol.values) if sol.status == "optimal" else \
+            {v.id: rng.uniform(v.lb, v.ub) for v in m.vars}
+        n = len(m.vars)
+        for v in rng.sample(range(n), rng.randint(0, min(3, n))):
+            values[v] += rng.choice([-1, 1]) * rng.choice(
+                [0.0, 3e-7, 0.4, 2.5])
+        for eps in (milp.FEAS_EPS, milp.FEAS_EPS / T):
+            want = violated_row_by_row(m, values, eps)
+            assert m.violated(values, eps) == want
+            for name in want:
+                kind = name.split(":")[0]
+                seen[kind if kind in seen else "row"] += 1
+        seen["only_at_eps_by_T"] += \
+            m.violated(values) != m.violated(values, milp.FEAS_EPS / T)
+    assert all(n > 10 for n in seen.values()), seen
 
 
 def test_solution_audit_catches_small_big_M():

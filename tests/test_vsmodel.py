@@ -192,11 +192,16 @@ MODEL_KINDS = {
 }
 
 
+def model_arrays(m):
+    """The arrays a model owns, which are all that milp.solve reads."""
+    return m.c, m.A, m.rel, m.b, m.lb, m.ub, m.integer
+
+
 def assert_same_model(got, want, label):
-    """Bit for bit: the solver's arrays and the LP text."""
+    """Bit for bit: the model's arrays and the LP text."""
     import numpy as np
-    for a, b in zip(milp._model_arrays(got), milp._model_arrays(want)):
-        assert np.array_equal(a, b), label
+    for a, b in zip(model_arrays(got), model_arrays(want)):
+        assert a.dtype == b.dtype and np.array_equal(a, b), label
     assert milp.export_lp(got) == milp.export_lp(want), label
 
 
@@ -405,7 +410,8 @@ def test_legalization_structure_arrival_rows():
 
 def highs(model):
     """(status, objective) of a MilpModel solved by scipy's HiGHS, with
-    the arrays built here rather than by milp._model_arrays."""
+    the arrays built here from the model's views rather than read from
+    its own arrays."""
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint
     from scipy.optimize import milp as scipy_milp
@@ -489,10 +495,141 @@ def test_siteless_stage_models_are_the_relaxed_model():
     import numpy as np
     for name, c in stage_corpus():
         g, cfg = to_gate_graph(c), Config(T=c.T)
-        want = milp._model_arrays(vsmodel.build_relaxed_model(g, cfg).model)
+        want = model_arrays(vsmodel.build_relaxed_model(g, cfg).model)
         for arts in (vsmodel.build_cdq_model(g, cfg, set(), 7 * cfg.T / 8),
                      vsmodel.build_cdq_model(g, cfg, set(), 0.0),
                      vsmodel.build_legalization_model(g, cfg, set())):
-            got = milp._model_arrays(arts.model)
+            got = model_arrays(arts.model)
             for a, b in zip(want, got):
                 assert np.array_equal(a, b), name
+
+
+def test_root_tableau_holds_the_models_own_arrays(monkeypatch):
+    """The root Tableau of a solve keeps the very arrays of the model, so
+    that a re-solve of the model moved by its setters finds the same c, A
+    and rel by identity, with no array comparison."""
+    import numpy as np
+    c, g = deep_chain_graph()
+    arts = vsmodel.build_cdq_model(g, Config(T=c.T), {"g1", "g4"},
+                                   7 * c.T / 8)
+    m = arts.model
+    sol = milp.solve(m)
+    assert sol.status == "optimal"
+    for name in ("c", "A", "rel", "b", "lb", "ub"):
+        assert getattr(sol.root, name) is getattr(m, name), name
+    vsmodel.set_period(arts, g, arts.cfg.with_period(0.995 * c.T))
+    assert sol.root.b is not m.b and sol.root.c is m.c
+
+    def refuse(*args):
+        raise AssertionError("same_lp compared equal arrays")
+    monkeypatch.setattr(np, "array_equal", refuse)
+    assert milp.solve(m, start=sol).status == "optimal"
+
+
+def kept_arrays(sol):
+    """(kept object, name, array, copy) of the b, lb and ub of the root
+    Tableau, node Tableaux and Proofs that sol keeps."""
+    kept = [sol.root, *sol.nodes.values(), *sol.proofs.values()]
+    return [(k, name, getattr(k, name), getattr(k, name).copy())
+            for k in kept for name in ("b", "lb", "ub")]
+
+
+def assert_kept_unchanged(arrays):
+    import numpy as np
+    for k, name, a, copy in arrays:
+        assert getattr(k, name) is a and np.array_equal(a, copy), name
+
+
+def test_setters_leave_the_kept_tableaux_and_proofs_as_they_are():
+    """set_period, set_dth and a direct setter call each give the model
+    new b, lb and ub arrays: the kept root Tableau, node Tableaux and
+    Proofs of its last solution keep theirs, bit for bit, and a re-solve
+    from them matches a cold solve of the moved model."""
+    c, g = deep_chain_graph()
+    cfg = Config(T=c.T)
+    sites = set(sorted(g.gates)[:3])
+    arts = vsmodel.build_cdq_model(g, cfg, sites, 7 * cfg.T / 8)
+    m = arts.model
+    sol = milp.solve(m)
+    row, d = arts.dth_rows[0], arts.d["g1"]
+    moves = [lambda: vsmodel.set_period(arts, g, cfg.with_period(0.995 * c.T)),
+             lambda: vsmodel.set_dth(arts, 3 * cfg.T / 4),
+             lambda: m.set_rhs([row], [m.b[row] - 0.01]),
+             lambda: m.set_bounds([d], [m.lb[d]], [m.lb[d]])]
+    for move in moves:
+        assert sol.status == "optimal" and sol.nodes and sol.proofs
+        arrays = kept_arrays(sol)
+        moved = m.b, m.lb, m.ub
+        move()
+        assert any(a is not b for a, b in zip(moved, (m.b, m.lb, m.ub)))
+        assert_kept_unchanged(arrays)
+        warm = milp.solve(m, start=sol)
+        cold = milp.solve(m)
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert m.violated(warm.values) == []
+        assert_kept_unchanged(arrays)
+        sol = warm
+
+
+def test_model_views_are_read_only(fig_chain):
+    """The views are read from the arrays, so a write to them raises
+    rather than silently moving nothing; so does a write to an array."""
+    import numpy as np
+    m = vsmodel.build_relaxed_model(to_gate_graph(fig_chain),
+                                    Config(T=10.0)).model
+    writes = [lambda: setattr(m.vars[0], "lb", 0.0),
+              lambda: setattr(m.constraints[0], "rhs", 0.0),
+              lambda: m.constraints[0].coeffs.update({0: 1.0}),
+              lambda: m.obj.update({0: 1.0}),
+              lambda: m.constraints.__setitem__(0, m.constraints[1]),
+              lambda: setattr(m, "b", np.zeros(len(m.b))),
+              lambda: m.b.__setitem__(0, 0.0),
+              lambda: m.lb.__setitem__(0, 0.0)]
+    before = milp.export_lp(m)
+    for write in writes:
+        with pytest.raises((AttributeError, TypeError, ValueError)):
+            write()
+    assert milp.export_lp(m) == before
+
+
+def test_decode_names_the_first_fractional_integer_variable(fig_c):
+    """decode_solution checks integrality on the model's integer mask and
+    names the first fractional integer variable; a fractional continuous
+    value passes."""
+    arts = vsmodel.build_cdq_model(to_gate_graph(fig_c), exact_cfg(9.0),
+                                   {"g3", "g5"}, 1.0)
+    sol = milp.solve(arts.model)
+    assert sol.status == "optimal"
+    values = dict(sol.values)
+    values[arts.d["g1"]] += 0.25
+    vsmodel.decode_solution(arts, milp.Solution("optimal", values, 0.0))
+    values[arts.x["g5"]] = values[arts.x["g3"]] = 0.5
+    with pytest.raises(AssertionError,
+                       match="fractional integer value for x_g3$"):
+        vsmodel.decode_solution(arts, milp.Solution("optimal", values, 0.0))
+
+
+def test_bench_reads_each_golden_model_through_the_views(monkeypatch):
+    """The benchmark reads models only through their views: the sizes
+    (len of vars and constraints) and checks.highs_objective, on the
+    stage-1 model of each golden at its bench start period.  Those reads
+    must keep working and agree with milp.solve."""
+    import pathlib
+    from wavetime import netlist
+    bench = pathlib.Path(__file__).parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    import checks
+    import designs
+    data = pathlib.Path(__file__).parent / "data"
+    for name, start in designs.GOLDEN_STARTS.items():
+        c = netlist.parse_netlist((data / f"{name}.net").read_text())
+        cfg = Config(T=start)
+        model = vsmodel.build_relaxed_model(to_gate_graph(c), cfg).model
+        assert len(model.vars) == len(model.lb) > 0, name
+        assert len(model.constraints) == len(model.b) > 0, name
+        ours = milp.solve(model, max_nodes=cfg.milp_nodes,
+                          time_ms=cfg.milp_time_ms)
+        theirs, message = checks.highs_objective(model)
+        assert ours.status == "optimal", name
+        assert checks.check_highs(ours.objective, theirs, message) == [], name
