@@ -17,7 +17,9 @@ are modeled as boundary flip-flops sharing the circuit's FlipFlopParams.
 
 import heapq
 import math
+import weakref
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 
 class NetlistError(ValueError):
@@ -169,6 +171,11 @@ class FlipFlop:
 
 @dataclass
 class Circuit:
+    """A gate-level netlist.  A Circuit is not mutated after validate: its
+    gate order and reader map are computed once, on first use, and
+    to_gate_graph hands every caller the same graph while one of them
+    holds it.  The lists these return are shared and must not be
+    mutated either."""
     name: str
     T: float
     duty: float
@@ -180,6 +187,10 @@ class Circuit:
 
     def readers(self):
         """Map driver name -> list of (reader name, input pin index)."""
+        return self._readers
+
+    @cached_property
+    def _readers(self):
         out = {}
         for g in self.gates.values():
             for i, src in enumerate(g.inputs):
@@ -216,6 +227,10 @@ class Circuit:
         smallest ready name first.  Raises NetlistError on a loop of
         gates, or of removable flip-flops with no gate on it (collapsing
         such a loop into edge weights would never end)."""
+        return self._gate_order
+
+    @cached_property
+    def _gate_order(self):
         removable = {n for n, f in self.ffs.items() if not f.boundary}
         preds = {n: [s for s in g.inputs if s in self.gates]
                  for n, g in self.gates.items()}
@@ -401,10 +416,10 @@ class GGEdge:
 @dataclass
 class GateGraph:
     """Collapsed graph with an adjacency index built once at construction;
-    `edges` must not be mutated afterwards, and the lists that in_edges /
-    out_edges return are shared and must not be mutated either.  validate
-    rejects a cycle of gates over zero-weight edges (no flip-flop on it),
-    found by topological_order."""
+    `gates`, `terminals` and `edges` must not be mutated afterwards, and
+    the lists that in_edges / out_edges return are shared and must not be
+    mutated either.  validate rejects a cycle of gates over zero-weight
+    edges (no flip-flop on it), found by topological_order."""
     circuit: Circuit
     gates: dict          # name -> Gate, combinational nodes
     terminals: dict      # name -> kind in {"input", "output", "bff"}
@@ -427,9 +442,7 @@ class GateGraph:
         return sum(e.w for e in self.edges)
 
     def validate(self):
-        removable = sum(1 for f in self.circuit.ffs.values() if not f.boundary)
-        if self.total_weight() != removable:
-            raise NetlistError("collapsed weights do not match removable FF count")
+        self._check_weights()
         preds = {n: [e.src for e in self.in_edges(n)
                      if e.w == 0 and e.src in self.gates]
                  for n in self.gates}
@@ -438,9 +451,27 @@ class GateGraph:
             raise NetlistError("zero-weight cycle through "
                                + " -> ".join(_cycle(preds, stuck)))
 
+    def _check_weights(self):
+        removable = sum(1 for f in self.circuit.ffs.values() if not f.boundary)
+        if self.total_weight() != removable:
+            raise NetlistError("collapsed weights do not match removable FF count")
+
 
 def to_gate_graph(c):
-    """Collapse removable (non-boundary) flip-flops into edge weights."""
+    """Collapse removable (non-boundary) flip-flops into edge weights.
+
+    While a caller holds the graph of c, every call returns that same
+    graph.  The circuit keeps only a weak reference to it, since the
+    graph's `circuit` points back at c.  The graph needs no validate:
+    its zero-weight gate-to-gate edges are exactly the direct gate
+    inputs that c.gate_order() sorts, so that order (which also refuses
+    a flip-flop loop with no gate, on which collapsing would never end)
+    rejects the same cycles."""
+    live = getattr(c, "_graph", None)
+    gg = live() if live else None
+    if gg is not None:
+        return gg
+    c.gate_order()
     gates = dict(c.gates)
     terminals = {}
     for n in c.inputs:
@@ -471,5 +502,6 @@ def to_gate_graph(c):
         root, w = resolve(src)
         edges.append(GGEdge(root, n, w, 0))
     gg = GateGraph(c, gates, terminals, edges)
-    gg.validate()
+    gg._check_weights()
+    c._graph = weakref.ref(gg)
     return gg

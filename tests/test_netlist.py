@@ -1,4 +1,7 @@
+import gc
+import pathlib
 import random
+import weakref
 
 import pytest
 
@@ -7,6 +10,8 @@ from wavetime.netlist import NetlistError, parse_netlist, serialize, \
     to_gate_graph
 
 from gen import random_circuit
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_empty_input_is_an_error():
@@ -168,9 +173,7 @@ def _assert_adjacency_matches_scan(graph):
 
 
 def test_adjacency_matches_edge_scan_goldens():
-    import pathlib
-    data = pathlib.Path(__file__).parent / "data"
-    for path in sorted(data.glob("*.net")):
+    for path in sorted(DATA.glob("*.net")):
         _assert_adjacency_matches_scan(
             to_gate_graph(parse_netlist(path.read_text())))
 
@@ -188,3 +191,70 @@ def test_adjacency_matches_edge_scan_random_and_positional():
         h = netlist.GateGraph(g.circuit, dict(g.gates), dict(g.terminals),
                               edges)
         _assert_adjacency_matches_scan(h)
+
+
+def _unvalidated(gates, ffs):
+    """A Circuit built without validate: input a, the given gates and
+    removable flip-flops (name -> source), and one boundary capture
+    flip-flop FO of the last gate."""
+    gates = {n: netlist.Gate(n, "buf" if len(ins) == 1 else "and", 1.0,
+                             (1.0,), tuple(ins))
+             for n, ins in gates.items()}
+    ffs = {n: netlist.FlipFlop(n, src) for n, src in ffs.items()}
+    ffs["FO"] = netlist.FlipFlop("FO", list(gates)[-1], boundary=True)
+    return netlist.Circuit("c", 10.0, 0.5, netlist.FlipFlopParams(), gates,
+                           ffs, ["a"], [("y", "FO")])
+
+
+def test_gate_graph_of_unvalidated_flip_flop_loop_raises():
+    """Collapsing a loop of removable flip-flops with no gate would walk
+    it forever; to_gate_graph refuses it as validate does."""
+    c = _unvalidated({"g": ["a", "F1"]}, {"F1": "F2", "F2": "F1"})
+    with pytest.raises(NetlistError,
+                       match="flip-flop loop without a gate through "
+                             "F1 -> F2 -> F1"):
+        to_gate_graph(c)
+
+
+def test_gate_graph_of_unvalidated_gate_loop_raises():
+    c = _unvalidated({"g1": ["a", "g2"], "g2": ["g1"]}, {})
+    with pytest.raises(NetlistError,
+                       match="combinational loop through g1 -> g2 -> g1"):
+        to_gate_graph(c)
+
+
+def test_gate_order_rejects_what_graph_validate_rejects():
+    """to_gate_graph relies on Circuit.gate_order for the zero-weight
+    cycle check, so every graph it returns passes GateGraph.validate."""
+    circuits = [parse_netlist(p.read_text())
+                for p in sorted(DATA.glob("*.net"))]
+    rng = random.Random(31)
+    circuits += [random_circuit(rng, with_loop=i % 2 == 1)
+                 for i in range(200)]
+    for c in circuits:
+        to_gate_graph(c).validate()
+
+
+def test_derived_structure_is_built_once_per_circuit(fig_c):
+    assert fig_c.gate_order() is fig_c.gate_order()
+    assert fig_c.readers() is fig_c.readers()
+    g = to_gate_graph(fig_c)
+    assert to_gate_graph(fig_c) is g
+    # an equal circuit is another circuit with a graph of its own
+    assert to_gate_graph(parse_netlist(serialize(fig_c))) is not g
+
+
+def test_gate_graph_lives_only_while_a_caller_holds_it(fig_c):
+    """The circuit holds its graph weakly: with the cyclic collector off,
+    dropping the last reference frees the graph, so circuit and graph
+    make no reference cycle."""
+    gc.disable()
+    try:
+        g = to_gate_graph(fig_c)
+        dead = weakref.ref(g)
+        del g
+        assert dead() is None
+        h = to_gate_graph(fig_c)
+        assert to_gate_graph(fig_c) is h
+    finally:
+        gc.enable()

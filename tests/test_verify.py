@@ -298,3 +298,16 @@ def test_unconverged_simulation_fails_equivalence():
     assert not ok
     assert diff.splitlines()[0] == "placed circuit simulation did not converge"
     assert "DIFF" not in diff
+
+
+def test_reference_simulation_same_with_or_without_a_held_graph():
+    """simulate_waves of a plain circuit reuses the graph a caller holds
+    and builds one when none is held; both give the same report."""
+    rng = random.Random(5)
+    for _ in range(20):
+        c = random_circuit(rng, with_loop=rng.random() < 0.5)
+        cfg = reference_config(c, Config(T=c.T))
+        fresh = simulate_waves(c, cfg)
+        held = to_gate_graph(c)
+        assert simulate_waves(c, cfg) == fresh
+        assert to_gate_graph(c) is held

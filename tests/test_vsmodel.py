@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from wavetime import milp, sta, vsmodel
-from wavetime.netlist import Config, to_gate_graph
+from wavetime.netlist import Config, GateGraph, to_gate_graph
 from wavetime.optimizer import run_flow
 from wavetime.sta import edge_key, propagate_windows
 
@@ -350,13 +350,14 @@ def test_objective_monotone_in_library_growth(fig_c):
     g = to_gate_graph(fig_c)
     cfg = exact_cfg(9.0)
     base = milp.solve(vsmodel.build_relaxed_model(g, cfg).model)
+    # a graph of its own: the graph of fig_c is shared and not mutated
     gate = g.gates["g5"]
-    g.gates["g5"] = type(gate)(gate.name, gate.fn, gate.d,
-                               tuple(sorted(set(gate.lib) | {3.0})),
-                               gate.inputs)
-    wider = milp.solve(vsmodel.build_relaxed_model(g, cfg).model)
+    widened = replace(gate, lib=tuple(sorted(set(gate.lib) | {3.0})))
+    h = GateGraph(fig_c, {**g.gates, "g5": widened}, dict(g.terminals),
+                  list(g.edges))
+    wider = milp.solve(vsmodel.build_relaxed_model(h, cfg).model)
     assert wider.objective <= base.objective + 1e-6
-    g.gates["g5"] = gate
+    assert g.gates["g5"] is gate
 
 
 def test_build_determinism(fig_c):

@@ -21,7 +21,9 @@ in steps of 5%.  The trajectory has one line per flow: the period, how
 the root LP of every stage's solves started (cold or warm), the stage-1
 objective in absolute time, and for the flow that stopped the sweep the
 stage that failed.  Then the CLI
-`extract`, `sdc` and `verify` outputs on both netlist pairs.
+`extract`, `sdc` and `verify` outputs on both netlist pairs, and the
+`analyze` output of every `tests/data/*.net`.  Each CLI file holds the
+exit code, then what the command wrote to stdout and stderr.
 """
 
 import contextlib
@@ -220,17 +222,24 @@ def snapshot(name, circuit):
     return {f"{name}.{key}": text for key, text in out.items()}
 
 
+def run_cli(argv):
+    """The exit code and the output of one CLI run, as text."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        code = cli.main(argv)
+    return f"exit {code}\n{buf.getvalue()}"
+
+
 def cli_outputs():
     out = {}
     for orig, opt in PAIRS:
         for cmd in ("extract", "sdc", "verify"):
-            buf = io.StringIO()
-            with tempfile.TemporaryDirectory() as tmp, \
-                    contextlib.redirect_stdout(buf), \
-                    contextlib.redirect_stderr(buf):
-                code = cli.main([cmd, str(DATA / f"{orig}.net"),
-                                 str(DATA / f"{opt}.net"), "--out-dir", tmp])
-            out[f"cli.{cmd}.{orig}"] = f"exit {code}\n{buf.getvalue()}"
+            with tempfile.TemporaryDirectory() as tmp:
+                out[f"cli.{cmd}.{orig}"] = run_cli(
+                    [cmd, str(DATA / f"{orig}.net"), str(DATA / f"{opt}.net"),
+                     "--out-dir", tmp])
+    for path in sorted(DATA.glob("*.net")):
+        out[f"cli.analyze.{path.stem}"] = run_cli(["analyze", str(path)])
     return out
 
 
