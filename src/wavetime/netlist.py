@@ -417,9 +417,10 @@ class GGEdge:
 class GateGraph:
     """Collapsed graph with an adjacency index built once at construction;
     `gates`, `terminals` and `edges` must not be mutated afterwards, and
-    the lists that in_edges / out_edges return are shared and must not be
-    mutated either.  validate rejects a cycle of gates over zero-weight
-    edges (no flip-flop on it), found by topological_order."""
+    the lists that in_edges / out_edges return, and wave_order, are
+    shared and must not be mutated either.  validate rejects a cycle of
+    gates over zero-weight edges (no flip-flop on it), found by
+    topological_order."""
     circuit: Circuit
     gates: dict          # name -> Gate, combinational nodes
     terminals: dict      # name -> kind in {"input", "output", "bff"}
@@ -440,6 +441,15 @@ class GateGraph:
 
     def total_weight(self):
         return sum(e.w for e in self.edges)
+
+    @cached_property
+    def wave_order(self):
+        """topological_order (order, stuck) of the gates over every
+        gate-to-gate edge, flip-flop-weighted ones included: sorted once
+        per graph, shared by every caller, and not to be mutated."""
+        return topological_order(
+            {n: [e.src for e in self.in_edges(n) if e.src in self.gates]
+             for n in self.gates})
 
     def validate(self):
         self._check_weights()
@@ -464,9 +474,10 @@ def to_gate_graph(c):
     graph.  The circuit keeps only a weak reference to it, since the
     graph's `circuit` points back at c.  The graph needs no validate:
     its zero-weight gate-to-gate edges are exactly the direct gate
-    inputs that c.gate_order() sorts, so that order (which also refuses
-    a flip-flop loop with no gate, on which collapsing would never end)
-    rejects the same cycles."""
+    inputs that c.gate_order() sorts, so that order rejects the same
+    cycles.  It also refuses a flip-flop loop with no gate, and so does
+    the collapse itself, which walks at most len(c.ffs) flip-flops from
+    any connection."""
     live = getattr(c, "_graph", None)
     gg = live() if live else None
     if gg is not None:
@@ -485,6 +496,15 @@ def to_gate_graph(c):
     def resolve(ref):
         w = 0
         while ref in c.ffs and not c.ffs[ref].boundary:
+            if w == len(c.ffs):
+                # more steps than flip-flops: ref lies on a loop of them
+                loop = [ref]
+                while c.ffs[loop[-1]].src != ref:
+                    loop.append(c.ffs[loop[-1]].src)
+                i = loop.index(min(loop))
+                loop = loop[i:] + loop[:i + 1]
+                raise NetlistError("flip-flop loop without a gate through "
+                                   + " -> ".join(loop))
             w += 1
             ref = c.ffs[ref].src
         return ref, w

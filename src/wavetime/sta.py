@@ -8,7 +8,10 @@ fast signals.  propagate_windows sweeps the placed gates once in
 topological order (latch units order it, flip-flop units do not) and
 repeats the sweep to a bounded fixed point only on cycles through
 latches; the order in which gates get their windows is the row order of
-format_report.
+format_report.  Each call resolves every connection's decision and
+anchor count once, into a table the sweep and the checks read, and
+sorts with the graph's shared GateGraph.wave_order unless a connection
+carries a flip-flop unit.  ArrivalWindow is a named tuple (s, s_prime).
 
 The placement container types (EdgeDecision, OptimizedCircuit) are
 defined here so that both the optimizer and the independent wave
@@ -16,12 +19,12 @@ simulator can use them without depending on each other.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .netlist import topological_order
 
 
-@dataclass(frozen=True)
-class ArrivalWindow:
+class ArrivalWindow(NamedTuple):
     s: float        # latest arrival
     s_prime: float  # earliest arrival
 
@@ -181,31 +184,43 @@ def propagate_windows(placed, cfg):
     # for a flip-flop, refined by the next sweep for a latch on a cycle
     assumed_early = ArrivalWindow(float("-inf"), float("-inf"))
 
-    def src_window(e):
-        return windows.get(e.src) if e.src in g.gates else launch
+    # every connection resolved once: destination -> (source gate, or
+    # None for a launching terminal, key, decision, anchor count) in
+    # in_edges order, and the unit-bearing ones in edge order
+    unplaced = EdgeDecision()
+    into, units = {}, []
+    for e in g.edges:
+        k = edge_key(e)
+        src = e.src if e.src in g.gates else None
+        dec = placed.decisions.get(k) or unplaced
+        into.setdefault(e.dst, []).append(
+            (src, k, dec, placed.lam.get(k, e.w)))
+        if dec.unit != "none":
+            units.append((src, k, dec))
 
     def contributions(node):
         """Windows at node's input pins, or None while the source of a
         unit-free connection has no window yet."""
         outs = []
-        for e in g.in_edges(node):
-            dec = placed.decision(e)
-            sw = src_window(e)
+        for src, k, dec, lam in into.get(node, ()):
+            sw = launch if src is None else windows.get(src)
             if sw is None:
                 if dec.unit == "none":
                     return None
                 sw = assumed_early
-            k = edge_key(e)
-            windows[k] = _edge_window(sw, dec, placed.anchors(e), cfg, p)
-            outs.append(windows[k])
+            w = windows[k] = _edge_window(sw, dec, lam, cfg, p)
+            outs.append(w)
         return outs
 
-    order, stuck = topological_order(
-        {n: [e.src for e in g.in_edges(n)
-             if e.src in g.gates and placed.decision(e).unit != "flipflop"]
-         for n in g.gates})
+    if any(dec.unit == "flipflop" for _, _, dec in units):
+        order, stuck = topological_order(
+            {n: [src for src, _, dec, _ in into.get(n, ())
+                 if src is not None and dec.unit != "flipflop"]
+             for n in g.gates})
+    else:
+        order, stuck = g.wave_order
     sinks = [t for t, kind in g.terminals.items()
-             if kind in ("output", "bff") and g.in_edges(t)]
+             if kind in ("output", "bff") and t in into]
     # one sweep is exact with nothing stuck; the cap bounds a latch cycle
     # whose windows never settle
     converged = False
@@ -236,14 +251,11 @@ def propagate_windows(placed, cfg):
         windows[t] = w
         sink_windows[t] = w
 
-    for e in g.edges:
-        dec = placed.decision(e)
-        if dec.unit == "none":
-            continue
-        violations.extend(unit_region_checks(src_window(e), dec, cfg, p,
-                                             edge_key(e)))
+    for src, k, dec in units:
+        sw = launch if src is None else windows.get(src)
+        violations.extend(unit_region_checks(sw, dec, cfg, p, k))
         if not converged and dec.unit == "latch":
-            violations.append(Violation(edge_key(e), "latch_region", -1.0))
+            violations.append(Violation(k, "latch_region", -1.0))
 
     violations.extend(check_boundary(sink_windows, cfg, p))
 

@@ -2,7 +2,11 @@
 
 simulate_waves follows signal waves in one topological sweep, repeated
 to a bounded fixed point only on cycles, sharing no propagation code
-with sta.  It works on two kinds of targets:
+with sta.  Each call resolves every connection's decision and anchor
+count once, in a table of its own, and sweeps in the graph's
+GateGraph.wave_order, which is sorted once per graph and shared, so it
+must not be mutated.  Its windows are sta's ArrivalWindow named tuples.
+It works on two kinds of targets:
 
 * a plain circuit: every flip-flop (including ones marked removable)
   behaves dynamically, capturing at whatever clock slot its input window
@@ -26,8 +30,9 @@ traditionally feasible.
 import math
 from dataclasses import dataclass, field, replace
 
-from .netlist import Circuit, to_gate_graph, topological_order
-from .sta import ArrivalWindow, Violation, edge_key, traditional_min_period
+from .netlist import Circuit, to_gate_graph
+from .sta import ArrivalWindow, EdgeDecision, Violation, edge_key, \
+    traditional_min_period
 
 
 @dataclass
@@ -93,17 +98,33 @@ def simulate_waves(target, cfg):
     win = {t: launch for t, kind in graph.terminals.items()
            if kind in ("input", "bff")}
 
-    def push(e):
+    # every connection resolved once, per destination in in_edges order:
+    # (source gate or None for a launching terminal, key, decision or
+    # None in a plain circuit, flip-flops or anchors crossed); and a
+    # placement's unit-bearing connections in edge order
+    unplaced = EdgeDecision()
+    into, units = {}, []
+    for e in graph.edges:
+        k = edge_key(e)
+        src = e.src if e.src in graph.gates else None
+        if placed is None:
+            dec, lam = None, e.w
+        else:
+            dec = placed.decisions.get(k) or unplaced
+            lam = placed.lam.get(k, e.w)
+            if dec.unit != "none":
+                units.append((e.src, k, dec))
+        into.setdefault(e.dst, []).append((src, k, dec, lam))
+
+    def push(src, k, dec, lam):
         """Move the wave across one connection; returns its window, or
         None while it has none."""
         nonlocal changed
-        k = edge_key(e)
-        dec = placed.decision(e) if placed else None
-        if e.src not in graph.gates:
+        if src is None:
             # terminals launch a fresh wave regardless of what they capture
             s, sp, rset = launch
-        elif e.src in win:
-            s, sp, rset = win[e.src]
+        elif src in win:
+            s, sp, rset = win[src]
         elif dec is not None and dec.unit != "none":
             # the seeding rule: a unit whose source has no window yet
             # starts from "no wave seen yet", so loops through it can flow
@@ -111,14 +132,13 @@ def simulate_waves(target, cfg):
         else:
             return None
         if placed is None:
-            for _ in range(e.w):
+            for _ in range(lam):
                 s, sp = _dynamic_ff(s, sp, cfg, p, flag, k)
-            rset = frozenset(r + e.w for r in rset)
         else:
             if dec.unit != "none":
                 s, sp = _unit_transfer(s, sp, dec, cfg, p)
-            lam = placed.anchors(e)
             s, sp = s + dec.xi * cfg.r_u - lam * T, sp + dec.xi * cfg.r_l - lam * T
+        if lam:
             rset = frozenset(r + lam for r in rset)
         if win.get(k) != (s, sp, rset):
             win[k] = (s, sp, rset)
@@ -127,11 +147,9 @@ def simulate_waves(target, cfg):
 
     # flip-flop and unit edges order the sweep too: a wave crossing one
     # still depends on its source window
-    order, stuck = topological_order(
-        {g: [e.src for e in graph.in_edges(g) if e.src in graph.gates]
-         for g in graph.gates})
+    order, stuck = graph.wave_order
     sinks = sorted(t for t, kind in graph.terminals.items()
-                   if kind in ("output", "bff") and graph.in_edges(t))
+                   if kind in ("output", "bff") and t in into)
     # one sweep is exact with nothing stuck; the cap is for a reference
     # set that grows around a unit on a cycle and never settles
     rep.converged = False
@@ -139,12 +157,15 @@ def simulate_waves(target, cfg):
         rep.violations.clear()  # report the last sweep's captures only
         changed = False
         for n in order + stuck + sinks:
-            ws = [push(e) for e in graph.in_edges(n)]
+            ws = [push(*x) for x in into.get(n, ())]
             if None in ws:
                 continue
             s = max(w[0] for w in ws)
             sp = min(w[1] for w in ws)
-            rset = frozenset().union(*(w[2] for w in ws))
+            rset = ws[0][2]
+            for w in ws[1:]:
+                if w[2] != rset:
+                    rset = rset | w[2]
             if n in graph.gates:
                 d = placed.delay(n) if placed else graph.gates[n].d
                 s, sp = s + d * cfg.r_u, sp + d * cfg.r_l
@@ -157,12 +178,10 @@ def simulate_waves(target, cfg):
     rep.windows = {k: ArrivalWindow(s, sp) for k, (s, sp, _) in win.items()}
 
     # unit capture-region checks against the settled input windows
-    for e in graph.edges if placed else ():
-        dec = placed.decision(e)
-        if dec.unit == "none" or e.src not in win:
+    for src, k, dec in units:
+        if src not in win:
             continue
-        s, sp, _ = win[e.src]
-        k = edge_key(e)
+        s, sp, _ = win[src]
         start = dec.n_cycle * T + dec.phi
         lo = start + p.t_h * cfg.r_u
         if dec.unit == "flipflop":

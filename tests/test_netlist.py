@@ -216,6 +216,17 @@ def test_gate_graph_of_unvalidated_flip_flop_loop_raises():
         to_gate_graph(c)
 
 
+def test_flip_flop_loop_walk_is_bounded_without_the_order_check():
+    """Collapsing stops after as many steps as there are flip-flops, so
+    a gateless loop raises even when the gate order never saw it."""
+    c = _unvalidated({"g": ["a", "F1"]}, {"F1": "F2", "F2": "F1"})
+    c.__dict__["_gate_order"] = []
+    with pytest.raises(NetlistError,
+                       match="flip-flop loop without a gate through "
+                             "F1 -> F2 -> F1"):
+        to_gate_graph(c)
+
+
 def test_gate_graph_of_unvalidated_gate_loop_raises():
     c = _unvalidated({"g1": ["a", "g2"], "g2": ["g1"]}, {})
     with pytest.raises(NetlistError,

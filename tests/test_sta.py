@@ -19,6 +19,15 @@ def test_min_period_goldens(fig_a, fig_b, fig_c):
     assert traditional_min_period(fig_c) == 11
 
 
+def test_arrival_window_contract():
+    w = ArrivalWindow(1.0, 2.0)
+    assert repr(w) == "ArrivalWindow(s=1.0, s_prime=2.0)"
+    assert (w.s, w.s_prime) == (1.0, 2.0)
+    assert w == ArrivalWindow(1.0, 2.0) != ArrivalWindow(1.0, 2.5)
+    with pytest.raises(AttributeError):
+        w.s = 3.0
+
+
 def test_min_period_empty():
     c = netlist.parse_netlist(
         "circuit c\nclock period=10 duty=0.5\ninput a\n"

@@ -311,3 +311,44 @@ def test_reference_simulation_same_with_or_without_a_held_graph():
         held = to_gate_graph(c)
         assert simulate_waves(c, cfg) == fresh
         assert to_gate_graph(c) is held
+
+
+def test_one_gate_sort_per_analysis(monkeypatch):
+    """STA and the reference simulation of one design share the graph's
+    wave_order; the STA sorts again only when a connection carries a
+    flip-flop unit, whose edge then stops ordering the sweep."""
+    calls = Counter()
+    sort = netlist.topological_order
+
+    def counting(preds):
+        calls["n"] += 1
+        return sort(preds)
+
+    # parse_netlist's validate sorts the circuit itself, before counting
+    c = netlist.parse_netlist(deep_chain_text(50, ff_after=25))
+    cfg = Config(T=c.T)
+    for mod in (netlist, sta, verify):
+        if hasattr(mod, "topological_order"):
+            monkeypatch.setattr(mod, "topological_order", counting)
+    g = to_gate_graph(c)
+    placed = sta.as_placed(g)
+    propagate_windows(placed, cfg)
+    simulate_waves(c, reference_config(c, cfg))
+    assert calls["n"] == 1
+    placed.decisions[edge_key(g.edges[10])] = EdgeDecision(unit="flipflop")
+    propagate_windows(placed, cfg)
+    assert calls["n"] == 2
+
+
+def test_default_decision_never_leaks(fig_c):
+    """Both checkers share one default decision per call internally; the
+    placement they read stays empty and hands out fresh defaults, which
+    vsmodel.decode_solution may mutate."""
+    g = to_gate_graph(fig_c)
+    placed = sta.as_placed(g)
+    cfg = Config(T=fig_c.T)
+    propagate_windows(placed, cfg)
+    simulate_waves(placed, cfg)
+    assert placed.decisions == {} and placed.lam == {}
+    e = g.edges[0]
+    assert placed.decision(e) is not placed.decision(e)
