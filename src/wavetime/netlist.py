@@ -13,13 +13,41 @@ comments):
 
 A gate's output net shares the gate's name.  Primary inputs and outputs
 are modeled as boundary flip-flops sharing the circuit's FlipFlopParams.
+
+parse_netlist, the reader map of Circuit.readers and to_gate_graph run
+with Python's cyclic garbage collector paused (nogc), as do
+sta.propagate_windows, sta.format_report and verify.simulate_waves: on
+a 1000-gate design they allocate tens of thousands of containers and
+were measured to create no reference cycles, so the collections those
+allocations would trigger find nothing.  Each restores the collector
+state it found; another thread that turns the collector off while one
+of them runs may see that setting undone when it returns.
 """
 
+import gc
 import heapq
 import math
 import weakref
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, wraps
+from typing import NamedTuple
+
+
+def nogc(func):
+    """Decorate func to run with the cyclic garbage collector off.  The
+    collector's state is restored on return and on raise; when it is
+    already off, func just runs.  A collector that another thread turns
+    off while func runs is turned back on when func ends."""
+    @wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 class NetlistError(ValueError):
@@ -186,10 +214,12 @@ class Circuit:
     outputs: list  # (name, src) pairs
 
     def readers(self):
-        """Map driver name -> list of (reader name, input pin index)."""
+        """Map driver name -> list of (reader name, input pin index),
+        built on first use with the collector paused (nogc)."""
         return self._readers
 
     @cached_property
+    @nogc
     def _readers(self):
         out = {}
         for g in self.gates.values():
@@ -302,8 +332,10 @@ def _floats(s, line):
         raise NetlistError(f"bad number list {s!r}", line)
 
 
+@nogc
 def parse_netlist(text):
-    """Parse the line format into a validated Circuit."""
+    """Parse the line format into a validated Circuit, with the cyclic
+    garbage collector paused (nogc)."""
     name = None
     T, duty = None, 0.5
     ffp = FlipFlopParams()
@@ -402,11 +434,11 @@ def serialize(c):
 
 # -- gate graph -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GGEdge:
+class GGEdge(NamedTuple):
     """Connection in the collapsed graph; w counts removable flip-flops
     that sat on this connection, dst_pin is the input pin index at dst
-    (0 for flip-flop / output data pins)."""
+    (0 for flip-flop / output data pins).  A named tuple: immutable, and
+    equal to a plain tuple of its fields."""
     src: str
     dst: str
     w: int
@@ -467,8 +499,10 @@ class GateGraph:
             raise NetlistError("collapsed weights do not match removable FF count")
 
 
+@nogc
 def to_gate_graph(c):
-    """Collapse removable (non-boundary) flip-flops into edge weights.
+    """Collapse removable (non-boundary) flip-flops into edge weights,
+    with the cyclic garbage collector paused (nogc).
 
     While a caller holds the graph of c, every call returns that same
     graph.  The circuit keeps only a weak reference to it, since the

@@ -12,6 +12,12 @@ format_report.  Each call resolves every connection's decision and
 anchor count once, into a table the sweep and the checks read, and
 sorts with the graph's shared GateGraph.wave_order unless a connection
 carries a flip-flop unit.  ArrivalWindow is a named tuple (s, s_prime).
+propagate_windows and format_report run with Python's cyclic garbage
+collector paused (netlist.nogc): on a 1000-gate design they allocate
+thousands of windows, table entries and per-node violation lists, and
+were measured to create no reference cycles.  Each restores the
+collector state it found; another thread that turns the collector off
+meanwhile may see that setting undone when the call returns.
 
 The placement container types (EdgeDecision, OptimizedCircuit) are
 defined here so that both the optimizer and the independent wave
@@ -19,9 +25,10 @@ simulator can use them without depending on each other.
 """
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
-from .netlist import topological_order
+from .netlist import nogc, topological_order
 
 
 class ArrivalWindow(NamedTuple):
@@ -69,8 +76,9 @@ class OptimizedCircuit:
         return self.gate_delays.get(gate, self.graph.gates[gate].d)
 
 
-def edge_key(e):
-    return (e.src, e.dst, e.dst_pin)
+# (src, dst, dst_pin) of a netlist.GGEdge, read by index: on a named
+# tuple that is faster than by field name
+edge_key = itemgetter(0, 1, 3)
 
 
 def as_placed(graph):
@@ -159,6 +167,7 @@ def _edge_window(win, dec, lam, cfg, p):
     return ArrivalWindow(s - lam * T, sp - lam * T)
 
 
+@nogc
 def propagate_windows(placed, cfg):
     """Forward arrival-window propagation over the placed circuit.
 
@@ -284,6 +293,7 @@ def check_boundary(windows, cfg, ff_params):
     return out
 
 
+@nogc
 def format_report(placed, windows, violations):
     """Text table, one row per named node: launch terminals by name, the
     gates in the order propagate_windows first gave them a window, then

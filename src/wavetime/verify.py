@@ -5,7 +5,13 @@ to a bounded fixed point only on cycles, sharing no propagation code
 with sta.  Each call resolves every connection's decision and anchor
 count once, in a table of its own, and sweeps in the graph's
 GateGraph.wave_order, which is sorted once per graph and shared, so it
-must not be mutated.  Its windows are sta's ArrivalWindow named tuples.
+must not be mutated.  It runs with Python's cyclic garbage collector
+paused (netlist.nogc), since its window table and per-connection
+entries were measured to create no reference cycles; it restores the
+collector state it found, and another thread that turns the collector
+off meanwhile may see that setting undone.  Its report's windows, sta's
+ArrivalWindow named tuples, are built when first read: check_equivalence
+never reads them.
 It works on two kinds of targets:
 
 * a plain circuit: every flip-flop (including ones marked removable)
@@ -30,17 +36,30 @@ traditionally feasible.
 import math
 from dataclasses import dataclass, field, replace
 
-from .netlist import Circuit, to_gate_graph
+from .netlist import Circuit, nogc, to_gate_graph
 from .sta import ArrivalWindow, EdgeDecision, Violation, edge_key, \
     traditional_min_period
 
 
 @dataclass
 class CaptureReport:
+    """What simulate_waves saw.  windows, node or connection ->
+    ArrivalWindow, is built from the simulation's window table when it
+    is first read; repr and equality read it like any other field."""
     offsets: dict = field(default_factory=dict)   # sink -> sorted offsets
     violations: list = field(default_factory=list)
     converged: bool = True
-    windows: dict = field(default_factory=dict)
+    windows: dict = field(init=False)
+    # node or connection -> (s, s', reference offsets)
+    waves: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __getattr__(self, name):
+        # reached only while windows is unset: build it from waves
+        if name != "windows":
+            raise AttributeError(name)
+        self.windows = {k: ArrivalWindow(s, sp)
+                        for k, (s, sp, _) in self.waves.items()}
+        return self.windows
 
 
 _BOTTOM = (float("-inf"), float("-inf"))
@@ -81,6 +100,7 @@ def _unit_transfer(s, sp, dec, cfg, p):
     return s2, sp2
 
 
+@nogc
 def simulate_waves(target, cfg):
     """Propagate wave windows and collect capture offsets (CaptureReport)."""
     placed = None if isinstance(target, Circuit) else target
@@ -95,8 +115,8 @@ def simulate_waves(target, cfg):
 
     # node or connection -> (s, s', reference offsets of its waves)
     launch = (p.t_cq * cfg.r_u, p.t_cq * cfg.r_l, frozenset([0]))
-    win = {t: launch for t, kind in graph.terminals.items()
-           if kind in ("input", "bff")}
+    win = rep.waves = {t: launch for t, kind in graph.terminals.items()
+                       if kind in ("input", "bff")}
 
     # every connection resolved once, per destination in in_edges order:
     # (source gate or None for a launching terminal, key, decision or
@@ -175,7 +195,6 @@ def simulate_waves(target, cfg):
         if not (changed and stuck):
             rep.converged = True
             break
-    rep.windows = {k: ArrivalWindow(s, sp) for k, (s, sp, _) in win.items()}
 
     # unit capture-region checks against the settled input windows
     for src, k, dec in units:

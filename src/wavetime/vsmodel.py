@@ -24,10 +24,12 @@ by its exact bounds, so that t_cq/T appears only in right-hand sides.
 
 The module writes its own big-M rows (the cdq indicators, the unit
 products, the legalization either-or) and registers each row and
-variable that reads the period where it makes it.  set_period moves a
-model of any kind to another period, and set_dth a cdq model to another
-d_th, by the model's setters, so that the solver can re-solve it warm
-from its last solution.  decode_solution converts back to absolute time.
+variable that reads the period where it makes it; a cdq model's
+indicator rows, which read d_th as well, are kept apart (dth_rows).
+set_period moves a model of any kind to another period, and set_dth a
+cdq model to another d_th, by the model's setters, so that the solver
+can re-solve it warm from its last solution.  decode_solution converts
+back to absolute time.
 
 The arrival variable s of a gate denotes the latest arrival at the gate
 output after its own pad/unit, before the anchor shifts of the outgoing
@@ -274,8 +276,11 @@ def set_period(arts, graph, cfg):
     box = [bounds(cfg) for _, bounds in arts.period_vars]
     arts.model.set_bounds([v for v, _ in arts.period_vars],
                           [lb for lb, _ in box], [ub for _, ub in box])
-    arts.model.set_rhs([i for i, _ in arts.period_rows],
-                       [rhs(cfg) for _, rhs in arts.period_rows])
+    # the d_th rows are moved from arts.d_th here: an rhs(cfg) closing
+    # over arts would make every cdq model a reference cycle
+    arts.model.set_rhs([i for i, _ in arts.period_rows] + arts.dth_rows,
+                       [rhs(cfg) for _, rhs in arts.period_rows]
+                       + [_dth_rhs(arts, cfg) for _ in arts.dth_rows])
 
 
 def _unit_product(arts, x, pad, name):
@@ -314,10 +319,9 @@ def _pad_model(graph, cfg, S, d_th):
         zp = _unit_product(arts, x, arts.delta_p[g], f"xdp_{g}")
         pad_terms[g] = ({z: cfg.r_u}, {zp: cfg.r_l})
         # the indicator: a present unit pads at least d_th
-        arts.dth_rows.append(_period_constr(
-            arts, {arts.delta_p[g]: 1.0, arts.delta[g]: -1.0,
-                   x: -arts.knobs["big_M"]}, ">=",
-            lambda c: _dth_rhs(arts, c)))
+        arts.dth_rows.append(m.add_constr(
+            {arts.delta_p[g]: 1.0, arts.delta[g]: -1.0,
+             x: -arts.knobs["big_M"]}, ">=", _dth_rhs(arts, cfg)))
     _arrival_constraints(arts, pad_terms)
     _loop_order_constraints(arts, gates)
     _stability(arts)

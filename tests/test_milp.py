@@ -11,35 +11,21 @@ from wavetime.milp import BINARY, CONTINUOUS, INTEGER, MilpModel
 
 def scipy_lp(m, fixed=None):
     """Solve the continuous relaxation with scipy, optionally with some
-    variables fixed; independent oracle for the embedded kernel."""
-    n = len(m.vars)
-    c = np.zeros(n)
-    for v, a in m.obj.items():
-        c[v] = a
-    if m.sense == "max":
-        c = -c
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for ct in m.constraints:
-        a = np.zeros(n)
-        for v, coef in ct.coeffs.items():
-            a[v] = coef
-        if ct.rel == "<=":
-            A_ub.append(a); b_ub.append(ct.rhs)
-        elif ct.rel == ">=":
-            A_ub.append(-a); b_ub.append(-ct.rhs)
-        else:
-            A_eq.append(a); b_eq.append(ct.rhs)
-    bounds = []
-    for v in m.vars:
-        lo, hi = v.lb, v.ub
-        if fixed and v.id in fixed:
-            lo = hi = fixed[v.id]
-        bounds.append((lo, hi))
-    res = linprog(c, A_ub=np.array(A_ub) if A_ub else None,
-                  b_ub=np.array(b_ub) if b_ub else None,
-                  A_eq=np.array(A_eq) if A_eq else None,
-                  b_eq=np.array(b_eq) if b_eq else None,
-                  bounds=bounds, method="highs")
+    variables fixed; independent oracle for the embedded kernel.  It
+    reads the model's arrays: c is in the minimizing sense, a ">=" row
+    enters A_ub negated, and rows keep their order."""
+    flip = np.where(m.rel == ">=", -1.0, 1.0)
+    ub, eq = m.rel != "=", m.rel == "="
+    A_ub, b_ub = (m.A * flip[:, None])[ub], (m.b * flip)[ub]
+    lb, hi = m.lb.copy(), m.ub.copy()
+    if fixed:
+        ids = list(fixed)
+        lb[ids] = hi[ids] = list(fixed.values())
+    res = linprog(m.c, A_ub=A_ub if ub.any() else None,
+                  b_ub=b_ub if ub.any() else None,
+                  A_eq=m.A[eq] if eq.any() else None,
+                  b_eq=m.b[eq] if eq.any() else None,
+                  bounds=list(zip(lb.tolist(), hi.tolist())), method="highs")
     if not res.success:
         return None
     sign = -1.0 if m.sense == "max" else 1.0

@@ -269,3 +269,62 @@ def test_gate_graph_lives_only_while_a_caller_holds_it(fig_c):
         assert to_gate_graph(fig_c) is h
     finally:
         gc.enable()
+
+
+def test_gg_edge_contract(fig_chain):
+    """GGEdge is a named tuple: fields, repr, equality and hash of its
+    values, immutable, and built positionally as the tests build it."""
+    e = netlist.GGEdge("a", "g", 2, 1)
+    assert (e.src, e.dst, e.w, e.dst_pin) == ("a", "g", 2, 1)
+    assert repr(e) == "GGEdge(src='a', dst='g', w=2, dst_pin=1)"
+    same = netlist.GGEdge(src="a", dst="g", w=2, dst_pin=1)
+    assert e == same and hash(e) == hash(same)
+    assert e != netlist.GGEdge("a", "g", 1, 1)
+    assert len({e, same, netlist.GGEdge("a", "g", 2, 0)}) == 2
+    for name in ("src", "dst", "w", "dst_pin"):
+        with pytest.raises(AttributeError):
+            setattr(e, name, 0)
+    g = to_gate_graph(fig_chain)
+    assert [netlist.GGEdge(e.src, e.dst, e.w, e.dst_pin)
+            for e in g.edges] == g.edges
+
+
+def test_nogc_pauses_and_restores_the_collector():
+    """The collector is off inside, back on after a return or a raise,
+    and a collector that was off before stays off."""
+    seen = []
+
+    @netlist.nogc
+    def probe(fail=False):
+        seen.append(gc.isenabled())
+        if fail:
+            raise RuntimeError("inside")
+        return "done"
+
+    assert gc.isenabled()
+    assert probe() == "done" and gc.isenabled()
+    with pytest.raises(RuntimeError, match="inside"):
+        probe(fail=True)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert probe() == "done" and not gc.isenabled()
+        with pytest.raises(RuntimeError, match="inside"):
+            probe(fail=True)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False] * 4
+    assert probe.__name__ == "probe"
+
+
+def test_paused_calls_that_raise_turn_the_collector_back_on():
+    from wavetime import sta
+    loop = parse_netlist((DATA / "loop_orig.net").read_text())
+    placed = sta.as_placed(to_gate_graph(loop))
+    with pytest.raises(ValueError, match="unresolved placement"):
+        sta.propagate_windows(placed, netlist.Config(T=loop.T))
+    assert gc.isenabled()
+    with pytest.raises(NetlistError, match="gate needs fn= delay= in="):
+        parse_netlist("circuit c\nclock period=10\ngate g fn=and\n")
+    assert gc.isenabled()

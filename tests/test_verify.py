@@ -11,7 +11,7 @@ from wavetime.sta import EdgeDecision, edge_key, propagate_windows
 from wavetime.verify import (_capture_slot, check_equivalence,
                              reference_config, simulate_waves)
 
-from gen import (add_flipflop_loop, chain_placement, deep_chain_text,
+from gen import (DATA, add_flipflop_loop, chain_placement, deep_chain_text,
                  exact_cfg, random_circuit, reverse_gate_names)
 
 
@@ -352,3 +352,47 @@ def test_default_decision_never_leaks(fig_c):
     assert placed.decisions == {} and placed.lam == {}
     e = g.edges[0]
     assert placed.decision(e) is not placed.decision(e)
+
+
+def test_windows_are_built_when_first_read(monkeypatch, fig_c):
+    """simulate_waves makes no ArrivalWindow per entry of its window
+    table until rep.windows is read, and check_equivalence never reads
+    it; the first read builds the map once."""
+    made = Counter()
+    window = verify.ArrivalWindow
+
+    def counting(*args):
+        made["n"] += 1
+        return window(*args)
+
+    monkeypatch.setattr(verify, "ArrivalWindow", counting)
+    cfg = Config(T=fig_c.T)
+    rep = simulate_waves(fig_c, reference_config(fig_c, cfg))
+    check_equivalence(fig_c, sta.as_placed(to_gate_graph(fig_c)), cfg)
+    assert made["n"] == 0
+    windows = rep.windows
+    assert made["n"] == len(windows) == len(rep.waves) > 0
+    assert rep.windows is windows and made["n"] == len(windows)
+
+
+def test_windows_read_late_equal_the_eager_map():
+    """For every golden, plain and as placed, rep.windows is the map of
+    the window table simulate_waves returned with, in its order; repr
+    and equality read it like any other field."""
+    for path in sorted(DATA.glob("*.net")):
+        c = netlist.parse_netlist(path.read_text())
+        cfg = Config(T=c.T)
+        for target, run_cfg in ((c, reference_config(c, cfg)),
+                                (sta.as_placed(to_gate_graph(c)), cfg)):
+            rep = simulate_waves(target, run_cfg)
+            eager = {k: sta.ArrivalWindow(s, sp)
+                     for k, (s, sp, _) in dict(rep.waves).items()}
+            unread = simulate_waves(target, run_cfg)
+            assert unread == rep and rep == unread, path.stem
+            assert repr(rep) == (
+                f"CaptureReport(offsets={rep.offsets!r}, "
+                f"violations={rep.violations!r}, "
+                f"converged={rep.converged!r}, windows={eager!r})")
+            assert list(rep.windows.items()) == list(eager.items())
+            assert all(type(w) is sta.ArrivalWindow
+                       for w in rep.windows.values())

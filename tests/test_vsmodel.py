@@ -8,7 +8,7 @@ from wavetime.netlist import Config, GateGraph, to_gate_graph
 from wavetime.optimizer import run_flow
 from wavetime.sta import edge_key, propagate_windows
 
-from gen import exact_cfg, random_circuit
+from gen import DATA, exact_cfg, random_circuit
 from test_milp import enumeration_oracle
 
 
@@ -410,37 +410,22 @@ def test_legalization_structure_arrival_rows():
 
 
 def highs(model):
-    """(status, objective) of a MilpModel solved by scipy's HiGHS, with
-    the arrays built here from the model's views rather than read from
-    its own arrays."""
+    """(status, objective) of a MilpModel solved by scipy's HiGHS, read
+    from the model's arrays; c is in the minimizing sense."""
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint
     from scipy.optimize import milp as scipy_milp
 
-    n = len(model.vars)
-    sign = -1.0 if model.sense == "max" else 1.0
-    c = np.zeros(n)
-    for v, a in model.obj.items():
-        c[v] = sign * a
-    A = np.zeros((len(model.constraints), n))
-    lo = np.full(len(model.constraints), -np.inf)
-    hi = np.full(len(model.constraints), np.inf)
-    for i, ct in enumerate(model.constraints):
-        for v, a in ct.coeffs.items():
-            A[i, v] = a
-        if ct.rel != ">=":
-            hi[i] = ct.rhs
-        if ct.rel != "<=":
-            lo[i] = ct.rhs
-    res = scipy_milp(c, constraints=[LinearConstraint(A, lo, hi)],
-                     integrality=[v.kind != milp.CONTINUOUS
-                                  for v in model.vars],
-                     bounds=Bounds([v.lb for v in model.vars],
-                                   [v.ub for v in model.vars]),
+    lo = np.where(model.rel != "<=", model.b, -np.inf)
+    hi = np.where(model.rel != ">=", model.b, np.inf)
+    res = scipy_milp(model.c, constraints=[LinearConstraint(model.A, lo, hi)],
+                     integrality=model.integer,
+                     bounds=Bounds(model.lb, model.ub),
                      options={"mip_rel_gap": 1e-9})
     if res.status == 2:
         return "infeasible", None
     assert res.status == 0, res.message
+    sign = -1.0 if model.sense == "max" else 1.0
     return "optimal", sign * res.fun + model.obj_const
 
 
@@ -634,3 +619,47 @@ def test_bench_reads_each_golden_model_through_the_views(monkeypatch):
         theirs, message = checks.highs_objective(model)
         assert ours.status == "optimal", name
         assert checks.check_highs(ours.objective, theirs, message) == [], name
+
+
+def test_a_dropped_cdq_model_is_freed_at_once(fig_chain):
+    """No bound or right-hand side of a cdq model refers back to its
+    ModelArtifacts, so with the cyclic collector off a model dropped
+    after a solve and both moves is freed at once, arrays and all."""
+    import gc
+    import weakref
+    g = to_gate_graph(fig_chain)
+    cfg = Config(T=fig_chain.T)
+    gc.disable()
+    try:
+        arts = vsmodel.build_cdq_model(g, cfg, set(g.gates), 7 * cfg.T / 8)
+        sol = milp.solve(arts.model)
+        vsmodel.set_period(arts, g, cfg.with_period(0.95 * cfg.T))
+        vsmodel.set_dth(arts, 0.0)
+        milp.solve(arts.model, start=sol)
+        dead = weakref.ref(arts), weakref.ref(arts.model)
+        del arts, sol
+        assert [ref() for ref in dead] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_sweeps_leave_no_cyclic_garbage():
+    """A period sweep of each golden, to its end or its first
+    infeasible flow, leaves nothing for the cyclic collector.  Objects
+    older than the test are frozen, so each gc.collect() scans only
+    what the sweeps made."""
+    import gc
+    from wavetime import netlist
+    from wavetime.optimizer import InfeasibleError, sweep_clock_period
+    gc.collect()
+    gc.freeze()
+    try:
+        for path in sorted(DATA.glob("*.net")):
+            c = netlist.parse_netlist(path.read_text())
+            try:
+                sweep_clock_period(to_gate_graph(c), Config(T=c.T))
+            except InfeasibleError:
+                pass
+            assert gc.collect() == 0, path.stem
+    finally:
+        gc.unfreeze()
