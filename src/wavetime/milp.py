@@ -316,14 +316,18 @@ class Tableau:
     """The final tableau of an optimal LP, kept for a re-solve after its
     right-hand sides or bounds change.  A basic column is exactly the
     unit vector of its row, so only the nonbasic columns are stored, in
-    packed (read-only), and the right-hand side in rhs; a re-solve with
-    no pivot shares packed, nonbasic, basis and slot with its start.
+    packed (read-only), and the right-hand side in rhs.  The basis is
+    kept as a list, for the pivots, and as an index array, basis_ix
+    (read-only), built once per basis for the reads that index by it; a
+    re-solve with no pivot shares packed, nonbasic, basis, basis_ix and
+    slot with its start.
     Row i of the starting tableau held a unit column (slack, or an
     equality row's artificial), now column unit[i]; times scale[i] it is
     the column of B^-1 for row i in its original orientation."""
     packed: np.ndarray       # None when an artificial column stayed basic
     nonbasic: np.ndarray
     basis: list
+    basis_ix: np.ndarray
     rhs: np.ndarray          # the basic values, then minus the objective
     n_real: int              # the columns that may enter: x and slacks
     unit: np.ndarray
@@ -358,7 +362,7 @@ class Tableau:
         if self.slot is None:
             self.slot = np.empty(len(self.nonbasic) + m, int)
             self.slot[self.nonbasic] = np.arange(len(self.nonbasic))
-            self.slot[self.basis] = -1 - np.arange(m)
+            self.slot[self.basis_ix] = -1 - np.arange(m)
         slot = self.slot[js]
         out = np.zeros((len(js), m + 1))
         packed = slot >= 0
@@ -373,7 +377,7 @@ class Tableau:
         cols = np.zeros((len(self.nonbasic) + m + 1, m + 1))
         cols[self.nonbasic] = self.packed
         cols[-1] = self.rhs
-        cols[self.basis, np.arange(m)] = 1.0
+        cols[self.basis_ix, np.arange(m)] = 1.0
         return cols
 
 
@@ -416,14 +420,17 @@ def _shift(lp, A, b, lb, ub):
 def _keep(tab, cols, basis, b, lb, ub):
     """tab moved to the LP with b, lb and ub and final tableau cols."""
     packed = nonbasic = None
+    basis_ix = np.array(basis, int)
+    basis_ix.flags.writeable = False
     if max(basis, default=-1) < tab.n_real:
         free = np.ones(len(cols) - 1, bool)
-        free[basis] = False
+        free[basis_ix] = False
         nonbasic = free.nonzero()[0]
         packed = cols[nonbasic]
         packed.flags.writeable = False
-    return Tableau(packed, nonbasic, basis, cols[-1].copy(), tab.n_real,
-                   tab.unit, tab.scale, tab.c, tab.A, tab.rel, b, lb, ub)
+    return Tableau(packed, nonbasic, basis, basis_ix, cols[-1].copy(),
+                   tab.n_real, tab.unit, tab.scale, tab.c, tab.A, tab.rel, b,
+                   lb, ub)
 
 
 def _two_phase(c, A, rel, b, lb, ub):
@@ -465,8 +472,8 @@ def _two_phase(c, A, rel, b, lb, ub):
     unit = np.zeros(m, int)
     unit[slack] = n + np.arange(len(slack))
     unit[eq] = n_real + np.arange(len(eq))
-    tab = Tableau(None, None, None, None, n_real, unit, scale, c, A, rel, b,
-                  lb, ub)
+    tab = Tableau(None, None, None, None, None, n_real, unit, scale, c, A,
+                  rel, b, lb, ub)
 
     if len(art):
         cols[n_real:ncols, m] = 1.0
@@ -508,9 +515,9 @@ def _dual_resolve(tab, A, b, lb, ub):
     js, weights = _shift(tab, A, b, lb, ub)
     # an elementwise sum, not a matrix product, keeps BLAS out
     rhs = tab.rhs + (tab.columns(js) * weights[:, None]).sum(axis=0)
-    moved = Tableau(tab.packed, tab.nonbasic, tab.basis, rhs, tab.n_real,
-                    tab.unit, tab.scale, tab.c, tab.A, tab.rel, b, lb, ub,
-                    tab.slot)
+    moved = Tableau(tab.packed, tab.nonbasic, tab.basis, tab.basis_ix, rhs,
+                    tab.n_real, tab.unit, tab.scale, tab.c, tab.A, tab.rel,
+                    b, lb, ub, tab.slot)
     if not (rhs[:-1] < -DUAL_EPS).any():
         return "optimal", moved
     cols, basis = moved.unpacked(), list(tab.basis)
@@ -548,7 +555,7 @@ def lp_solve(c, A, rel, b, lb, ub, start=None):
         return status, None, None, tab
     n, m = len(c), len(tab.basis)
     y = np.zeros(tab.n_real + m)
-    y[tab.basis] = tab.rhs[:m]
+    y[tab.basis_ix] = tab.rhs[:m]
     x = y[:n] + lb
     return ("optimal", x, float(np.dot(c, y[:n]) + np.dot(c, lb)), tab)
 

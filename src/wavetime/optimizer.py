@@ -3,17 +3,22 @@
 Stage 1 solves the relaxed pad model and collects candidate unit sites S.
 Stage 2 refines S with unit presence binaries while lowering the pad
 bound d_th; it builds its model once per S and moves it to each next
-d_th, re-solving from the previous round's solution.  Stage 3 legalizes
-the surviving sites S_d with the exact flip-flop/latch model and takes
-the sites it finds as the next S_d, until they are S_d again: a site
-that legalizes to "no unit" drops out, and a relaxed gate whose pads
-split joins.
+d_th, re-solving from the previous round's solution.  Stages 1 and 2
+read only the site set of a solution (vsmodel.hot_sites); only stage 3
+decodes a placement.  Stage 3 legalizes the surviving sites S_d with
+the exact flip-flop/latch model and takes the sites it finds as the
+next S_d, until they are S_d again: a site that legalizes to "no unit"
+drops out, and a relaxed gate whose pads split joins.
 Stage 4 snaps gate delays to their libraries and trades long buffer
 chains for sequential units where that saves area; a trial unit that
 misses its capture region against the source window of the current
-placement is rejected before the whole-circuit STA.  Stages 2 and 3
-with no sites would solve the relaxed model again, so they reuse the
-stage-1 solution instead.
+placement is rejected before the whole-circuit STA.  Each placement
+stage 4 makes is STA-checked once and its windows passed on: the
+snapped placement's clean STA gives the buffer walk its first windows,
+and the flow's closing check reads the violations of the STA that
+accepted the returned placement instead of running another.  Stages 2
+and 3 with no sites would solve the relaxed model again, so they reuse
+the stage-1 solution instead.
 
 The period sweep runs run_flow at each period.  The models keep time in
 units of T, so moving one to the next period changes only its
@@ -154,8 +159,7 @@ def run_flow(graph, cfg, start=None):
     arts, prev = model("relaxed", (), lambda: vsmodel.build_relaxed_model(
         graph, cfg))
     sol = solve("relaxed", (), arts, prev)
-    _, S = vsmodel.decode_solution(arts, sol)
-    S = set(S)
+    S = set(vsmodel.hot_sites(arts, sol))
     report.stages.append(StageInfo("stage1", sol.status, len(S),
                                    sol.objective * cfg.T))
 
@@ -173,8 +177,7 @@ def run_flow(graph, cfg, start=None):
                 # re-solve from the last round on these sites
                 vsmodel.set_dth(arts2, d_th)
             sol2 = solve("cdq", sites, arts2, sol2)
-            _, hot = vsmodel.decode_solution(arts2, sol2)
-            new = hot - S
+            new = vsmodel.hot_sites(arts2, sol2) - S
             S |= new
             if d_th == 0.0 and not new:
                 break
@@ -203,10 +206,8 @@ def run_flow(graph, cfg, start=None):
     report.stages.append(StageInfo("stage3", sol3.status, len(S_d),
                                    sol3.objective * cfg.T))
 
-    placed = discretize_delays(placed, cfg)
-    placed = replace_buffers(placed, cfg)
-
-    _, violations = sta.propagate_windows(placed, cfg)
+    placed, windows = discretize_delays(placed, cfg)
+    placed, _, violations = replace_buffers(placed, cfg, windows)
     if violations:
         raise InfeasibleError("finalize", f"residual violations "
                               f"{[(v.node, v.kind) for v in violations[:3]]}")
@@ -226,16 +227,17 @@ def _snap(value, lib):
 
 def discretize_delays(placed, cfg):
     """Snap solved gate delays to library entries, with one repair pass
-    nudging gates toward the violation-reducing neighbor."""
+    nudging gates toward the violation-reducing neighbor; returns the
+    snapped placement and the windows of its clean STA."""
     graph = placed.graph
     libs = {g: sorted(gate.lib) for g, gate in graph.gates.items()}
     cont = {g: placed.delay(g) for g in graph.gates}
     snapped = {g: _snap(cont[g], libs[g]) for g in graph.gates}
     trial = OptimizedCircuit(graph, decisions=placed.decisions,
                              lam=placed.lam, gate_delays=snapped)
-    _, violations = sta.propagate_windows(trial, cfg)
+    windows, violations = sta.propagate_windows(trial, cfg)
     if not violations:
-        return trial
+        return trial, windows
     late = any(v.kind in ("setup", "non_interference", "latch_region")
                for v in violations)
     early = any(v.kind == "hold" for v in violations)
@@ -249,11 +251,11 @@ def discretize_delays(placed, cfg):
             repaired[g] = lib[i + 1]
     trial = OptimizedCircuit(graph, decisions=placed.decisions,
                              lam=placed.lam, gate_delays=repaired)
-    _, violations = sta.propagate_windows(trial, cfg)
+    windows, violations = sta.propagate_windows(trial, cfg)
     if violations:
         raise InfeasibleError("discretization",
                               "library snapping cannot meet timing")
-    return trial
+    return trial, windows
 
 
 def _reaches(graph, a, b):
@@ -271,22 +273,29 @@ def _reaches(graph, a, b):
     return False
 
 
-def replace_buffers(placed, cfg):
+def replace_buffers(placed, cfg, windows=None):
     """Swap buffer chains longer than the replacement threshold for a
-    single sequential unit when that is timing-clean and not larger.
+    single sequential unit when that is timing-clean and not larger;
+    returns (placed, windows, violations), the last two from the STA
+    that checked the returned placement.
 
-    The first clean trial in (unit, n_cycle, phi) order wins.  A trial
-    changes windows only downstream of its edge, so unless the edge's
-    destination reaches its source, the trial's STA sees the source
-    window the current placement has: a trial whose unit misses its
-    capture region against that window is rejected without running the
-    whole-circuit STA, which would report the same violation."""
+    windows are those of the clean STA of placed, as discretize_delays
+    returns them; None runs that STA here, and its violations stand
+    until a clean trial replaces them.  The first clean trial in (unit,
+    n_cycle, phi) order wins.  A trial changes windows only downstream
+    of its edge, so unless the edge's destination reaches its source,
+    the trial's STA sees the source window the current placement has: a
+    trial whose unit misses its capture region against that window is
+    rejected without running the whole-circuit STA, which would report
+    the same violation."""
     # a trial changes only its own edge, so no other edge's candidacy
     # or place in the order moves while the list is walked
     graph = placed.graph
     p = graph.circuit.ff_params
     decisions = placed.decisions
-    windows = None      # of the current placement, once needed
+    violations = []
+    if windows is None:
+        windows, violations = sta.propagate_windows(placed, cfg)
     for k in sorted((k for k, dec in decisions.items()
                      if dec.unit == "none" and dec.xi > cfg.replace_threshold),
                     key=lambda k: (-decisions[k].xi, k)):
@@ -296,8 +305,6 @@ def replace_buffers(placed, cfg):
         if k[0] not in graph.gates:
             src_win = sta.launch_window(cfg, p)
         elif not _reaches(graph, k[1], k[0]):
-            if windows is None:
-                windows = sta.propagate_windows(placed, cfg)[0]
             src_win = windows[k[0]]
         trials = (EdgeDecision(xi=0.0, unit=unit, n_cycle=n, phi=phi)
                   for unit in ("flipflop", "latch")
@@ -307,11 +314,12 @@ def replace_buffers(placed, cfg):
                       if not sta.unit_region_checks(src_win, t, cfg, p, k))
         for trial_dec in trials:
             trial = replace(placed, decisions={**decisions, k: trial_dec})
-            trial_windows, violations = sta.propagate_windows(trial, cfg)
-            if not violations:
-                decisions[k], windows = trial_dec, trial_windows
+            checked = sta.propagate_windows(trial, cfg)
+            if not checked[1]:
+                decisions[k] = trial_dec
+                windows, violations = checked
                 break
-    return placed
+    return placed, windows, violations
 
 
 def sweep_clock_period(graph, cfg, step_fraction=0.005):

@@ -10,6 +10,7 @@ optimization tool.
 """
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class PathLimitError(Exception):
@@ -70,17 +71,16 @@ def classify_paths(graph, sol, limit=100000):
     traversed-anchor multiset."""
     lag = lambda n: sol.r.get(n, 0)
     wprime = {}
-    for e in graph.edges:
-        key = (e.src, e.dst, e.dst_pin)
-        wprime[key] = e.w + lag(e.dst) - lag(e.src) - sol.y.get(key, 0)
+    for src, dst, w, pin in graph.edges:
+        key = (src, dst, pin)
+        wprime[key] = w + lag(dst) - lag(src) - sol.y.get(key, 0)
 
     launches = [(t, t) for t, kind in sorted(graph.terminals.items())
                 if kind in ("input", "bff") and graph.out_edges(t)]
     # a kept flip-flop in the middle of the region also launches waves
-    for e in graph.edges:
-        key = (e.src, e.dst, e.dst_pin)
-        if wprime[key] >= 1:
-            launches.append((f"{e.src}>{e.dst}", e.dst))
+    for src, dst, _, pin in graph.edges:
+        if wprime[src, dst, pin] >= 1:
+            launches.append((f"{src}>{dst}", dst))
     launches.sort()
 
     count = 0
@@ -107,9 +107,8 @@ def classify_paths(graph, sol, limit=100000):
             by_anchor[mkey] = cls
         cls.paths.append((launch, tuple(path)))
 
-    def out_edges(node):
-        return iter(sorted(graph.out_edges(node),
-                           key=lambda e: (e.dst, e.dst_pin)))
+    def out_edges(node):      # by (dst, dst_pin)
+        return iter(sorted(graph.out_edges(node), key=itemgetter(1, 3)))
 
     # depth-first, pre-order; stack[i] iterates the out-edges of the
     # node that path[i - 1] enters (the launch node for i = 0)
@@ -122,18 +121,19 @@ def classify_paths(graph, sol, limit=100000):
                 if path:
                     seen.discard(path.pop()[1])
                 continue
-            key = (e.src, e.dst, e.dst_pin)
+            src, dst, _, pin = e
+            key = (src, dst, pin)
             if wprime[key] >= 1:
                 record(launch, path + [key])   # path ends at a kept FF
                 continue
-            if e.dst not in graph.gates:
+            if dst not in graph.gates:
                 record(launch, path + [key])   # boundary sink
                 continue
-            if e.dst in seen:
+            if dst in seen:
                 continue
             path.append(key)
-            seen.add(e.dst)
-            stack.append(out_edges(e.dst))
+            seen.add(dst)
+            stack.append(out_edges(dst))
 
     classes = []
     for mkey in sorted(by_anchor):

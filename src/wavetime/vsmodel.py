@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .milp import BINARY, CONTINUOUS, INTEGER, MilpModel
-from .sta import EdgeDecision, OptimizedCircuit, edge_key
+from .sta import EdgeDecision, OptimizedCircuit
 
 # small tie-break cost on unit-presence binaries so that x = 1 appears
 # only where a pad is actually exercised, and on a site's latch case so
@@ -112,20 +112,20 @@ def _base(graph, cfg):
         lo, hi = min(graph.gates[g].lib), max(graph.gates[g].lib)
         arts.d[g] = _period_var(arts, lambda c, lo=lo, hi=hi:
                                 (lo / c.T, hi / c.T), f"d_{g}")
-    for e in graph.edges:
-        arts.xi[edge_key(e)] = m.add_var(
-            CONTINUOUS, 0.0, 3.0, name=f"xi_{e.src}_{e.dst}_{e.dst_pin}")
+    for src, dst, _, pin in graph.edges:
+        arts.xi[src, dst, pin] = m.add_var(
+            CONTINUOUS, 0.0, 3.0, name=f"xi_{src}_{dst}_{pin}")
     return arts
 
 
-def _src_terms(arts, e):
-    """(coeffs, const) for the latest/earliest arrival at the source of
-    an edge: a variable for gates, the launch constant (absolute time,
-    reading only r_u and r_l) for terminals."""
+def _src_terms(arts, src):
+    """(coeffs, const) for the latest/earliest arrival at src, the
+    source of an edge: a variable for gates, the launch constant
+    (absolute time, reading only r_u and r_l) for terminals."""
     g, cfg = arts.graph, arts.cfg
     p = g.circuit.ff_params
-    if e.src in g.gates:
-        return (arts.s[e.src], 0.0), (arts.sp[e.src], 0.0)
+    if src in g.gates:
+        return (arts.s[src], 0.0), (arts.sp[src], 0.0)
     return (None, p.t_cq * cfg.r_u), (None, p.t_cq * cfg.r_l)
 
 
@@ -150,24 +150,26 @@ def _arrival_rows(arts, e, s, sp, add_s, add_sp):
     variables s/sp of its destination; add_s/add_sp are the extra
     linear terms of the destination's pad/unit."""
     g, cfg = arts.graph, arts.cfg
-    k = edge_key(e)
-    (sv, sc), (spv, spc) = _src_terms(arts, e)
-    cs = {s: 1.0, arts.xi[k]: -cfg.r_u}
-    csp = {sp: 1.0, arts.xi[k]: -cfg.r_l}
+    src, dst, w, pin = e
+    (sv, sc), (spv, spc) = _src_terms(arts, src)
+    xi = arts.xi[src, dst, pin]
+    cs = {s: 1.0, xi: -cfg.r_u}
+    csp = {sp: 1.0, xi: -cfg.r_l}
     if sv is not None:
         cs[sv] = cs.get(sv, 0.0) - 1.0
         csp[spv] = csp.get(spv, 0.0) - 1.0
-    if e.dst in g.gates:
-        cs[arts.d[e.dst]] = cs.get(arts.d[e.dst], 0.0) - cfg.r_u
-        csp[arts.d[e.dst]] = csp.get(arts.d[e.dst], 0.0) - cfg.r_l
+    if dst in g.gates:
+        d = arts.d[dst]
+        cs[d] = cs.get(d, 0.0) - cfg.r_u
+        csp[d] = csp.get(d, 0.0) - cfg.r_l
     for v, a in add_s.items():
         cs[v] = cs.get(v, 0.0) - a
     for v, a in add_sp.items():
         csp[v] = csp.get(v, 0.0) - a
-    _period_constr(arts, cs, ">=", lambda c: sc / c.T - e.w,
-                   f"arr_{e.src}_{e.dst}_{e.dst_pin}")
-    _period_constr(arts, csp, "<=", lambda c: spc / c.T - e.w,
-                   f"arrp_{e.src}_{e.dst}_{e.dst_pin}")
+    _period_constr(arts, cs, ">=", lambda c: sc / c.T - w,
+                   f"arr_{src}_{dst}_{pin}")
+    _period_constr(arts, csp, "<=", lambda c: spc / c.T - w,
+                   f"arrp_{src}_{dst}_{pin}")
 
 
 def _arrival_constraints(arts, pad_terms):
@@ -176,24 +178,24 @@ def _arrival_constraints(arts, pad_terms):
     None when the gate's output variable is constrained elsewhere."""
     g = arts.graph
     for e in g.edges:
-        terms = pad_terms.get(e.dst) if e.dst in g.gates else ({}, {})
+        dst = e[1]
+        terms = pad_terms.get(dst) if dst in g.gates else ({}, {})
         if terms is not None:
-            _arrival_rows(arts, e, arts.s[e.dst], arts.sp[e.dst], *terms)
+            _arrival_rows(arts, e, arts.s[dst], arts.sp[dst], *terms)
 
 
 def _loop_order_constraints(arts, gates):
     """s'_u + delta' <= s_u + delta per in-edge: forces a sequential unit
     somewhere on every zero-weight cycle created by removal."""
-    g = arts.graph
-    for e in g.edges:
-        if e.dst in gates:
-            (sv, sc), (spv, spc) = _src_terms(arts, e)
-            c = {arts.delta_p[e.dst]: 1.0, arts.delta[e.dst]: -1.0}
+    for src, dst, _, pin in arts.graph.edges:
+        if dst in gates:
+            (sv, sc), (spv, spc) = _src_terms(arts, src)
+            c = {arts.delta_p[dst]: 1.0, arts.delta[dst]: -1.0}
             if sv is not None:
                 c[spv] = c.get(spv, 0.0) + 1.0
                 c[sv] = c.get(sv, 0.0) - 1.0
             _period_constr(arts, c, "<=", lambda c, t=sc - spc: t / c.T,
-                           f"order_{e.src}_{e.dst}_{e.dst_pin}")
+                           f"order_{src}_{dst}_{pin}")
 
 
 def _stability(arts, extra=()):
@@ -421,31 +423,37 @@ def build_legalization_model(graph, cfg, S_d):
     return arts
 
 
-def decode_solution(arts, sol):
-    """Turn solver values, in units of T, into per-edge decisions in
-    absolute time plus the frozenset of locations whose pads indicate (or
-    realize) a sequential unit."""
+def hot_sites(arts, sol):
+    """The frozenset of locations whose pads indicate (or realize) a
+    sequential unit, without decoding a placement; refuses what
+    decode_solution refuses."""
     if sol.status != "optimal":
         raise ValueError(f"cannot decode a {sol.status} solution")
-    g, cfg = arts.graph, arts.cfg
-    vals = sol.values
+    vals, T = sol.values, arts.cfg.T
     for vid in arts.model.integer.nonzero()[0].tolist():
         if abs(vals[vid] - round(vals[vid])) > 1e-5:
             raise AssertionError("fractional integer value for "
                                  f"{arts.model.vars[vid].name}")
+    hot = {name for name, d in arts.delta.items()
+           if vals[arts.delta_p[name]] * T - vals[d] * T > PAD_EPS}
+    hot.update(name for name, x in arts.x.items() if vals[x] > 0.5)
+    hot.update(name for name, sv in arts.site.items()
+               if not vals[sv["cases"][0]] > 0.5)
+    return frozenset(hot)
+
+
+def decode_solution(arts, sol):
+    """Turn solver values, in units of T, into per-edge decisions in
+    absolute time plus hot_sites(arts, sol)."""
+    hot = hot_sites(arts, sol)
+    g, cfg = arts.graph, arts.cfg
+    vals = sol.values
 
     def time(v):
         return vals[v] * cfg.T
 
     decisions = {}
     gate_delays = {name: time(vid) for name, vid in arts.d.items()}
-    hot = set()
-    for name in arts.delta:
-        if time(arts.delta_p[name]) - time(arts.delta[name]) > PAD_EPS:
-            hot.add(name)
-    for name, x in arts.x.items():
-        if vals[x] > 0.5:
-            hot.add(name)
     unit_info = {}
     for name, sv in arts.site.items():
         case = [i for i, c in enumerate(sv["cases"]) if vals[c] > 0.5][0]
@@ -454,11 +462,9 @@ def decode_solution(arts, sol):
         phase_i = [i for i, y in enumerate(sv["phases"]) if vals[y] > 0.5][0]
         unit_info[name] = ("flipflop" if case == 1 else "latch",
                            int(round(vals[sv["N"]])), cfg.phases[phase_i])
-        hot.add(name)
-    for e in g.edges:
-        k = edge_key(e)
+    for src, dst, _, pin in g.edges:
+        k = src, dst, pin
         dec = EdgeDecision(xi=max(0.0, time(arts.xi[k])))
-        src = e.src
         if src in unit_info:
             kind, n_cycle, phi = unit_info[src]
             dec.unit, dec.n_cycle, dec.phi = kind, n_cycle, phi
@@ -471,4 +477,4 @@ def decode_solution(arts, sol):
         decisions[k] = dec
     placed = OptimizedCircuit(g, decisions=decisions,
                               gate_delays=gate_delays)
-    return placed, frozenset(hot)
+    return placed, hot

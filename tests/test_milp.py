@@ -595,6 +595,52 @@ def test_solves_from_moved_starts_match_cold_solves(monkeypatch):
     assert held.count(True) > 0 and held.count(False) > 0
 
 
+def test_tableau_keeps_its_basis_as_a_shared_index_array(monkeypatch):
+    """A Tableau's basis_ix is its basis list as a read-only index array,
+    at the root, at every kept node and after every re-solve.  A
+    re-solve with no pivot shares its start's array; one that pivots
+    owns a new one."""
+    pivots = []
+    kernel, pivot = milp.lp_solve, milp._pivot
+    monkeypatch.setattr(milp, "_pivot",
+                        lambda *args: pivots.append(args) or pivot(*args))
+    shared = owned = 0
+
+    def check(tab):
+        assert tab.basis_ix.dtype == int and not tab.basis_ix.flags.writeable
+        assert tab.basis_ix.tolist() == tab.basis
+
+    def record(*args, start=None):
+        nonlocal shared, owned
+        pivots.clear()
+        result = kernel(*args, start=start)
+        if isinstance(result[3], milp.Tableau):
+            check(result[3])
+            if start is not None and not pivots:
+                assert result[3].basis_ix is start.basis_ix
+                shared += 1
+            elif start is not None:
+                assert not np.shares_memory(result[3].basis_ix,
+                                            start.basis_ix)
+                owned += 1
+        return result
+
+    monkeypatch.setattr(milp, "lp_solve", record)
+    rng = random.Random(8)
+    for make, move in [(random_model, move_bound)] * 20 + \
+            [(two_row_knapsack, move_capacity)] * 10:
+        m = make(rng)
+        sol = milp.solve(m)
+        for _ in range(3):
+            if sol.status != "optimal":
+                break
+            for tab in (sol.root, *sol.nodes.values()):
+                check(tab)
+            move(rng, m)
+            sol = milp.solve(m, start=sol)
+    assert shared > 10 and owned > 10
+
+
 def wide_knapsack(capacity):
     rng = random.Random(3)
     m = MilpModel()

@@ -333,7 +333,7 @@ def test_discretize_snaps_to_library(fig_c):
     cfg = exact_cfg(9.0)
     placed = sta.as_placed(g)
     placed.gate_delays = {"g5": 1.4}
-    out = discretize_delays(placed, cfg)
+    out, _ = discretize_delays(placed, cfg)
     assert out.gate_delays["g5"] in g.gates["g5"].lib
 
 
@@ -356,7 +356,7 @@ def test_replace_buffers_swaps_long_chain(fig_chain):
     cfg = exact_cfg(10.0)
     placed = chain_with_buffer(fig_chain, 7.0)
     before = area(placed, cfg)
-    out = replace_buffers(placed, cfg)
+    out, _, _ = replace_buffers(placed, cfg)
     after = area(out, cfg)
     assert after <= before
     dec = out.decisions[("F1", "u", 0)]
@@ -369,7 +369,7 @@ def test_replace_buffers_swaps_long_chain(fig_chain):
 def test_replace_buffers_keeps_short_chain(fig_chain):
     cfg = exact_cfg(10.0)
     placed = chain_with_buffer(fig_chain, 2.0)   # below 0.5*T threshold
-    out = replace_buffers(placed, cfg)
+    out, _, _ = replace_buffers(placed, cfg)
     assert out.decisions[("F1", "u", 0)].unit == "none"
     assert out.decisions[("F1", "u", 0)].xi == 2.0
 
@@ -387,7 +387,7 @@ def test_replace_buffers_never_grows_area_random():
                 placed.decisions[sta.edge_key(e)] = \
                     EdgeDecision(xi=rng.uniform(0, c.T))
         before = area(placed, cfg)
-        out = replace_buffers(placed, cfg)
+        out, _, _ = replace_buffers(placed, cfg)
         assert area(out, cfg) <= before
 
 
@@ -415,20 +415,20 @@ def reference_replace_buffers(placed, cfg):
 
 
 def stage4_inputs(monkeypatch):
-    """(placed, cfg) that run_flow hands to replace_buffers on
+    """(placed, cfg, windows) that run_flow hands to replace_buffers on
     fig_chain, the loop goldens and seeded random designs, a third of
     them with a cycle through a removable flip-flop, at 1.0, 0.9 and 0.8
     times their period; then each of those with long buffer chains
     added on a third of its unit-free edges and on every unit-free edge
-    of a cycle."""
+    of a cycle, with windows None."""
     from gen import add_flipflop_loop, load
     inputs = []
     stage4 = optimizer.replace_buffers
 
-    def recorded(placed, cfg):
+    def recorded(placed, cfg, windows):
         inputs.append((replace(placed, decisions=dict(placed.decisions)),
-                       cfg))
-        return stage4(placed, cfg)
+                       cfg, windows))
+        return stage4(placed, cfg, windows)
 
     designs = [load(f"{n}.net") for n in ("fig_chain", "deep_chain",
                                           "loop_orig", "entangled_orig")]
@@ -447,14 +447,14 @@ def stage4_inputs(monkeypatch):
                 except InfeasibleError:
                     pass
     rng = random.Random(5)
-    for placed, cfg in list(inputs):
+    for placed, cfg, _ in list(inputs):
         decisions = dict(placed.decisions)
         for k, dec in decisions.items():
             if dec.unit == "none" and (rng.random() < 0.3 or
                                        optimizer._reaches(placed.graph,
                                                           k[1], k[0])):
                 decisions[k] = EdgeDecision(xi=rng.uniform(0.5, 1.0) * cfg.T)
-        inputs.append((replace(placed, decisions=decisions), cfg))
+        inputs.append((replace(placed, decisions=decisions), cfg, None))
     return inputs
 
 
@@ -463,28 +463,119 @@ def test_screened_replace_buffers_matches_reference(monkeypatch):
     inputs = stage4_inputs(monkeypatch)
     sta_calls = count_calls(monkeypatch, sta, "propagate_windows")
     outs = []
-    for walk in (replace_buffers, reference_replace_buffers):
+    walks = (lambda placed, cfg, windows:
+             replace_buffers(placed, cfg, windows)[0],
+             lambda placed, cfg, _: reference_replace_buffers(placed, cfg))
+    for walk in walks:
         start = len(sta_calls)
         outs.append([])
-        for placed, cfg in inputs:
+        for placed, cfg, windows in inputs:
             copy = replace(placed, decisions=dict(placed.decisions))
             try:
-                outs[-1].append(walk(copy, cfg).decisions)
+                outs[-1].append(walk(copy, cfg, windows).decisions)
             except ValueError as e:     # an unresolved placement
                 outs[-1].append(str(e))
         outs[-1].append(len(sta_calls) - start)
     (*screened, screened_calls), (*full, full_calls) = outs
     assert screened == full
     swaps = sum(dec.unit != "none" and placed.decisions[k].unit == "none"
-                for (placed, _), out in zip(inputs, full)
+                for (placed, *_), out in zip(inputs, full)
                 if not isinstance(out, str) for k, dec in out.items())
     assert swaps >= 10
     # some candidates lie on a cycle, where the screen is skipped
     assert any(optimizer._reaches(placed.graph, k[1], k[0])
-               for placed, cfg in inputs
+               for placed, cfg, _ in inputs
                for k, dec in placed.decisions.items()
                if dec.unit == "none" and buffer_count(dec, cfg) >= 6)
     assert screened_calls < full_calls
+
+
+def test_flow_checks_each_placement_once(monkeypatch):
+    """A flow runs discretization's one or two STAs and one per buffer
+    replacement trial: the walk starts from discretization's windows and
+    the closing check reads the last clean STA's violations."""
+    from gen import load
+    designs = [load("fig_chain.net"), load("loop_orig.net")]
+    designs += [random_circuit(random.Random(seed), max_gates=8, max_ffs=4,
+                               with_loop=seed % 2 == 1) for seed in range(30)]
+    calls = []      # per STA: (stage running, placement checked)
+    stage = [None]  # (name, placement handed to it), or None
+    sta_run = sta.propagate_windows
+    monkeypatch.setattr(sta, "propagate_windows", lambda placed, cfg: (
+        calls.append((stage[0], placed)) or sta_run(placed, cfg)))
+
+    def staged(name, fn):
+        def run(placed, *args):
+            stage[0] = name, placed
+            try:
+                return fn(placed, *args)
+            finally:
+                stage[0] = None
+        monkeypatch.setattr(optimizer, fn.__name__, run)
+
+    staged("discretize", discretize_delays)
+    staged("replace", replace_buffers)
+    flows = trials = 0
+    for c in designs:
+        for scale in (1.0, 0.9):
+            calls.clear()
+            try:
+                run_flow(to_gate_graph(c), Config(T=scale * c.T))
+            except InfeasibleError:
+                continue
+            flows += 1
+            names = [st and st[0] for st, _ in calls]
+            assert names.count("discretize") in (1, 2)
+            assert names.count("discretize") + names.count("replace") == \
+                len(calls)
+            # each STA of the walk checks a trial, not the placement it
+            # was handed
+            walked = [(st[1], placed) for st, placed in calls
+                      if st[0] == "replace"]
+            assert all(placed.decisions is not handed.decisions
+                       for handed, placed in walked)
+            trials += len(walked)
+    assert flows >= 20 and trials >= 20
+
+
+def test_stage4_hands_back_the_windows_of_its_placement(monkeypatch):
+    """The windows and violations replace_buffers returns are those of a
+    fresh STA of the placement it returns, in the same order, whether it
+    was handed discretization's windows or ran its own STA."""
+    handed = checked = 0
+    for placed, cfg, windows in stage4_inputs(monkeypatch):
+        copy = replace(placed, decisions=dict(placed.decisions))
+        try:
+            out, got, violations = replace_buffers(copy, cfg, windows)
+        except ValueError:      # an unresolved placement
+            continue
+        want, want_violations = propagate_windows(out, cfg)
+        assert list(got.items()) == list(want.items())
+        assert violations == want_violations
+        handed += windows is not None
+        checked += 1
+    assert handed >= 20 and checked > handed
+
+
+def test_flow_refuses_violations_stage4_hands_back(fig_chain, monkeypatch):
+    """run_flow fails at "finalize" on the violations stage 4 hands back,
+    with no STA of its own."""
+    calls = count_calls(monkeypatch, sta, "propagate_windows")
+    ran = []
+
+    def violating(placed, cfg, windows):
+        placed.decisions = {k: EdgeDecision(xi=2 * cfg.T)
+                            for k in placed.decisions}
+        windows, violations = propagate_windows(placed, cfg)
+        assert violations
+        ran.append(len(calls))
+        return placed, windows, violations
+
+    monkeypatch.setattr(optimizer, "replace_buffers", violating)
+    with pytest.raises(InfeasibleError) as err:
+        run_flow(to_gate_graph(fig_chain), exact_cfg(10.0))
+    assert err.value.stage == "finalize"
+    assert ran == [len(calls)]
 
 
 def test_sweep_returns_last_feasible(fig_c):

@@ -596,6 +596,66 @@ def test_decode_names_the_first_fractional_integer_variable(fig_c):
         vsmodel.decode_solution(arts, milp.Solution("optimal", values, 0.0))
 
 
+def written_out_sites(arts, sol):
+    """The site rules of decode_solution, written out: a gate whose pads
+    differ by more than PAD_EPS in absolute time, a cdq site with its
+    unit present, and a legalization site off case 1 (no unit)."""
+    vals, T = sol.values, arts.cfg.T
+    return ({g for g, d in arts.delta.items()
+             if vals[arts.delta_p[g]] * T - vals[d] * T > vsmodel.PAD_EPS}
+            | {g for g, x in arts.x.items() if vals[x] > 0.5}
+            | {g for g, sv in arts.site.items() if vals[sv["cases"][0]] < 0.5})
+
+
+def test_hot_sites_are_the_decoded_sites():
+    """For every relaxed, cdq and legalization solve of the stage corpus,
+    the site set read alone equals the one decode_solution returns with
+    a placement and the written-out rules; a present cdq unit is a site
+    even with equal pads.  Like decode_solution, hot_sites refuses a
+    solution that is not optimal and names a fractional integer."""
+    compared, kinds = 0, set()
+    for name, c in stage_corpus():
+        g, cfg = to_gate_graph(c), Config(T=c.T)
+        arts = vsmodel.build_relaxed_model(g, cfg)
+        sol = milp.solve(arts.model)
+        solves = [(arts, sol)]
+        if sol.status == "optimal":
+            sites = set(vsmodel.hot_sites(arts, sol))
+            solves += [(cdq, milp.solve(cdq.model)) for cdq in (
+                vsmodel.build_cdq_model(g, cfg, sites, d_th)
+                for d_th in (7 * cfg.T / 8, 0.0))]
+            legal = vsmodel.build_legalization_model(g, cfg, sites)
+            solves.append((legal, milp.solve(legal.model)))
+        for arts, sol in solves:
+            if sol.status != "optimal":
+                with pytest.raises(ValueError):
+                    vsmodel.hot_sites(arts, sol)
+                continue
+            sites = vsmodel.hot_sites(arts, sol)
+            assert type(sites) is frozenset
+            assert sites == vsmodel.decode_solution(arts, sol)[1], name
+            assert sites == written_out_sites(arts, sol), name
+            compared += 1
+            kinds.update(kind for kind, hit in (
+                ("pads", sites & set(arts.delta)), ("x", arts.x),
+                ("site", sites & set(arts.site))) if hit)
+            for site, x in arts.x.items():
+                values = dict(sol.values)
+                values[arts.delta_p[site]] = values[arts.delta[site]]
+                for present in (0.0, 1.0):
+                    values[x] = present
+                    assert (site in vsmodel.hot_sites(arts, milp.Solution(
+                        "optimal", values, 0.0))) == bool(present)
+                values[x] = 0.5
+                with pytest.raises(AssertionError, match=(
+                        f"fractional integer value for x_{site}$")):
+                    vsmodel.hot_sites(arts, milp.Solution("optimal", values,
+                                                          0.0))
+    assert compared >= 30 and kinds == {"pads", "x", "site"}
+    with pytest.raises(ValueError, match="cannot decode a bound_reached"):
+        vsmodel.hot_sites(arts, milp.Solution("bound_reached", {}, 0.0))
+
+
 def test_bench_reads_each_golden_model_through_the_views(monkeypatch):
     """The benchmark reads models only through their views: the sizes
     (len of vars and constraints) and checks.highs_objective, on the
