@@ -14,14 +14,8 @@ comments):
 A gate's output net shares the gate's name.  Primary inputs and outputs
 are modeled as boundary flip-flops sharing the circuit's FlipFlopParams.
 
-parse_netlist, the reader map of Circuit.readers and to_gate_graph run
-with Python's cyclic garbage collector paused (nogc), as do
-sta.propagate_windows, sta.format_report and verify.simulate_waves: on
-a 1000-gate design they allocate tens of thousands of containers and
-were measured to create no reference cycles, so the collections those
-allocations would trigger find nothing.  Each restores the collector
-state it found; another thread that turns the collector off while one
-of them runs may see that setting undone when it returns.
+parse_netlist and to_gate_graph run with Python's cyclic garbage
+collector paused; nogc says why.
 """
 
 import gc
@@ -34,10 +28,16 @@ from typing import NamedTuple
 
 
 def nogc(func):
-    """Decorate func to run with the cyclic garbage collector off.  The
-    collector's state is restored on return and on raise; when it is
-    already off, func just runs.  A collector that another thread turns
-    off while func runs is turned back on when func ends."""
+    """Decorate func to run with Python's cyclic garbage collector off.
+
+    The passes it wraps (parse_netlist, to_gate_graph,
+    sta.propagate_windows, sta.format_report and verify.simulate_waves)
+    allocate tens of thousands of containers on a 1000-gate design and
+    were measured to create no reference cycles, so the collections
+    those allocations would trigger find nothing.  The collector's state
+    is restored on return and on raise; when it is already off, func
+    just runs.  A collector that another thread turns off while func
+    runs is turned back on when func ends."""
     @wraps(func)
     def paused(*args, **kwargs):
         if not gc.isenabled():
@@ -200,10 +200,9 @@ class FlipFlop:
 @dataclass
 class Circuit:
     """A gate-level netlist.  A Circuit is not mutated after validate: its
-    gate order and reader map are computed once, on first use, and
-    to_gate_graph hands every caller the same graph while one of them
-    holds it.  The lists these return are shared and must not be
-    mutated either."""
+    gate order is computed once, on first use, and to_gate_graph hands
+    every caller the same graph while one of them holds it.  The list
+    and graph these return are shared and must not be mutated either."""
     name: str
     T: float
     duty: float
@@ -212,24 +211,6 @@ class Circuit:
     ffs: dict
     inputs: list
     outputs: list  # (name, src) pairs
-
-    def readers(self):
-        """Map driver name -> list of (reader name, input pin index),
-        built on first use with the collector paused (nogc)."""
-        return self._readers
-
-    @cached_property
-    @nogc
-    def _readers(self):
-        out = {}
-        for g in self.gates.values():
-            for i, src in enumerate(g.inputs):
-                out.setdefault(src, []).append((g.name, i))
-        for f in self.ffs.values():
-            out.setdefault(f.src, []).append((f.name, 0))
-        for name, src in self.outputs:
-            out.setdefault(src, []).append((name, 0))
-        return out
 
     def validate(self):
         self.ff_params.validate(self.T)
@@ -357,6 +338,12 @@ def parse_netlist(text):
                 duty = float(kv.get("duty", "0.5"))
             except (KeyError, ValueError):
                 raise NetlistError("clock needs period=<float> [duty=<float>]", lineno)
+            if not (math.isfinite(T) and T > 0):
+                raise NetlistError(f"clock period {T} must be finite and > 0",
+                                   lineno)
+            if not 0 < duty < 1:
+                raise NetlistError(f"clock duty {duty} must be in (0, 1)",
+                                   lineno)
         elif stmt == "ffparams":
             kv = _parse_kv(tokens[1:], lineno)
             try:

@@ -213,10 +213,10 @@ def run_flow(graph, cfg, start=None):
                               f"{[(v.node, v.kind) for v in violations[:3]]}")
     ffs, latches = _count_units(placed)
     report.final_T = cfg.T
-    report.n_f = len(ffs)
-    report.n_l = len(latches)
+    report.n_f, report.n_l = len(ffs), len(latches)
     report.n_b = sum(buffer_count(d, cfg) for d in placed.decisions.values())
-    report.area_after = area(placed, cfg)
+    report.area_after = (FF_AREA * (report.n_f + report.n_l)
+                         + BUFFER_AREA * report.n_b)
     return placed, report
 
 
@@ -412,6 +412,8 @@ def placement_from_text(text):
                 f"unknown keys {sorted(set(kv) - set(keys))}", lineno)
         if toks[0] == "period":
             period = number(toks[1])
+            if period <= 0:
+                raise nl.NetlistError(f"period {period} must be > 0", lineno)
         elif toks[0] == "size":
             if toks[1] not in graph.gates or "d" not in kv:
                 raise nl.NetlistError(

@@ -13,11 +13,7 @@ anchor count once, into a table the sweep and the checks read, and
 sorts with the graph's shared GateGraph.wave_order unless a connection
 carries a flip-flop unit.  ArrivalWindow is a named tuple (s, s_prime).
 propagate_windows and format_report run with Python's cyclic garbage
-collector paused (netlist.nogc): on a 1000-gate design they allocate
-thousands of windows, table entries and per-node violation lists, and
-were measured to create no reference cycles.  Each restores the
-collector state it found; another thread that turns the collector off
-meanwhile may see that setting undone when the call returns.
+collector paused (netlist.nogc says why).
 
 The placement container types (EdgeDecision, OptimizedCircuit) are
 defined here so that both the optimizer and the independent wave
@@ -92,21 +88,21 @@ def as_placed(graph):
 def traditional_min_period(c):
     """Worst register-to-register delay t_cq + gate delays + t_su, with
     all flip-flops present and no guard bands (plain path arithmetic)."""
-    readers = c.readers()
-    # longest combinational delay from a gate (inclusive) to any
-    # capturing flip-flop or output; readers come later in gate order
-    longest = {}
+    # best[n]: longest combinational delay from n's output to any
+    # capturing flip-flop or output; every gate that reads a gate comes
+    # later in gate order, so the reverse pass raises best[gate] first
+    inf = float("inf")
+    best = {f.src: 0.0 for f in c.ffs.values()}
+    best.update((src, 0.0) for _, src in c.outputs)
     for gate in reversed(c.gate_order()):
-        best = float("-inf")
-        for reader, _ in readers.get(gate, ()):
-            best = max(best, longest[reader] if reader in c.gates else 0.0)
-        longest[gate] = c.gates[gate].d + best
+        g = c.gates[gate]
+        longest = g.d + best.get(gate, -inf)
+        for src in g.inputs:
+            best[src] = max(best.get(src, -inf), longest)
 
-    worst = float("-inf")
-    for launch in list(c.ffs) + list(c.inputs):
-        for reader, _ in readers.get(launch, ()):
-            worst = max(worst, longest[reader] if reader in c.gates else 0.0)
-    if worst == float("-inf"):
+    worst = max((best.get(n, -inf) for n in [*c.ffs, *c.inputs]),
+                default=-inf)
+    if worst == -inf:
         return 0.0
     p = c.ff_params
     return p.t_cq + worst + p.t_su

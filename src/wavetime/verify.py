@@ -6,10 +6,7 @@ with sta.  Each call resolves every connection's decision and anchor
 count once, in a table of its own, and sweeps in the graph's
 GateGraph.wave_order, which is sorted once per graph and shared, so it
 must not be mutated.  It runs with Python's cyclic garbage collector
-paused (netlist.nogc), since its window table and per-connection
-entries were measured to create no reference cycles; it restores the
-collector state it found, and another thread that turns the collector
-off meanwhile may see that setting undone.  Its report's windows, sta's
+paused (netlist.nogc says why).  Its report's windows, sta's
 ArrivalWindow named tuples, are built when first read: check_equivalence
 never reads them.
 It works on two kinds of targets:

@@ -433,18 +433,17 @@ def test_property_cli_config_file_round_trip(tmp_path_factory, ru, rl, T, ts):
 
 # -- 10: the passes that pause the cyclic collector --------------------------
 
-PAUSED = {"parse_netlist", "_readers", "to_gate_graph", "propagate_windows",
+PAUSED = {"parse_netlist", "to_gate_graph", "propagate_windows",
           "format_report", "simulate_waves"}
 
 
 def test_paused_passes_leave_no_cyclic_garbage():
-    """parse_netlist, the reader map, to_gate_graph, propagate_windows,
-    format_report and simulate_waves, on every golden and 50 seeded
-    random designs, plain and as placed by run_flow: with a collection
-    due at nearly every allocation, none runs inside one of them, and
-    none of them leaves anything for the collector.  Objects older than
-    the test are frozen, so each gc.collect() scans only what the calls
-    made."""
+    """parse_netlist, to_gate_graph, propagate_windows, format_report
+    and simulate_waves, on every golden and 50 seeded random designs,
+    plain and as placed by run_flow: with a collection due at nearly
+    every allocation, none runs inside one of them, and none of them
+    leaves anything for the collector.  Objects older than the test are
+    frozen, so each gc.collect() scans only what the calls made."""
     texts = [p.read_text() for p in sorted(DATA.glob("*.net"))]
     rng = random.Random(24)
     texts += [netlist.serialize(random_circuit(rng, with_loop=i % 2 == 1))
@@ -477,7 +476,6 @@ def test_paused_passes_leave_no_cyclic_garbage():
     try:
         for text in texts:
             c = paused(netlist.parse_netlist, text)
-            paused(c.readers)
             g = paused(to_gate_graph, c)
             cfg = Config(T=c.T)
             paused(verify.simulate_waves, c, verify.reference_config(c, cfg))

@@ -45,7 +45,8 @@ def test_duplicate_name():
 @pytest.mark.parametrize("old, new", [
     ("delay=1", "delay=nan"), ("delay=1", "delay=inf"),
     ("lib=1,2", "lib=1,nan"), ("tcq=3", "tcq=nan"), ("tsu=1", "tsu=inf"),
-    ("th=1", "th=nan"), ("tdq=1", "tdq=inf")])
+    ("th=1", "th=nan"), ("tdq=1", "tdq=inf"),
+    ("period=10", "period=nan"), ("period=10", "period=inf")])
 def test_non_finite_numbers_are_rejected(old, new):
     text = ("circuit c\nclock period=10 duty=0.5\n"
             "ffparams tcq=3 tsu=1 th=1 tdq=1\ninput a\n"
@@ -54,6 +55,25 @@ def test_non_finite_numbers_are_rejected(old, new):
     parse_netlist(text)
     with pytest.raises(ValueError, match="finite"):
         parse_netlist(text.replace(old, new))
+
+
+@pytest.mark.parametrize("duty", ["1.5", "nan", "0", "1", "-0.5"])
+def test_clock_duty_outside_0_1_names_its_line(duty):
+    text = f"circuit c\nclock period=10 duty={duty}\ninput a\n"
+    with pytest.raises(NetlistError, match=r"clock duty .* must be in \(0, 1\)") \
+            as err:
+        parse_netlist(text)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("period", ["-3", "0"])
+def test_clock_period_not_above_zero_names_its_line(period):
+    text = f"circuit c\ninput a\nclock period={period}\n"
+    with pytest.raises(NetlistError,
+                       match=f"clock period {float(period)} must be finite "
+                             "and > 0") as err:
+        parse_netlist(text)
+    assert err.value.line == 3
 
 
 def test_combinational_loop_detected():
@@ -248,7 +268,6 @@ def test_gate_order_rejects_what_graph_validate_rejects():
 
 def test_derived_structure_is_built_once_per_circuit(fig_c):
     assert fig_c.gate_order() is fig_c.gate_order()
-    assert fig_c.readers() is fig_c.readers()
     g = to_gate_graph(fig_c)
     assert to_gate_graph(fig_c) is g
     # an equal circuit is another circuit with a graph of its own

@@ -61,6 +61,17 @@ def test_flow_deep_chain_places_units():
     assert ok, diff
 
 
+def test_report_area_counts_every_unit_and_buffer():
+    # deep_chain places a latch at 8.5 and a flip-flop and a buffer at 9.5
+    for T, counts in ((8.5, (0, 1, 0)), (9.5, (1, 0, 1))):
+        cfg = Config(T=T)
+        placed, report = run_flow(deep_chain(), cfg)
+        assert (report.n_f, report.n_l, report.n_b) == counts
+        assert report.area_after == area(placed, cfg) == \
+            optimizer.FF_AREA * (report.n_f + report.n_l) + \
+            optimizer.BUFFER_AREA * report.n_b
+
+
 def count_calls(monkeypatch, module, name):
     """A list that grows by one entry per call of module.name."""
     calls = []
@@ -624,6 +635,8 @@ def test_placement_file_round_trip(fig_chain):
     ("size nosuch d=1.0", "needs a netlist gate"),
     ("edge w z", "too few fields"),
     ("period nan", "'nan' is not a finite number"),
+    ("period 0", "period 0.0 must be > 0"),
+    ("period -5", "period -5.0 must be > 0"),
     ("size w d=inf", "'inf' is not a finite number"),
     ("edge w z 0 xi=nan", "'nan' is not a finite number"),
     ("edge w z 0 unit=latch phi=-inf", "'-inf' is not a finite number"),

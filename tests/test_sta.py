@@ -28,18 +28,67 @@ def test_arrival_window_contract():
         w.s = 3.0
 
 
+def _min_period(body):
+    return traditional_min_period(netlist.parse_netlist(
+        "circuit c\nclock period=10 duty=0.5\n"
+        "ffparams tcq=3 tsu=1 th=1 tdq=1\n" + body))
+
+
 def test_min_period_empty():
     c = netlist.parse_netlist(
         "circuit c\nclock period=10 duty=0.5\ninput a\n"
         "ff F from=a boundary\noutput y from=F\n")
     # a direct register-to-register connection still costs t_cq + t_su
     assert traditional_min_period(c) == 4.0
+    # so does each link of a chain F -> R -> G -> y, R removable
+    assert _min_period("input a\nff F from=a boundary\nff R from=F\n"
+                       "ff G from=R boundary\noutput y from=G\n") == 4.0
+
+
+def test_min_period_skips_gates_nothing_reads():
+    # g and k drive nothing; only h's path to G counts
+    assert _min_period("input a\nff F from=a boundary\n"
+                       "gate g fn=buf delay=7.5 in=F\n"
+                       "gate k fn=buf delay=2 in=g\n"
+                       "gate h fn=buf delay=0.7 in=F\n"
+                       "ff G from=h boundary\noutput y from=G\n") == \
+        3.0 + (0.7 + 0.0) + 1.0
+    # no launch reaches a capture: no path at all
+    assert _min_period("input a\ngate g fn=buf delay=2 in=a\n") == 0.0
+
+
+def test_min_period_input_read_only_by_an_output():
+    assert _min_period("input a\noutput y from=a\n") == 4.0
+    # a is read by an output and by a gate; b only by an output
+    assert _min_period("input a\ninput b\ngate g fn=buf delay=0.3 in=a\n"
+                       "output y from=a\noutput z from=b\n"
+                       "output w from=g\n") == 3.0 + (0.3 + 0.0) + 1.0
+
+
+def test_min_period_removable_flip_flop_cuts_the_path():
+    # with R present, F -> g1 -> g2 -> g3 -> R is the worst path; its
+    # delays add from the capture end back, which fixes the last bit:
+    # added from the launch end, the period would read 6.3
+    assert _min_period("input a\nff F from=a boundary\n"
+                       "gate g1 fn=buf delay=0.1 in=F\n"
+                       "gate g2 fn=buf delay=0.2 in=g1\n"
+                       "gate g3 fn=buf delay=2 in=g2\nff R from=g3\n"
+                       "gate g4 fn=buf delay=0.55 in=R\n"
+                       "ff G from=g4 boundary\noutput y from=G\n") == \
+        3.0 + (0.1 + (0.2 + (2.0 + 0.0))) + 1.0 == 6.300000000000001
 
 
 def _traditional_min_period_reference(c):
     """The recursive memo over readers that traditional_min_period was
-    before it walked a topological order."""
-    readers = c.readers()
+    before it walked a topological order, with its own reader map."""
+    readers = {}
+    for g in c.gates.values():
+        for src in g.inputs:
+            readers.setdefault(src, []).append(g.name)
+    for f in c.ffs.values():
+        readers.setdefault(f.src, []).append(f.name)
+    for name, src in c.outputs:
+        readers.setdefault(src, []).append(name)
     memo = {}
 
     def longest_from(gate):
@@ -47,7 +96,7 @@ def _traditional_min_period_reference(c):
             return memo[gate]
         memo[gate] = float("-inf")
         best = float("-inf")
-        for reader, _ in readers.get(gate, ()):
+        for reader in readers.get(gate, ()):
             if reader in c.gates:
                 best = max(best, longest_from(reader))
             else:
@@ -57,7 +106,7 @@ def _traditional_min_period_reference(c):
 
     worst = float("-inf")
     for launch in list(c.ffs) + list(c.inputs):
-        for reader, _ in readers.get(launch, ()):
+        for reader in readers.get(launch, ()):
             if reader in c.gates:
                 worst = max(worst, longest_from(reader))
             else:

@@ -8,8 +8,9 @@ diff means the two produce byte-identical outputs.  The script imports
 from `tests/gen.py`, so copy it into a checkout that lacks it.
 
 Inputs: every `tests/data/*.net` plus eight seeded `gen.random_circuit`
-designs.  Per design: the window report, the reference wave simulation,
-the LP text and raw solver values of the relaxed, cdq
+designs.  Per design: the traditional minimum period (its exact repr,
+which `analyze` rounds to 6 digits), the window report, the reference
+wave simulation, the LP text and raw solver values of the relaxed, cdq
 (d_th = 7T/8 and 0) and legalization models, the raw result of every LP
 the solver solved for each of those models (the root and every
 branch-and-bound node, tagged cold or warm by how it was started), at
@@ -192,6 +193,7 @@ def snapshot(name, circuit):
     graph = nl.to_gate_graph(circuit)
     cfg = nl.Config(T=circuit.T)
     placed = sta.as_placed(graph)
+    out["min_period"] = f"{sta.traditional_min_period(circuit)!r}\n"
     out["format_report"] = guarded(lambda: sta.format_report(
         placed, *sta.propagate_windows(placed, cfg)))
     out["simulate"] = guarded(lambda: repr(verify.simulate_waves(
