@@ -1,7 +1,7 @@
 """Mixed-integer linear programming: an array-backed model, a
 branch-and-bound solver over a dense simplex kernel, and CPLEX-LP export.
 
-A MilpModel owns one set of arrays, c (negated for "max"), A, rel, b, lb,
+A MilpModel minimizes.  It owns one set of arrays, c, A, rel, b, lb,
 ub and an integer mask, folded from the rows the builder appends when
 first read; vars, constraints and obj are read-only views of them.  Its
 setters give it new b, lb and ub arrays rather than write in place, for
@@ -103,9 +103,10 @@ class MilpModel:
 
     c, A, rel, b, lb, ub, integer = map(_array, (
         "_c", "_A", "_rel", "_b", "_lb", "_ub", "_integer"))
+    # the objective's sense and constant term, for readers of the arrays
+    sense, obj_const = "min", 0.0
 
     def __init__(self):
-        self.sense, self.obj_const = "min", 0.0
         self._kinds, self._names, self._row_names = [], [], []
         self._c = self._b = self._lb = self._ub = np.zeros(0)
         self._A, self._rel = np.zeros((0, 0)), np.zeros(0, "U2")
@@ -147,14 +148,11 @@ class MilpModel:
         self._new_rows.append((dict(coeffs), rel, float(rhs)))
         return len(self._row_names) - 1
 
-    def set_objective(self, coeffs, sense="min", const=0.0):
-        if sense not in ("min", "max"):
-            raise ValueError(f"unknown objective sense {sense!r}")
-        if not all(map(math.isfinite, (const, *coeffs.values()))):
+    def set_objective(self, coeffs):
+        """Minimize the sum of coeffs[v] * v."""
+        if not all(map(math.isfinite, coeffs.values())):
             raise ValueError("non-finite objective coefficient")
         self._new_obj = dict(coeffs)
-        self.obj_const = float(const)
-        self.sense = sense
 
     def _fold(self):
         new_vars, new_rows, new_obj = self._new_vars, self._new_rows, \
@@ -172,7 +170,6 @@ class MilpModel:
         else:
             self._obj_vars = list(new_obj)
             c[self._obj_vars] = list(new_obj.values())
-            c = -c if self.sense == "max" else c
         lb, ub = zip(*new_vars) if new_vars else ((), ())
         _, rel, b = zip(*new_rows) if new_rows else ((), (), ())
         self._A, self._c = A, c
@@ -214,9 +211,9 @@ class MilpModel:
     @property
     def obj(self):
         """The objective's coefficients, read-only, in the order given."""
-        c = self.c[self._obj_vars]
+        c = self.c      # the read folds the model, setting _obj_vars
         return MappingProxyType(dict(zip(
-            self._obj_vars, (-c if self.sense == "max" else c).tolist())))
+            self._obj_vars, c[self._obj_vars].tolist())))
 
     # -- audit -------------------------------------------------------------
 
@@ -237,7 +234,7 @@ class MilpModel:
         return bad + [self._row_names[i] for i in rows.nonzero()[0].tolist()]
 
     def objective_value(self, values):
-        return self.obj_const + sum(a * values[v] for v, a in self.obj.items())
+        return sum((a * values[v] for v, a in self.obj.items()), 0.0)
 
 
 # -- LP kernel ---------------------------------------------------------------
@@ -655,8 +652,8 @@ def _lp_terms(coeffs, names):
 def export_lp(m):
     """CPLEX-LP-format text for external solvers, read from the arrays."""
     names, kinds, A = m._names, m._kinds, m.A
-    out = ["Minimize" if m.sense == "min" else "Maximize",
-           f" obj: {_lp_terms(sorted(m.obj.items()), names)}", "Subject To"]
+    out = ["Minimize", f" obj: {_lp_terms(sorted(m.obj.items()), names)}",
+           "Subject To"]
     for i, (name, rel, rhs) in enumerate(zip(m._row_names, m.rel.tolist(),
                                              m.b.tolist())):
         js = A[i].nonzero()[0]

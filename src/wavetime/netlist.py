@@ -333,6 +333,7 @@ def parse_netlist(text):
             name = tokens[1]
         elif stmt == "clock":
             kv = _parse_kv(tokens[1:], lineno)
+            clock_line = lineno
             try:
                 T = float(kv["period"])
                 duty = float(kv.get("duty", "0.5"))
@@ -385,6 +386,12 @@ def parse_netlist(text):
         raise NetlistError("no circuit declared")
     if T is None:
         raise NetlistError("no clock declared")
+    # ffparams may follow the clock line, so the period is checked
+    # against them here
+    ffp.validate()
+    if ffp.t_su + ffp.t_h >= T:
+        raise NetlistError(f"clock period {T} must be above t_su + t_h = "
+                           f"{ffp.t_su + ffp.t_h}", clock_line)
     c = Circuit(name, T, duty, ffp, gates, ffs, inputs, outputs)
     c.validate()
     return c
@@ -437,9 +444,7 @@ class GateGraph:
     """Collapsed graph with an adjacency index built once at construction;
     `gates`, `terminals` and `edges` must not be mutated afterwards, and
     the lists that in_edges / out_edges return, and wave_order, are
-    shared and must not be mutated either.  validate rejects a cycle of
-    gates over zero-weight edges (no flip-flop on it), found by
-    topological_order."""
+    shared and must not be mutated either."""
     circuit: Circuit
     gates: dict          # name -> Gate, combinational nodes
     terminals: dict      # name -> kind in {"input", "output", "bff"}
@@ -470,21 +475,6 @@ class GateGraph:
             {n: [e.src for e in self.in_edges(n) if e.src in self.gates]
              for n in self.gates})
 
-    def validate(self):
-        self._check_weights()
-        preds = {n: [e.src for e in self.in_edges(n)
-                     if e.w == 0 and e.src in self.gates]
-                 for n in self.gates}
-        _, stuck = topological_order(preds)
-        if stuck:
-            raise NetlistError("zero-weight cycle through "
-                               + " -> ".join(_cycle(preds, stuck)))
-
-    def _check_weights(self):
-        removable = sum(1 for f in self.circuit.ffs.values() if not f.boundary)
-        if self.total_weight() != removable:
-            raise NetlistError("collapsed weights do not match removable FF count")
-
 
 @nogc
 def to_gate_graph(c):
@@ -493,12 +483,11 @@ def to_gate_graph(c):
 
     While a caller holds the graph of c, every call returns that same
     graph.  The circuit keeps only a weak reference to it, since the
-    graph's `circuit` points back at c.  The graph needs no validate:
-    its zero-weight gate-to-gate edges are exactly the direct gate
-    inputs that c.gate_order() sorts, so that order rejects the same
-    cycles.  It also refuses a flip-flop loop with no gate, and so does
-    the collapse itself, which walks at most len(c.ffs) flip-flops from
-    any connection."""
+    graph's `circuit` points back at c.  Its zero-weight gate-to-gate
+    edges are exactly the direct gate inputs that c.gate_order() sorts,
+    so that order rejects a cycle of gates over them.  It also refuses a
+    flip-flop loop with no gate, and so does the collapse itself, which
+    walks at most len(c.ffs) flip-flops from any connection."""
     live = getattr(c, "_graph", None)
     gg = live() if live else None
     if gg is not None:
@@ -543,6 +532,7 @@ def to_gate_graph(c):
         root, w = resolve(src)
         edges.append(GGEdge(root, n, w, 0))
     gg = GateGraph(c, gates, terminals, edges)
-    gg._check_weights()
+    if gg.total_weight() != sum(not f.boundary for f in c.ffs.values()):
+        raise NetlistError("collapsed weights do not match removable FF count")
     c._graph = weakref.ref(gg)
     return gg

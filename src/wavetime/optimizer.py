@@ -234,7 +234,7 @@ def discretize_delays(placed, cfg):
     cont = {g: placed.delay(g) for g in graph.gates}
     snapped = {g: _snap(cont[g], libs[g]) for g in graph.gates}
     trial = OptimizedCircuit(graph, decisions=placed.decisions,
-                             lam=placed.lam, gate_delays=snapped)
+                             gate_delays=snapped)
     windows, violations = sta.propagate_windows(trial, cfg)
     if not violations:
         return trial, windows
@@ -250,7 +250,7 @@ def discretize_delays(placed, cfg):
         elif early and repaired[g] < cont[g] and i + 1 < len(lib):
             repaired[g] = lib[i + 1]
     trial = OptimizedCircuit(graph, decisions=placed.decisions,
-                             lam=placed.lam, gate_delays=repaired)
+                             gate_delays=repaired)
     windows, violations = sta.propagate_windows(trial, cfg)
     if violations:
         raise InfeasibleError("discretization",
@@ -273,29 +273,26 @@ def _reaches(graph, a, b):
     return False
 
 
-def replace_buffers(placed, cfg, windows=None):
+def replace_buffers(placed, cfg, windows):
     """Swap buffer chains longer than the replacement threshold for a
     single sequential unit when that is timing-clean and not larger;
     returns (placed, windows, violations), the last two from the STA
     that checked the returned placement.
 
     windows are those of the clean STA of placed, as discretize_delays
-    returns them; None runs that STA here, and its violations stand
-    until a clean trial replaces them.  The first clean trial in (unit,
-    n_cycle, phi) order wins.  A trial changes windows only downstream
-    of its edge, so unless the edge's destination reaches its source,
-    the trial's STA sees the source window the current placement has: a
-    trial whose unit misses its capture region against that window is
-    rejected without running the whole-circuit STA, which would report
-    the same violation."""
+    returns them.  The first clean trial in (unit, n_cycle, phi) order
+    wins.  A trial changes windows only downstream of its edge, so
+    unless the edge's destination reaches its source, the trial's STA
+    sees the source window the current placement has: a trial whose
+    unit misses its capture region against that window is rejected
+    without running the whole-circuit STA, which would report the same
+    violation."""
     # a trial changes only its own edge, so no other edge's candidacy
     # or place in the order moves while the list is walked
     graph = placed.graph
     p = graph.circuit.ff_params
     decisions = placed.decisions
     violations = []
-    if windows is None:
-        windows, violations = sta.propagate_windows(placed, cfg)
     for k in sorted((k for k, dec in decisions.items()
                      if dec.unit == "none" and dec.xi > cfg.replace_threshold),
                     key=lambda k: (-decisions[k].xi, k)):
@@ -357,12 +354,11 @@ def placement_to_text(placed, cfg, base_text):
         out.append(f"size {g} d={placed.gate_delays[g]!r}")
     for e in placed.graph.edges:
         dec = placed.decision(e)
-        lam = placed.anchors(e)
-        if dec == EdgeDecision() and lam == e.w:
+        if dec == EdgeDecision():
             continue
         out.append(f"edge {e.src} {e.dst} {e.dst_pin} xi={dec.xi!r} "
                    f"unit={dec.unit} n={dec.n_cycle} phi={dec.phi!r} "
-                   f"lam={lam} bufs={buffer_count(dec, cfg)}")
+                   f"lam={e.w} bufs={buffer_count(dec, cfg)}")
     return "\n".join(out) + "\n"
 
 
@@ -375,14 +371,15 @@ _PLACEMENT_STATEMENTS = {"period": (2, ()), "size": (2, ("d",)),
 def placement_from_text(text):
     """Parse a placement file back into (OptimizedCircuit, period).  A
     statement that does not fit the netlist (an unknown gate, edge, unit
-    or key, a token without '=', or a malformed or non-finite number)
-    raises a line-numbered NetlistError."""
+    or key, a token without '=', a malformed or non-finite number, or a
+    lam= other than the edge's weight) raises a line-numbered
+    NetlistError."""
     from . import netlist as nl
     head, _, tail = text.partition("\nplacement\n")
     circuit = nl.parse_netlist(head)
     graph = nl.to_gate_graph(circuit)
     placed = sta.as_placed(graph)
-    edges = {sta.edge_key(e) for e in graph.edges}
+    weights = {sta.edge_key(e): e.w for e in graph.edges}
     period = circuit.T
 
     def number(text, kind=float):
@@ -421,7 +418,7 @@ def placement_from_text(text):
             placed.gate_delays[toks[1]] = number(kv["d"])
         else:
             key = (toks[1], toks[2], number(toks[3], int))
-            if key not in edges:
+            if key not in weights:
                 raise nl.NetlistError(f"no edge {key} in the netlist", lineno)
             if kv.get("unit", "none") not in ("none", "flipflop", "latch"):
                 raise nl.NetlistError(f"unknown unit {kv['unit']!r}", lineno)
@@ -429,6 +426,7 @@ def placement_from_text(text):
                 xi=number(kv.get("xi", 0.0)), unit=kv.get("unit", "none"),
                 n_cycle=number(kv.get("n", 0), int),
                 phi=number(kv.get("phi", 0.0)))
-            if "lam" in kv:
-                placed.lam[key] = number(kv["lam"], int)
+            if "lam" in kv and number(kv["lam"], int) != weights[key]:
+                raise nl.NetlistError(f"lam={kv['lam']} on edge {key} is not "
+                                      f"its weight {weights[key]}", lineno)
     return placed, period

@@ -26,9 +26,6 @@ class RetimeSolution:
     def anchors(self):
         return {k: n for k, n in self.y.items() if n >= 1}
 
-    def total_removed(self):
-        return sum(self.y.values())
-
     def text(self):
         lines = [f"edge {k[0]} {k[1]} removed={n}"
                  for k, n in sorted(self.anchors().items())]
@@ -92,7 +89,7 @@ def extract_removals(orig, opt, objective="min-removals"):
     for g in r_pos:
         obj[r_pos[g]] = kr
         obj[r_neg[g]] = kr
-    m.set_objective(obj, "min")
+    m.set_objective(obj)
 
     sol = milp.solve(m)
     if sol.status != "optimal":

@@ -13,24 +13,10 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 
-class PathLimitError(Exception):
+class PathLimitError(ValueError):
     def __init__(self, limit):
-        super().__init__(f"path enumeration exceeded {limit} paths; raise "
-                         f"the limit or shrink the optimized region")
-
-
-@dataclass
-class SdcConstraint:
-    kind: str     # max | min
-    bound: float  # multiple of T
-    points: list  # [(tag in {from, through, to}, pin)]
-
-    def line(self):
-        toks = [f"set_{self.kind}_delay", f"{self.bound:.6g}"]
-        for tag, pin in self.points:
-            toks.append(f"-{tag}")
-            toks.append(pin)
-        return " ".join(toks)
+        super().__init__(f"path enumeration exceeded {limit} paths; "
+                         "shrink the optimized region")
 
 
 @dataclass
@@ -40,7 +26,6 @@ class WavePathClass:
     paths: list = field(default_factory=list)     # tuples of edge keys
     sources: tuple = ()
     sinks: tuple = ()
-    entangled: bool = False
     constraints: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
@@ -142,9 +127,6 @@ def classify_paths(graph, sol, limit=100000):
         cls.sinks = tuple(sorted({_path_sink(graph, path)
                                   for _, path in cls.paths}))
         classes.append(cls)
-
-    for cls in classes:
-        cls.entangled = bool(_higher(cls, classes))
     classes.sort(key=lambda c: (c.sources, c.sinks, c.anchors))
     return classes
 
@@ -187,8 +169,9 @@ def _forward_pins(graph, path, anchors):
 
 
 def find_differentiating_pins(classes, graph):
-    """Attach constraint point lists to every class; entangled classes
-    get sink-exclusive, backward-pin, or forward-pin differentiation, in
+    """Attach constraint point lists to every class; entangled classes,
+    those with a class of more waves through all of their anchors, get
+    sink-exclusive, backward-pin, or forward-pin differentiation, in
     that order."""
     for cls in classes:
         higher = _higher(cls, classes)
@@ -257,10 +240,9 @@ def emit_sdc(classes, cfg):
             if sig in seen:
                 continue
             seen.add(sig)
-            hi = SdcConstraint("max", (cls.k + 1) * cfg.T, points)
-            lo = SdcConstraint("min", cls.k * cfg.T, points)
-            lines.append(hi.line())
-            lines.append(lo.line())
+            pins = "".join(f" -{tag} {pin}" for tag, pin in points)
+            lines.append(f"set_max_delay {(cls.k + 1) * cfg.T:.6g}{pins}")
+            lines.append(f"set_min_delay {cls.k * cfg.T:.6g}{pins}")
         for note in cls.notes:
             lines.append(f"# unconstrainable: {note}")
     return "\n".join(lines) + ("\n" if lines else "")

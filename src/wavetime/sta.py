@@ -2,16 +2,17 @@
 
 Two timing views live here: the traditional one (all flip-flops present,
 minimum period = worst register-to-register path) and the placed one,
-where removed flip-flops act as anchor points that shift the time
-reference by one period and inserted sequential delay units resynchronize
-fast signals.  propagate_windows sweeps the placed gates once in
-topological order (latch units order it, flip-flop units do not) and
-repeats the sweep to a bounded fixed point only on cycles through
-latches; the order in which gates get their windows is the row order of
-format_report.  Each call resolves every connection's decision and
-anchor count once, into a table the sweep and the checks read, and
-sorts with the graph's shared GateGraph.wave_order unless a connection
-carries a flip-flop unit.  ArrivalWindow is a named tuple (s, s_prime).
+where removed flip-flops act as anchor points, e.w of them on edge e,
+each shifting the time reference by one period, and inserted sequential
+delay units resynchronize fast signals.  propagate_windows sweeps the
+placed gates once in topological order (latch units order it, flip-flop
+units do not) and repeats the sweep to a bounded fixed point only on
+cycles through latches; the order in which gates get their windows is
+the row order of format_report.  Each call resolves every connection's
+decision and anchor count once, into a table the sweep and the checks
+read, and sorts with the graph's shared GateGraph.wave_order unless a
+connection carries a flip-flop unit.  ArrivalWindow is a named tuple
+(s, s_prime).
 propagate_windows and format_report run with Python's cyclic garbage
 collector paused (netlist.nogc says why).
 
@@ -54,19 +55,18 @@ class EdgeDecision:
 
 @dataclass
 class OptimizedCircuit:
-    """A gate graph with all removable flip-flops taken out (lam anchors
-    per edge) plus per-edge decisions and possibly re-sized gate delays."""
+    """A gate graph with all removable flip-flops taken out, each an
+    anchor on its edge (e.w anchors on edge e), plus per-edge decisions
+    and possibly re-sized gate delays."""
     graph: object                    # netlist.GateGraph
     decisions: dict = field(default_factory=dict)   # edge key -> EdgeDecision
-    lam: dict = field(default_factory=dict)         # edge key -> anchor count
     gate_delays: dict = field(default_factory=dict)  # gate -> chosen delay
 
     def decision(self, e):
         return self.decisions.get(edge_key(e)) or EdgeDecision()
 
     def anchors(self, e):
-        k = edge_key(e)
-        return self.lam[k] if k in self.lam else e.w
+        return e.w
 
     def delay(self, gate):
         return self.gate_delays.get(gate, self.graph.gates[gate].d)
@@ -198,8 +198,7 @@ def propagate_windows(placed, cfg):
         k = edge_key(e)
         src = e.src if e.src in g.gates else None
         dec = placed.decisions.get(k) or unplaced
-        into.setdefault(e.dst, []).append(
-            (src, k, dec, placed.lam.get(k, e.w)))
+        into.setdefault(e.dst, []).append((src, k, dec, e.w))
         if dec.unit != "none":
             units.append((src, k, dec))
 

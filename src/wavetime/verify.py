@@ -6,9 +6,7 @@ with sta.  Each call resolves every connection's decision and anchor
 count once, in a table of its own, and sweeps in the graph's
 GateGraph.wave_order, which is sorted once per graph and shared, so it
 must not be mutated.  It runs with Python's cyclic garbage collector
-paused (netlist.nogc says why).  Its report's windows, sta's
-ArrivalWindow named tuples, are built when first read: check_equivalence
-never reads them.
+paused (netlist.nogc says why).
 It works on two kinds of targets:
 
 * a plain circuit: every flip-flop (including ones marked removable)
@@ -34,29 +32,17 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .netlist import Circuit, nogc, to_gate_graph
-from .sta import ArrivalWindow, EdgeDecision, Violation, edge_key, \
-    traditional_min_period
+from .sta import EdgeDecision, Violation, edge_key, traditional_min_period
 
 
 @dataclass
 class CaptureReport:
-    """What simulate_waves saw.  windows, node or connection ->
-    ArrivalWindow, is built from the simulation's window table when it
-    is first read; repr and equality read it like any other field."""
+    """What simulate_waves saw."""
     offsets: dict = field(default_factory=dict)   # sink -> sorted offsets
     violations: list = field(default_factory=list)
     converged: bool = True
-    windows: dict = field(init=False)
     # node or connection -> (s, s', reference offsets)
-    waves: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __getattr__(self, name):
-        # reached only while windows is unset: build it from waves
-        if name != "windows":
-            raise AttributeError(name)
-        self.windows = {k: ArrivalWindow(s, sp)
-                        for k, (s, sp, _) in self.waves.items()}
-        return self.windows
+    waves: dict = field(default_factory=dict)
 
 
 _BOTTOM = (float("-inf"), float("-inf"))
@@ -124,14 +110,12 @@ def simulate_waves(target, cfg):
     for e in graph.edges:
         k = edge_key(e)
         src = e.src if e.src in graph.gates else None
-        if placed is None:
-            dec, lam = None, e.w
-        else:
+        dec = None
+        if placed is not None:
             dec = placed.decisions.get(k) or unplaced
-            lam = placed.lam.get(k, e.w)
             if dec.unit != "none":
                 units.append((e.src, k, dec))
-        into.setdefault(e.dst, []).append((src, k, dec, lam))
+        into.setdefault(e.dst, []).append((src, k, dec, e.w))
 
     def push(src, k, dec, lam):
         """Move the wave across one connection; returns its window, or

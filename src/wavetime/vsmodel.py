@@ -233,7 +233,7 @@ def _objective(arts, pad_gates):
     for sv in arts.site.values():
         latch = sv["cases"][2]
         obj[latch] = obj.get(latch, 0.0) + X_COST
-    arts.model.set_objective(obj, "min")
+    arts.model.set_objective(obj)
 
 
 def build_relaxed_model(graph, cfg):

@@ -66,7 +66,7 @@ def test_removal_extraction_golden():
     assert sol.anchors() == {("g_1", "g_2", 0): 1,
                              ("g_2", "g_5", 0): 1,
                              ("g_4", "g_5", 1): 1}
-    assert sol.total_removed() == 3
+    assert sum(sol.y.values()) == 3
     assert time.monotonic() - start < 1.0
 
 
@@ -193,8 +193,9 @@ def test_buffer_replacement_economy():
                 placed.decisions[edge_key(e)] = \
                     EdgeDecision(xi=rng.uniform(0, c.T))
         before = optimizer.area(placed, cfg)
-        after = optimizer.area(optimizer.replace_buffers(placed, cfg)[0],
-                               cfg)
+        windows, _ = propagate_windows(placed, cfg)
+        after = optimizer.area(
+            optimizer.replace_buffers(placed, cfg, windows)[0], cfg)
         assert after <= before
 
 
@@ -224,7 +225,10 @@ def test_property_netlist_weight_conservation():
         g = to_gate_graph(c)
         removable = sum(1 for f in c.ffs.values() if not f.boundary)
         assert g.total_weight() == removable
-        g.validate()   # positive-weight cycles, collapse consistency
+        # no cycle of gates without a flip-flop on it
+        zero = {n: [e.src for e in g.in_edges(n)
+                    if e.w == 0 and e.src in g.gates] for n in g.gates}
+        assert netlist.topological_order(zero)[1] == []
 
 
 def test_property_sta_monotone_in_gate_delay():
@@ -270,8 +274,8 @@ def test_property_sta_anchor_shift_is_linear():
         g = to_gate_graph(c)
         cfg = exact_cfg(c.T)
         with_anchors, _ = propagate_windows(sta.as_placed(g), cfg)
-        no_anchors = sta.OptimizedCircuit(
-            g, lam={edge_key(e): 0 for e in g.edges})
+        no_anchors = sta.as_placed(netlist.GateGraph(
+            c, g.gates, g.terminals, [e._replace(w=0) for e in g.edges]))
         without, _ = propagate_windows(no_anchors, cfg)
         shift = g.total_weight() * cfg.T
         assert with_anchors["FO"].s == pytest.approx(without["FO"].s - shift)
@@ -357,7 +361,7 @@ def test_property_retime_pure_retiming_needs_no_removals():
         opt = netlist.GateGraph(g.circuit, dict(g.gates),
                                 dict(g.terminals), edges)
         sol = extract_removals(g, opt)
-        assert sol.total_removed() == 0
+        assert sum(sol.y.values()) == 0
         for k, w in weights.items():
             assert sol.w_r[k] == w
 
@@ -412,7 +416,7 @@ def test_property_verify_determinism():
         a = verify.simulate_waves(c, cfg)
         b = verify.simulate_waves(c, cfg)
         assert a.offsets == b.offsets
-        assert a.windows == b.windows
+        assert a.waves == b.waves
 
 
 @settings(max_examples=1000, deadline=None)

@@ -115,6 +115,25 @@ def test_sdc_subcommand(tmp_path, capsys):
     assert (tmp_path / "out.sdc").read_text() == out
 
 
+def test_sdc_path_limit_is_an_error_not_a_failure(tmp_path, capsys):
+    """A chain of 17 diamonds has 2**17 paths, more than sdcgen
+    enumerates: the command reports it as an error, with no traceback."""
+    lines = ["circuit d", "clock period=100", "input a",
+             "ff FI from=a boundary", "gate j0 fn=buf delay=1 in=FI"]
+    for i in range(1, 18):
+        lines += [f"gate l{i} fn=buf delay=1 in=j{i - 1}",
+                  f"gate r{i} fn=buf delay=1 in=j{i - 1}",
+                  f"gate j{i} fn=and delay=1 in=l{i},r{i}"]
+    lines += ["ff FO from=j17 boundary", "output y from=FO"]
+    net = tmp_path / "d.net"
+    net.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "sdc", net, net, "--out-dir", tmp_path)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: path enumeration exceeded 100000 paths; "
+                   "shrink the optimized region\n")
+
+
 def test_sdc_uses_placement_period(tmp_path, capsys):
     run(capsys, "optimize", DATA / "fig_c.net", "--T", "9",
         "--ru", "1", "--rl", "1", "--tstable", "0",

@@ -12,8 +12,8 @@ from wavetime.milp import BINARY, CONTINUOUS, INTEGER, MilpModel
 def scipy_lp(m, fixed=None):
     """Solve the continuous relaxation with scipy, optionally with some
     variables fixed; independent oracle for the embedded kernel.  It
-    reads the model's arrays: c is in the minimizing sense, a ">=" row
-    enters A_ub negated, and rows keep their order."""
+    reads the model's arrays: a ">=" row enters A_ub negated, and rows
+    keep their order."""
     flip = np.where(m.rel == ">=", -1.0, 1.0)
     ub, eq = m.rel != "=", m.rel == "="
     A_ub, b_ub = (m.A * flip[:, None])[ub], (m.b * flip)[ub]
@@ -28,8 +28,7 @@ def scipy_lp(m, fixed=None):
                   bounds=list(zip(lb.tolist(), hi.tolist())), method="highs")
     if not res.success:
         return None
-    sign = -1.0 if m.sense == "max" else 1.0
-    return sign * res.fun + m.obj_const
+    return res.fun
 
 
 def enumeration_oracle(m):
@@ -43,7 +42,7 @@ def enumeration_oracle(m):
         val = scipy_lp(m, fixed)
         if val is None:
             continue
-        if best is None or (val < best if m.sense == "min" else val > best):
+        if best is None or val < best:
             best = val
     return best
 
@@ -72,7 +71,9 @@ def random_model(rng, max_bin=8, max_cont=6):
         rel = rng.choice(["<=", ">="])
         m.add_constr(coeffs, rel, rng.uniform(-8, 8))
     obj = {v: rng.uniform(-5, 5) for v in range(n)}
-    m.set_objective(obj, sense=rng.choice(["min", "max"]))
+    if rng.choice(["min", "max"]) == "max":
+        obj = {v: -a for v, a in obj.items()}   # maximize: minimize -obj
+    m.set_objective(obj)
     return m
 
 
@@ -337,8 +338,7 @@ def test_lp_kernel_vs_scipy_random():
             assert st == "infeasible"
         else:
             assert st == "optimal"
-            sign = -1.0 if m.sense == "max" else 1.0
-            assert sign * obj + m.obj_const == pytest.approx(oracle, abs=1e-6)
+            assert obj == pytest.approx(oracle, abs=1e-6)
 
 
 # -- model checks ------------------------------------------------------------
@@ -367,16 +367,14 @@ def test_nan_bound_is_rejected(bounds):
     lambda m, x, v: m.add_constr({v: 1.0}, "<", 1.0),
     lambda m, x, v: m.add_constr({v: 1.0}, "<=", float("nan")),
     lambda m, x, v: m.add_constr({v: 1.0}, ">=", float("inf")),
-    lambda m, x, v: m.set_objective({v: 1.0}, sense="maximize"),
     lambda m, x, v: m.set_objective({v: float("nan")}),
-    lambda m, x, v: m.set_objective({v: 1.0}, const=float("inf")),
     lambda m, x, v: m.add_constr({v: float("nan")}, "<=", 1.0),
     lambda m, x, v: m.add_constr({x: 1.0, v: -float("inf")}, ">=", 0.0),
     lambda m, x, v: m.add_constr({v: 1.0}, "<=", np.float64("nan")),
     lambda m, x, v: m.add_var(INTEGER, lb=0, ub=float("inf")),
     lambda m, x, v: m.add_var(INTEGER, lb=None, ub=3),
-], ids=["relation", "nan_rhs", "inf_rhs", "sense", "nan_objective",
-        "inf_constant", "nan_coefficient", "inf_coefficient",
+], ids=["relation", "nan_rhs", "inf_rhs", "nan_objective",
+        "nan_coefficient", "inf_coefficient",
         "numpy_nan_rhs", "integer_inf_bound", "integer_free_bound"])
 def test_bad_arguments_raise_value_error(call):
     # ValueError, not assert: the checks must hold under python -O
@@ -393,14 +391,13 @@ def test_numpy_scalars_are_accepted():
     w = m.add_var(CONTINUOUS, lb=np.float64(-1.0), ub=np.int64(3))
     m.add_constr({v: np.float64(1.0), w: np.int64(2)}, "<=", np.float64(7.5))
     m.add_constr({v: np.int64(1)}, ">=", np.int64(1))
-    m.set_objective({v: np.int64(-1), w: np.float64(-1.0)},
-                    const=np.float64(0.5))
+    m.set_objective({v: np.int64(-1), w: np.float64(-1.0)})
     assert [(var.lb, var.ub) for var in m.vars] == [(0.0, 4.5), (-1.0, 3.0)]
     assert [type(ct.rhs) for ct in m.constraints] == [float, float]
     sol = milp.solve(m)
     assert sol.status == "optimal"
     assert sol.values == pytest.approx({v: 4.0, w: 1.75})
-    assert sol.objective == pytest.approx(-5.25)
+    assert sol.objective == pytest.approx(-5.75)
 
 
 # -- branch and bound --------------------------------------------------------
@@ -410,7 +407,7 @@ def test_solve_tiny_cover():
     x = m.add_var(BINARY)
     y = m.add_var(BINARY)
     m.add_constr({x: 1.0, y: 1.0}, ">=", 1.0)
-    m.set_objective({x: 1.0, y: 1.0}, "min")
+    m.set_objective({x: 1.0, y: 1.0})
     sol = milp.solve(m)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
@@ -421,7 +418,7 @@ def test_solve_contradiction():
     x = m.add_var(CONTINUOUS, lb=-10, ub=10)
     m.add_constr({x: 1.0}, ">=", 1.0)
     m.add_constr({x: 1.0}, "<=", 0.0)
-    m.set_objective({}, "min")
+    m.set_objective({})
     assert milp.solve(m).status == "infeasible"
 
 
@@ -445,8 +442,8 @@ def knapsack(capacity, weights=(3.0, 4.0, 5.0, 2.5), rel="<="):
     xs = [m.add_var(BINARY) for _ in range(4)]
     v = m.add_var(CONTINUOUS, lb=0, ub=3)
     m.add_constr({**dict(zip(xs, weights)), v: 1.0}, rel, capacity)
-    m.set_objective({**dict(zip(xs, (4.0, 5.0, 7.0, 3.0))), v: 0.7},
-                    "max")
+    # maximize the value: minimize its negative
+    m.set_objective({**dict(zip(xs, (-4.0, -5.0, -7.0, -3.0))), v: -0.7})
     return m
 
 
@@ -549,7 +546,7 @@ def two_row_knapsack(rng):
     for _ in range(2):
         m.add_constr({x: float(rng.randint(1, 9)) for x in xs}, "<=",
                      rng.uniform(5, 20))
-    m.set_objective({x: float(rng.randint(1, 9)) for x in xs}, "max")
+    m.set_objective({x: -float(rng.randint(1, 9)) for x in xs})
     return m
 
 
@@ -647,7 +644,7 @@ def wide_knapsack(capacity):
     xs = [m.add_var(BINARY) for _ in range(12)]
     m.add_constr({x: float(rng.randint(3, 20)) for x in xs}, "<=",
                  capacity)
-    m.set_objective({x: float(rng.randint(3, 20)) for x in xs}, "max")
+    m.set_objective({x: -float(rng.randint(3, 20)) for x in xs})
     return m
 
 
@@ -692,7 +689,7 @@ def test_solutions_compare_and_print_without_tableaux():
 
 
 def objective_moved(m):
-    m.set_objective({0: 1.0}, "max")
+    m.set_objective({0: -1.0})
     return m
 
 
@@ -868,7 +865,7 @@ def test_integer_vars():
     m = MilpModel()
     x = m.add_var(INTEGER, lb=0, ub=10)
     m.add_constr({x: 1.0}, ">=", 2.3)
-    m.set_objective({x: 1.0}, "min")
+    m.set_objective({x: 1.0})
     sol = milp.solve(m)
     assert sol.values[x] == 3.0
 
@@ -909,7 +906,7 @@ def test_export_cover_model():
     x = m.add_var(BINARY)
     y = m.add_var(BINARY)
     m.add_constr({x: 1.0, y: 1.0}, ">=", 1.0)
-    m.set_objective({x: 1.0, y: 1.0}, "min")
+    m.set_objective({x: 1.0, y: 1.0})
     text = milp.export_lp(m)
     assert "Binaries" in text
     assert "v0 v1" in text

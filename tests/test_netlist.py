@@ -76,6 +76,19 @@ def test_clock_period_not_above_zero_names_its_line(period):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("ffparams", [
+    "", "ffparams tcq=1 tsu=0.5 th=1 tdq=1\n"], ids=["default", "after"])
+def test_clock_period_not_above_setup_plus_hold_names_its_line(ffparams):
+    """The period is checked against t_su + t_h once every statement is
+    read, since ffparams may follow the clock line; the error names the
+    clock line."""
+    text = f"circuit c\nclock period=1.5\n{ffparams}input a\noutput y from=a\n"
+    with pytest.raises(NetlistError, match=r"clock period 1.5 must be above "
+                                           r"t_su \+ t_h = ") as err:
+        parse_netlist(text)
+    assert err.value.line == 2
+
+
 def test_combinational_loop_detected():
     # g0 is fed by the loop g1 -> g2 -> g3 -> g1 but is not on it
     inputs = {"g0": ["g2"], "g1": ["a", "g3"], "g2": ["g1"], "g3": ["g2"]}
@@ -102,17 +115,12 @@ def test_flip_flop_loop_without_gate_rejected():
 
 
 def test_zero_weight_cycle_names_a_path():
-    c = parse_netlist("circuit c\nclock period=10 duty=0.5\ninput a\n"
-                      "gate x fn=and delay=1 in=a,a\n"
+    with pytest.raises(NetlistError,
+                       match="combinational loop through x -> y -> x"):
+        parse_netlist("circuit c\nclock period=10 duty=0.5\ninput a\n"
+                      "gate x fn=and delay=1 in=a,y\n"
                       "gate y fn=buf delay=1 in=x\n"
                       "ff FO from=y boundary\noutput o from=FO\n")
-    g = to_gate_graph(c)
-    edges = [e if (e.dst, e.dst_pin) != ("x", 1)
-             else netlist.GGEdge("y", "x", 0, 1) for e in g.edges]
-    h = netlist.GateGraph(c, dict(g.gates), dict(g.terminals), edges)
-    with pytest.raises(NetlistError,
-                       match="zero-weight cycle through x -> y -> x"):
-        h.validate()
 
 
 def test_topological_order_smallest_ready_first():
@@ -256,14 +264,20 @@ def test_gate_graph_of_unvalidated_gate_loop_raises():
 
 def test_gate_order_rejects_what_graph_validate_rejects():
     """to_gate_graph relies on Circuit.gate_order for the zero-weight
-    cycle check, so every graph it returns passes GateGraph.validate."""
+    cycle check: no graph it returns has a cycle of gates over
+    zero-weight edges, and its weights count the removable flip-flops."""
     circuits = [parse_netlist(p.read_text())
                 for p in sorted(DATA.glob("*.net"))]
     rng = random.Random(31)
     circuits += [random_circuit(rng, with_loop=i % 2 == 1)
                  for i in range(200)]
     for c in circuits:
-        to_gate_graph(c).validate()
+        g = to_gate_graph(c)
+        zero = {n: [e.src for e in g.in_edges(n)
+                    if e.w == 0 and e.src in g.gates] for n in g.gates}
+        assert netlist.topological_order(zero)[1] == []
+        assert g.total_weight() == sum(not f.boundary
+                                       for f in c.ffs.values())
 
 
 def test_derived_structure_is_built_once_per_circuit(fig_c):

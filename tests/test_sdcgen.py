@@ -115,8 +115,9 @@ def test_entanglement_flags():
     by_k = {}
     for cls in classes:
         by_k.setdefault(cls.k, []).append(cls)
-    assert all(c.entangled for c in by_k[1])
-    assert all(not c.entangled for c in by_k[2])
+    # entangled: a class of more waves runs through all of its anchors
+    assert all(sdcgen._higher(c, classes) for c in by_k[1])
+    assert not any(sdcgen._higher(c, classes) for c in by_k[2])
 
 
 def test_no_duplicate_point_lists():

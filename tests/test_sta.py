@@ -241,8 +241,9 @@ def test_anchor_shift_linear(fig_chain):
     cfg = exact_cfg(10.0)
     placed = chain_placement(fig_chain, keep_site=False)
     base, _ = propagate_windows(placed, cfg)
-    shifted = sta.OptimizedCircuit(placed.graph,
-                                   lam={("u", "w", 0): 0, ("w", "z", 0): 0})
+    g = placed.graph
+    shifted = sta.as_placed(netlist.GateGraph(
+        g.circuit, g.gates, g.terminals, [e._replace(w=0) for e in g.edges]))
     ref, _ = propagate_windows(shifted, cfg)
     # two anchors on the path: both bounds at the sink drop by exactly 2T
     assert base["F4"].s == pytest.approx(ref["F4"].s - 2 * cfg.T)

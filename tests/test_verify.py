@@ -11,7 +11,7 @@ from wavetime.sta import EdgeDecision, edge_key, propagate_windows
 from wavetime.verify import (_capture_slot, check_equivalence,
                              reference_config, simulate_waves)
 
-from gen import (DATA, add_flipflop_loop, chain_placement, deep_chain_text,
+from gen import (add_flipflop_loop, chain_placement, deep_chain_text,
                  exact_cfg, random_circuit, reverse_gate_names)
 
 
@@ -99,10 +99,10 @@ def test_agreement_with_window_analysis_on_flows(fig_c, fig_chain):
         win, violations = propagate_windows(placed, cfg)
         rep = simulate_waves(placed, cfg)
         assert (rep.violations == []) == (violations == [])
-        for k, w in rep.windows.items():
+        for k, (s, sp, _) in rep.waves.items():
             if k in win:
-                assert w.s == pytest.approx(win[k].s, abs=1e-9)
-                assert w.s_prime == pytest.approx(win[k].s_prime, abs=1e-9)
+                assert s == pytest.approx(win[k].s, abs=1e-9)
+                assert sp == pytest.approx(win[k].s_prime, abs=1e-9)
 
 
 def test_agreement_on_random_placements():
@@ -164,7 +164,7 @@ def test_determinism(fig_chain):
     a = simulate_waves(chain_placement(fig_chain), cfg)
     b = simulate_waves(chain_placement(fig_chain), cfg)
     assert a.offsets == b.offsets
-    assert a.windows == b.windows
+    assert a.waves == b.waves
     assert [(v.node, v.kind) for v in a.violations] == \
         [(v.node, v.kind) for v in b.violations]
 
@@ -273,7 +273,7 @@ def test_simulation_does_not_depend_on_visit_order():
                 continue
             cyclic_converged += cyclic
             assert {back(k): v for k, v in b.offsets.items()} == a.offsets
-            assert {back(k): v for k, v in b.windows.items()} == a.windows
+            assert {back(k): v for k, v in b.waves.items()} == a.waves
             assert Counter((back(v.node), v.kind) for v in b.violations) \
                 == Counter((v.node, v.kind) for v in a.violations), i
     assert cyclic_converged >= 10
@@ -349,50 +349,6 @@ def test_default_decision_never_leaks(fig_c):
     cfg = Config(T=fig_c.T)
     propagate_windows(placed, cfg)
     simulate_waves(placed, cfg)
-    assert placed.decisions == {} and placed.lam == {}
+    assert placed.decisions == {}
     e = g.edges[0]
     assert placed.decision(e) is not placed.decision(e)
-
-
-def test_windows_are_built_when_first_read(monkeypatch, fig_c):
-    """simulate_waves makes no ArrivalWindow per entry of its window
-    table until rep.windows is read, and check_equivalence never reads
-    it; the first read builds the map once."""
-    made = Counter()
-    window = verify.ArrivalWindow
-
-    def counting(*args):
-        made["n"] += 1
-        return window(*args)
-
-    monkeypatch.setattr(verify, "ArrivalWindow", counting)
-    cfg = Config(T=fig_c.T)
-    rep = simulate_waves(fig_c, reference_config(fig_c, cfg))
-    check_equivalence(fig_c, sta.as_placed(to_gate_graph(fig_c)), cfg)
-    assert made["n"] == 0
-    windows = rep.windows
-    assert made["n"] == len(windows) == len(rep.waves) > 0
-    assert rep.windows is windows and made["n"] == len(windows)
-
-
-def test_windows_read_late_equal_the_eager_map():
-    """For every golden, plain and as placed, rep.windows is the map of
-    the window table simulate_waves returned with, in its order; repr
-    and equality read it like any other field."""
-    for path in sorted(DATA.glob("*.net")):
-        c = netlist.parse_netlist(path.read_text())
-        cfg = Config(T=c.T)
-        for target, run_cfg in ((c, reference_config(c, cfg)),
-                                (sta.as_placed(to_gate_graph(c)), cfg)):
-            rep = simulate_waves(target, run_cfg)
-            eager = {k: sta.ArrivalWindow(s, sp)
-                     for k, (s, sp, _) in dict(rep.waves).items()}
-            unread = simulate_waves(target, run_cfg)
-            assert unread == rep and rep == unread, path.stem
-            assert repr(rep) == (
-                f"CaptureReport(offsets={rep.offsets!r}, "
-                f"violations={rep.violations!r}, "
-                f"converged={rep.converged!r}, windows={eager!r})")
-            assert list(rep.windows.items()) == list(eager.items())
-            assert all(type(w) is sta.ArrivalWindow
-                       for w in rep.windows.values())

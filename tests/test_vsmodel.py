@@ -148,7 +148,7 @@ def test_either_or_forces_branch(branch, want):
     for i, rhs in arts.period_rows:
         assert m.constraints[i].rhs == rhs(arts.cfg)
     m.add_constr({sels[branch]: 1.0}, "=", 1.0)
-    m.set_objective({v: 1.0}, "min")
+    m.set_objective({v: 1.0})
     sol = milp.solve(m)
     assert sol.values[v] == pytest.approx(want, abs=1e-6)
 
@@ -164,7 +164,7 @@ def test_either_or_vs_enumeration():
         b2 = [({v: 1.0}, "<=", lambda c, r=rng.uniform(-3, 3): r),
               ({w: 1.0}, ">=", lambda c, r=rng.uniform(0, 4): r)]
         vsmodel._either_or(arts, [b1, b2])
-        m.set_objective({v: 1.0, w: 2.0}, "min")
+        m.set_objective({v: 1.0, w: 2.0})
         sol = milp.solve(m)
         oracle = enumeration_oracle(m)
         assert sol.objective == pytest.approx(oracle, abs=1e-5)
@@ -411,7 +411,7 @@ def test_legalization_structure_arrival_rows():
 
 def highs(model):
     """(status, objective) of a MilpModel solved by scipy's HiGHS, read
-    from the model's arrays; c is in the minimizing sense."""
+    from the model's arrays."""
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint
     from scipy.optimize import milp as scipy_milp
@@ -425,8 +425,7 @@ def highs(model):
     if res.status == 2:
         return "infeasible", None
     assert res.status == 0, res.message
-    sign = -1.0 if model.sense == "max" else 1.0
-    return "optimal", sign * res.fun + model.obj_const
+    return "optimal", res.fun
 
 
 def stage_models(graph, cfg):

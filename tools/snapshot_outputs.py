@@ -10,7 +10,7 @@ from `tests/gen.py`, so copy it into a checkout that lacks it.
 Inputs: every `tests/data/*.net` plus eight seeded `gen.random_circuit`
 designs.  Per design: the traditional minimum period (its exact repr,
 which `analyze` rounds to 6 digits), the window report, the reference
-wave simulation, the LP text and raw solver values of the relaxed, cdq
+wave simulation (sorted), the LP text and raw solver values of the relaxed, cdq
 (d_th = 7T/8 and 0) and legalization models, the raw result of every LP
 the solver solved for each of those models (the root and every
 branch-and-bound node, tagged cold or warm by how it was started), at
@@ -156,22 +156,29 @@ def sweep_recording(graph, cfg, lines):
         lines.extend(" ".join(row) + "\n" for row in rows)
 
 
-def windows_text(windows, violations):
-    """propagate_windows output that does not depend on the order it
-    visited nodes in: sorted (key, s, s') lines, then the sorted
-    violation multiset."""
-    lines = sorted(f"{k!r} {w.s!r} {w.s_prime!r}\n"
-                   for k, w in windows.items())
+def sorted_text(rows, violations):
+    """Rows and violations as text that does not depend on the order
+    they were visited in: the sorted lines of the rows' reprs, then of
+    the violation multiset."""
+    lines = sorted(" ".join(map(repr, row)) + "\n" for row in rows)
     lines += sorted(f"{v.node!r} {v.kind} {v.margin!r}\n"
                     for v in violations)
     return "".join(lines)
 
 
+def windows_text(windows, violations):
+    """propagate_windows output: (key, s, s') rows and violations."""
+    return sorted_text(((k, w.s, w.s_prime) for k, w in windows.items()),
+                       violations)
+
+
 def simulation_text(rep):
-    """simulate_waves output that does not depend on the order it visited
-    nodes in: the converged flag, the offsets, then windows_text."""
+    """simulate_waves output, read from the report's converged, offsets,
+    waves and violations: the converged flag, the sorted offsets, then
+    (key, s, s', sorted reference offsets) rows and violations."""
+    rows = ((k, s, sp, sorted(refs)) for k, (s, sp, refs) in rep.waves.items())
     return (f"{rep.converged}\n{sorted(rep.offsets.items())!r}\n"
-            + windows_text(rep.windows, rep.violations))
+            + sorted_text(rows, rep.violations))
 
 
 def flow_outputs(circuit, graph, cfg):
@@ -196,8 +203,8 @@ def snapshot(name, circuit):
     out["min_period"] = f"{sta.traditional_min_period(circuit)!r}\n"
     out["format_report"] = guarded(lambda: sta.format_report(
         placed, *sta.propagate_windows(placed, cfg)))
-    out["simulate"] = guarded(lambda: repr(verify.simulate_waves(
-        circuit, verify.reference_config(circuit, cfg))) + "\n")
+    out["simulate"] = guarded(lambda: simulation_text(verify.simulate_waves(
+        circuit, verify.reference_config(circuit, cfg))))
     for label, model in models(graph, cfg):
         out[f"{label}.lp"] = milp.export_lp(model)
         sol, out[f"{label}.lps"] = solve_recording(model, cfg)
