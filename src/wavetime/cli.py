@@ -22,7 +22,7 @@ EXIT_INFEASIBLE = 3
 
 
 def _floats(text):
-    return tuple(float(x) for x in text.split(","))
+    return tuple(nl.number(x) for x in text.split(","))
 
 
 # every flag once: the Config field it sets (None for the rest) and its
@@ -58,28 +58,13 @@ _FLAGS = {
 # the settings window propagation and the wave simulation read
 _WINDOW = ("--config", "--T", "--ru", "--rl", "--tstable")
 
-# subcommand -> (positional operands, flags); each takes only the flags
-# it reads.  analyze only prints, so it takes no --out-dir; extract's
-# retiming ILP has no period; sdc reads only the period.
-_COMMANDS = {
-    "analyze": (("netlist",), _WINDOW),
-    "optimize": (("netlist",), _WINDOW + (
-        "--phases", "--alpha", "--beta", "--gamma", "--dth-start",
-        "--dth-step", "--milp-nodes", "--milp-time-ms",
-        "--replace-threshold", "--sweep-step", "--dump-model",
-        "--out-dir")),
-    "extract": (("orig", "opt"), ("--retime-objective", "--out-dir")),
-    "sdc": (("orig", "opt"), ("--T", "--out-dir")),
-    "verify": (("orig", "opt"), _WINDOW + ("--out-dir",)),
-}
-
 
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="wavetime",
         description="flip-flop removal and wave-pipelining toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (operands, flags) in _COMMANDS.items():
+    for name, (_, operands, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         for operand in operands:
             p.add_argument(operand)
@@ -89,16 +74,27 @@ def build_parser():
 
 
 def load_config_file(path):
+    """The Config fields a flat `key = value` file sets, each value read
+    as its field's type (a tuple is comma-separated numbers); a bad line
+    raises a ValueError that names path and line."""
+    types = {f.name: f.type for f in dataclasses.fields(nl.Config)}
+    read = {tuple: _floats, int: lambda text: nl.number(text, kind=int)}
     values = {}
     with open(path) as fh:
         for i, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{i}: expected key = value")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key, eq, val = line.partition("=")
+            key = key.strip()
+            try:
+                if not eq:
+                    raise ValueError("expected key = value")
+                if key not in types:
+                    raise ValueError(f"unknown key {key!r}")
+                values[key] = read.get(types[key], nl.number)(val.strip())
+            except ValueError as e:
+                raise ValueError(f"{path}:{i}: {e}") from None
     return values
 
 
@@ -107,12 +103,7 @@ def make_config(circuit, args):
     file, overridden by the flags of the parsed subcommand."""
     values = {"T": circuit.T, "duty": circuit.duty}
     if getattr(args, "config", None):
-        types = {f.name: f.type for f in dataclasses.fields(nl.Config)}
-        for key, val in load_config_file(args.config).items():
-            if key not in types:
-                raise ValueError(f"{args.config}: unknown key {key!r}")
-            parse = {tuple: _floats, int: int}.get(types[key], float)
-            values[key] = parse(val)
+        values.update(load_config_file(args.config))
     for flag, (key, _) in _FLAGS.items():
         val = getattr(args, flag[2:].replace("-", "_"), None)
         if key is not None and val is not None:
@@ -245,21 +236,32 @@ def _write(args, name, text):
         fh.write(text)
 
 
+# subcommand -> (handler, positional operands, flags); each takes only
+# the flags it reads.  analyze only prints, so it takes no --out-dir;
+# extract's retiming ILP has no period; sdc reads only the period.
+_COMMANDS = {
+    "analyze": (cmd_analyze, ("netlist",), _WINDOW),
+    "optimize": (cmd_optimize, ("netlist",), _WINDOW + (
+        "--phases", "--alpha", "--beta", "--gamma", "--dth-start",
+        "--dth-step", "--milp-nodes", "--milp-time-ms",
+        "--replace-threshold", "--sweep-step", "--dump-model",
+        "--out-dir")),
+    "extract": (cmd_extract, ("orig", "opt"),
+                ("--retime-objective", "--out-dir")),
+    "sdc": (cmd_sdc, ("orig", "opt"), ("--T", "--out-dir")),
+    "verify": (cmd_verify, ("orig", "opt"), _WINDOW + ("--out-dir",)),
+}
+
+
 def main(argv=None):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
-    handlers = {"analyze": cmd_analyze, "optimize": cmd_optimize,
-                "extract": cmd_extract, "sdc": cmd_sdc,
-                "verify": cmd_verify}
     try:
-        return handlers[args.command](args)
-    except optimizer.InfeasibleError as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except retime_extract.RetimeError as e:
+        return _COMMANDS[args.command][0](args)
+    except (optimizer.InfeasibleError, retime_extract.RetimeError) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (nl.NetlistError, FileNotFoundError, ValueError) as e:

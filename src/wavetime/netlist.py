@@ -1,15 +1,22 @@
 """Circuit data model, netlist parser/serializer, and gate graph construction.
 
-The netlist text format is line oriented (one statement per line, `#`
-comments):
+The netlist text format is line oriented, one statement per line:
 
     circuit <name>
-    clock period=<float> duty=<float>
+    clock period=<float> [duty=<float>]
     ffparams tcq=<float> tsu=<float> th=<float> tdq=<float>
     input <name>
     output <name> from=<node>
     ff <name> from=<node> [boundary]
     gate <name> fn=<label> delay=<float> [lib=<f1,f2,...>] in=<node>[,...]
+
+statements() reads it, and the placement files of optimizer as well:
+`#` starts a comment, and a statement is its word, its names, then
+key=value tokens.  An unknown statement or key, a missing key, a token
+without '=' and a malformed or non-finite number (number()) each raise
+a NetlistError that names its line.  parse_netlist checks each value
+once, as it reads it; Circuit.validate checks names, references and
+loops.
 
 A gate's output net shares the gate's name.  Primary inputs and outputs
 are modeled as boundary flip-flops sharing the circuit's FlipFlopParams.
@@ -66,14 +73,6 @@ class FlipFlopParams:
     t_su: float = 1.0
     t_h: float = 1.0
     t_dq: float = 1.0
-
-    def validate(self, T=None):
-        if not all(math.isfinite(x) and x >= 0
-                   for x in (self.t_cq, self.t_su, self.t_h, self.t_dq)):
-            raise ValueError("flip-flop parameters must be nonnegative "
-                             "and finite")
-        if T is not None and self.t_su + self.t_h >= T:
-            raise ValueError(f"t_su + t_h must be < clock period {T}")
 
 
 @dataclass(frozen=True)
@@ -180,15 +179,6 @@ class Gate:
     lib: tuple
     inputs: tuple
 
-    def validate(self):
-        if not (math.isfinite(self.d) and self.d > 0):
-            raise ValueError(f"gate {self.name}: delay must be positive "
-                             "and finite")
-        if not self.lib or not all(math.isfinite(x) and x > 0
-                                   for x in self.lib):
-            raise ValueError(f"gate {self.name}: lib must be nonempty, "
-                             "positive and finite")
-
 
 @dataclass(frozen=True)
 class FlipFlop:
@@ -213,24 +203,19 @@ class Circuit:
     outputs: list  # (name, src) pairs
 
     def validate(self):
-        self.ff_params.validate(self.T)
-        names = list(self.gates) + list(self.ffs) + list(self.inputs)
+        names = [*self.gates, *self.ffs, *self.inputs]
         names += [n for n, _ in self.outputs]
-        seen = set()
-        for n in names:
-            if n in seen:
-                raise NetlistError(f"duplicate name {n!r}")
-            seen.add(n)
-        refs = []
-        for g in self.gates.values():
-            g.validate()
-            refs.extend(g.inputs)
-        refs.extend(f.src for f in self.ffs.values())
-        refs.extend(src for _, src in self.outputs)
-        drivers = set(self.gates) | set(self.ffs) | set(self.inputs)
-        for r in refs:
-            if r not in drivers:
-                raise NetlistError(f"undefined node reference {r!r}")
+        if len(set(names)) < len(names):
+            seen = set()    # seen.add(n) is None: find the first repeat
+            n = next(n for n in names if n in seen or seen.add(n))
+            raise NetlistError(f"duplicate name {n!r}")
+        refs = [r for g in self.gates.values() for r in g.inputs]
+        refs += [f.src for f in self.ffs.values()]
+        refs += [src for _, src in self.outputs]
+        drivers = {*self.gates, *self.ffs, *self.inputs}
+        if not drivers.issuperset(refs):
+            r = next(r for r in refs if r not in drivers)
+            raise NetlistError(f"undefined node reference {r!r}")
         self.gate_order()  # raises on a loop with no sequential element
 
     def gate_order(self):
@@ -296,102 +281,126 @@ def _cycle(preds, stuck):
     return path[at[n]:] + [n]
 
 
-def _parse_kv(tokens, line):
-    kv = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise NetlistError(f"expected key=value, got {tok!r}", line)
-        k, v = tok.split("=", 1)
-        kv[k] = v
-    return kv
+# statement -> (names, keys it must have, keys it may have); an ff may
+# also end with the bare word `boundary`
+NETLIST = {"circuit": (1, (), ()), "clock": (0, ("period",), ("duty",)),
+           "ffparams": (0, ("tcq", "tsu", "th", "tdq"), ()),
+           "input": (1, (), ()), "output": (1, ("from",), ()),
+           "ff": (1, ("from",), ()),
+           "gate": (1, ("fn", "delay", "in"), ("lib",))}
 
 
-def _floats(s, line):
+def statements(text, table, first=1):
+    """Yield (line, tokens, keys) for each statement of text, numbering
+    lines from first.  `#` starts a comment and blank lines are skipped.
+    A statement is a word of table, the names it takes, then key=value
+    tokens: tokens starts with the word and its names, and keys maps
+    each key to its value text.  An ff's final `boundary` sets the key
+    boundary.  An unknown statement, too few names, a token without '=',
+    an unknown key or a missing one raises a NetlistError that names its
+    line."""
+    specs = {word: (n, frozenset(must), frozenset(must + may),
+                    f"{word} needs " + " ".join(k + "=" for k in must))
+             for word, (n, must, may) in table.items()}
+    for line, raw in enumerate(text.splitlines(), first):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        word = toks[0]
+        spec = specs.get(word)
+        if spec is None:
+            raise NetlistError(f"unknown statement {word!r}", line)
+        n, must, known, needs = spec
+        boundary = word == "ff" and toks[-1] == "boundary"
+        if boundary:
+            del toks[-1]
+        if len(toks) <= n:
+            raise NetlistError(f"too few fields in {word!r}", line)
+        keys = {}
+        for tok in toks[n + 1:]:
+            key, eq, value = tok.partition("=")
+            if not eq:
+                raise NetlistError(f"expected key=value, got {tok!r}", line)
+            if key not in known:
+                unknown = {t.partition("=")[0] for t in toks[n + 1:]} - known
+                raise NetlistError(f"unknown keys {sorted(unknown)}", line)
+            keys[key] = value
+        if not keys.keys() >= must:
+            raise NetlistError(needs, line)
+        if boundary:
+            keys["boundary"] = ""
+        yield line, toks, keys
+
+
+def number(text, line=None, kind=float):
+    """text as a finite float, or an int with kind=int; anything else
+    raises a NetlistError naming line."""
     try:
-        return tuple(float(x) for x in s.split(","))
+        x = kind(text)
+        if kind is int or math.isfinite(x):
+            return x
     except ValueError:
-        raise NetlistError(f"bad number list {s!r}", line)
+        pass
+    what = "number" if kind is float else "integer"
+    raise NetlistError(f"{text!r} is not a finite {what}", line)
 
 
 @nogc
 def parse_netlist(text):
     """Parse the line format into a validated Circuit, with the cyclic
-    garbage collector paused (nogc)."""
-    name = None
-    T, duty = None, 0.5
+    garbage collector paused (nogc).  Each number is checked once, where
+    it is read."""
+    name = clock = None
     ffp = FlipFlopParams()
     gates, ffs, inputs, outputs = {}, {}, [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        stmt = tokens[0]
-        if stmt == "circuit":
-            if len(tokens) != 2:
-                raise NetlistError("circuit takes exactly one name", lineno)
-            name = tokens[1]
-        elif stmt == "clock":
-            kv = _parse_kv(tokens[1:], lineno)
-            clock_line = lineno
-            try:
-                T = float(kv["period"])
-                duty = float(kv.get("duty", "0.5"))
-            except (KeyError, ValueError):
-                raise NetlistError("clock needs period=<float> [duty=<float>]", lineno)
-            if not (math.isfinite(T) and T > 0):
+    for line, toks, kv in statements(text, NETLIST):
+        word = toks[0]
+        if word == "gate":
+            d = number(kv["delay"], line)
+            lib = (tuple(sorted([number(x, line)
+                                 for x in kv["lib"].split(",")]))
+                   if "lib" in kv else (d,))
+            if d <= 0 or lib[0] <= 0:
+                raise NetlistError("gate delay and lib entries must be > 0",
+                                   line)
+            gates[toks[1]] = Gate(toks[1], kv["fn"], d, lib,
+                                  tuple(kv["in"].split(",")))
+        elif word == "ff":
+            ffs[toks[1]] = FlipFlop(toks[1], kv["from"], "boundary" in kv)
+        elif word == "output":
+            outputs.append((toks[1], kv["from"]))
+        elif word == "input":
+            inputs.append(toks[1])
+        elif word == "clock":
+            T = number(kv["period"], line)
+            if T <= 0:
                 raise NetlistError(f"clock period {T} must be finite and > 0",
-                                   lineno)
+                                   line)
+            try:
+                duty = number(kv.get("duty", "0.5"))
+            except NetlistError:
+                duty = math.nan     # reported as out of range below
             if not 0 < duty < 1:
-                raise NetlistError(f"clock duty {duty} must be in (0, 1)",
-                                   lineno)
-        elif stmt == "ffparams":
-            kv = _parse_kv(tokens[1:], lineno)
-            try:
-                ffp = FlipFlopParams(float(kv["tcq"]), float(kv["tsu"]),
-                                     float(kv["th"]), float(kv["tdq"]))
-            except (KeyError, ValueError):
-                raise NetlistError("ffparams needs tcq= tsu= th= tdq=", lineno)
-        elif stmt == "input":
-            if len(tokens) != 2:
-                raise NetlistError("input takes exactly one name", lineno)
-            inputs.append(tokens[1])
-        elif stmt == "output":
-            kv = _parse_kv(tokens[2:], lineno)
-            if len(tokens) < 3 or "from" not in kv:
-                raise NetlistError("output needs a name and from=<node>", lineno)
-            outputs.append((tokens[1], kv["from"]))
-        elif stmt == "ff":
-            boundary = tokens[-1] == "boundary"
-            kv_toks = tokens[2:-1] if boundary else tokens[2:]
-            kv = _parse_kv(kv_toks, lineno)
-            if len(tokens) < 3 or "from" not in kv:
-                raise NetlistError("ff needs a name and from=<node>", lineno)
-            ffs[tokens[1]] = FlipFlop(tokens[1], kv["from"], boundary)
-        elif stmt == "gate":
-            if len(tokens) < 3:
-                raise NetlistError("gate needs a name and attributes", lineno)
-            kv = _parse_kv(tokens[2:], lineno)
-            try:
-                d = float(kv["delay"])
-                fn = kv["fn"]
-                ins = tuple(kv["in"].split(","))
-            except (KeyError, ValueError):
-                raise NetlistError("gate needs fn= delay= in=", lineno)
-            lib = tuple(sorted(_floats(kv["lib"], lineno))) if "lib" in kv else (d,)
-            gates[tokens[1]] = Gate(tokens[1], fn, d, lib, ins)
-        else:
-            raise NetlistError(f"unknown statement {stmt!r}", lineno)
+                raise NetlistError(f"clock duty {kv['duty']} must be in "
+                                   "(0, 1)", line)
+            clock = T, duty, line
+        elif word == "ffparams":
+            values = [number(kv[k], line) for k in ("tcq", "tsu", "th", "tdq")]
+            if min(values) < 0:
+                raise NetlistError("flip-flop parameters must be >= 0", line)
+            ffp = FlipFlopParams(*values)
+        else:  # circuit
+            name = toks[1]
     if name is None:
         raise NetlistError("no circuit declared")
-    if T is None:
+    if clock is None:
         raise NetlistError("no clock declared")
+    T, duty, line = clock
     # ffparams may follow the clock line, so the period is checked
     # against them here
-    ffp.validate()
     if ffp.t_su + ffp.t_h >= T:
         raise NetlistError(f"clock period {T} must be above t_su + t_h = "
-                           f"{ffp.t_su + ffp.t_h}", clock_line)
+                           f"{ffp.t_su + ffp.t_h}", line)
     c = Circuit(name, T, duty, ffp, gates, ffs, inputs, outputs)
     c.validate()
     return c

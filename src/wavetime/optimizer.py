@@ -33,6 +33,9 @@ another optimal vertex than a cold one, so a sweep's placement may
 depend on the period it started from; it is still deterministic for a
 fixed input.  Objectives in the report are in absolute time: the solver's,
 in units of T, times T.
+
+A placement file is the netlist, a `placement` line, then period, size
+and edge statements (PLACEMENT), read by the netlist's statement reader.
 """
 
 import math
@@ -362,18 +365,18 @@ def placement_to_text(placed, cfg, base_text):
     return "\n".join(out) + "\n"
 
 
-# statement -> (fewest tokens, keys its key=value tokens may use)
-_PLACEMENT_STATEMENTS = {"period": (2, ()), "size": (2, ("d",)),
-                         "edge": (4, ("xi", "unit", "n", "phi", "lam",
-                                      "bufs"))}
+# statement -> (names, keys it must have, keys it may have), as in
+# netlist.NETLIST
+PLACEMENT = {"period": (1, (), ()), "size": (1, ("d",), ()),
+             "edge": (3, (), ("xi", "unit", "n", "phi", "lam", "bufs"))}
 
 
 def placement_from_text(text):
-    """Parse a placement file back into (OptimizedCircuit, period).  A
-    statement that does not fit the netlist (an unknown gate, edge, unit
-    or key, a token without '=', a malformed or non-finite number, or a
-    lam= other than the edge's weight) raises a line-numbered
-    NetlistError."""
+    """Parse a placement file back into (OptimizedCircuit, period).  Its
+    statements are read as a netlist's are (netlist.statements and
+    netlist.number), and one that does not fit the netlist (an unknown
+    gate, edge or unit, or a lam= other than the edge's weight) also
+    raises a NetlistError that names its line."""
     from . import netlist as nl
     head, _, tail = text.partition("\nplacement\n")
     circuit = nl.parse_netlist(head)
@@ -381,52 +384,30 @@ def placement_from_text(text):
     placed = sta.as_placed(graph)
     weights = {sta.edge_key(e): e.w for e in graph.edges}
     period = circuit.T
-
-    def number(text, kind=float):
-        try:
-            if math.isfinite(x := kind(text)):
-                return x
-        except ValueError:
-            pass
-        what = "number" if kind is float else "integer"
-        raise nl.NetlistError(f"{text!r} is not a finite {what}", lineno)
-
     # the tail starts two lines below the head's last line
-    for lineno, raw in enumerate(tail.splitlines(), head.count("\n") + 3):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] not in _PLACEMENT_STATEMENTS:
-            raise nl.NetlistError(
-                f"unknown placement statement {toks[0]!r}", lineno)
-        least, keys = _PLACEMENT_STATEMENTS[toks[0]]
-        if len(toks) < least:
-            raise nl.NetlistError(f"too few fields in {toks[0]!r}", lineno)
-        kv = nl._parse_kv(toks[least:], lineno)
-        if set(kv) - set(keys):
-            raise nl.NetlistError(
-                f"unknown keys {sorted(set(kv) - set(keys))}", lineno)
+    for line, toks, kv in nl.statements(tail, PLACEMENT,
+                                        head.count("\n") + 3):
         if toks[0] == "period":
-            period = number(toks[1])
+            period = nl.number(toks[1], line)
             if period <= 0:
-                raise nl.NetlistError(f"period {period} must be > 0", lineno)
+                raise nl.NetlistError(f"period {period} must be > 0", line)
         elif toks[0] == "size":
-            if toks[1] not in graph.gates or "d" not in kv:
+            if toks[1] not in graph.gates:
                 raise nl.NetlistError(
-                    f"size {toks[1]!r} needs a netlist gate and d=", lineno)
-            placed.gate_delays[toks[1]] = number(kv["d"])
+                    f"size {toks[1]!r} needs a netlist gate", line)
+            placed.gate_delays[toks[1]] = nl.number(kv["d"], line)
         else:
-            key = (toks[1], toks[2], number(toks[3], int))
+            key = (toks[1], toks[2], nl.number(toks[3], line, int))
             if key not in weights:
-                raise nl.NetlistError(f"no edge {key} in the netlist", lineno)
+                raise nl.NetlistError(f"no edge {key} in the netlist", line)
             if kv.get("unit", "none") not in ("none", "flipflop", "latch"):
-                raise nl.NetlistError(f"unknown unit {kv['unit']!r}", lineno)
+                raise nl.NetlistError(f"unknown unit {kv['unit']!r}", line)
             placed.decisions[key] = EdgeDecision(
-                xi=number(kv.get("xi", 0.0)), unit=kv.get("unit", "none"),
-                n_cycle=number(kv.get("n", 0), int),
-                phi=number(kv.get("phi", 0.0)))
-            if "lam" in kv and number(kv["lam"], int) != weights[key]:
+                xi=nl.number(kv.get("xi", "0"), line),
+                unit=kv.get("unit", "none"),
+                n_cycle=nl.number(kv.get("n", "0"), line, int),
+                phi=nl.number(kv.get("phi", "0"), line))
+            if "lam" in kv and nl.number(kv["lam"], line, int) != weights[key]:
                 raise nl.NetlistError(f"lam={kv['lam']} on edge {key} is not "
-                                      f"its weight {weights[key]}", lineno)
+                                      f"its weight {weights[key]}", line)
     return placed, period

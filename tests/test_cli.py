@@ -191,6 +191,20 @@ def test_config_file_unknown_key_is_a_usage_error(tmp_path, capsys):
     assert "'foo'" in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("r_u = abc", "'abc' is not a finite number"),
+    ("phases = 0,x", "'x' is not a finite number"),
+    ("milp_nodes = 1.5", "'1.5' is not a finite integer")])
+def test_config_file_bad_value_names_file_and_line(tmp_path, capsys, line,
+                                                   message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"# comment\nr_l = 0.9\n{line}\n")
+    code, _, err = run(capsys, "analyze", DATA / "fig_c.net",
+                       "--config", bad)
+    assert code == 2
+    assert err == f"error: {bad}:3: {message}\n"
+
+
 def test_config_file_values_take_the_field_types(tmp_path):
     from wavetime import netlist
     cfgfile = tmp_path / "flow.cfg"

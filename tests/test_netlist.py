@@ -42,19 +42,66 @@ def test_duplicate_name():
         parse_netlist(text)
 
 
+GOOD = ("circuit c\nclock period=10 duty=0.5\n"
+        "ffparams tcq=3 tsu=1 th=1 tdq=1\ninput a\n"
+        "ff F from=a boundary\ngate g fn=buf delay=1 lib=1,2 in=F\n"
+        "ff G from=g boundary\noutput y from=G\n")
+
+
+def _line_of(old):
+    return next(i for i, line in enumerate(GOOD.splitlines(), 1)
+                if old in line)
+
+
 @pytest.mark.parametrize("old, new", [
     ("delay=1", "delay=nan"), ("delay=1", "delay=inf"),
     ("lib=1,2", "lib=1,nan"), ("tcq=3", "tcq=nan"), ("tsu=1", "tsu=inf"),
     ("th=1", "th=nan"), ("tdq=1", "tdq=inf"),
     ("period=10", "period=nan"), ("period=10", "period=inf")])
 def test_non_finite_numbers_are_rejected(old, new):
-    text = ("circuit c\nclock period=10 duty=0.5\n"
-            "ffparams tcq=3 tsu=1 th=1 tdq=1\ninput a\n"
-            "ff F from=a boundary\ngate g fn=buf delay=1 lib=1,2 in=F\n"
-            "ff G from=g boundary\noutput y from=G\n")
-    parse_netlist(text)
-    with pytest.raises(ValueError, match="finite"):
-        parse_netlist(text.replace(old, new))
+    parse_netlist(GOOD)
+    with pytest.raises(NetlistError, match="finite") as err:
+        parse_netlist(GOOD.replace(old, new))
+    assert err.value.line == _line_of(old)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("duty=0.5", "dutty=0.3"), ("lib=1,2", "lbi=1,2"), ("tcq=3", "tcq2=3"),
+    ("from=a", "form=a"), ("output y", "output y z=1")])
+def test_misspelled_keys_are_refused(old, new):
+    """A key that its statement does not take is an error, not dropped:
+    `dutty=0.3` used to parse with duty 0.5."""
+    with pytest.raises(NetlistError, match="unknown keys") as err:
+        parse_netlist(GOOD.replace(old, new))
+    assert err.value.line == _line_of(old)
+    assert repr(new.split()[-1].split("=")[0]) in str(err.value)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("tsu=1", "tsu=inf", "'inf' is not a finite number"),
+    ("tcq=3", "tcq=-1", "flip-flop parameters must be >= 0"),
+    ("delay=1", "delay=-2", "gate delay and lib entries must be > 0"),
+    ("lib=1,2", "lib=1,0", "gate delay and lib entries must be > 0"),
+    ("lib=1,2", "lib=", "'' is not a finite number"),
+    ("delay=1", "delay=abc", "'abc' is not a finite number"),
+    ("delay=1", "delay=1,2", "'1,2' is not a finite number"),
+    ("period=10", "period=x", "'x' is not a finite number")])
+def test_bad_values_name_their_line(old, new, message):
+    with pytest.raises(NetlistError, match=message) as err:
+        parse_netlist(GOOD.replace(old, new))
+    assert err.value.line == _line_of(old)
+
+
+@pytest.mark.parametrize("statement, message", [
+    ("circuit", "too few fields in 'circuit'"),
+    ("gate h fn=buf delay=1", "gate needs fn= delay= in="),
+    ("ff H boundary", "ff needs from="),
+    ("input b c", "expected key=value, got 'c'"),
+    ("latch L from=a", "unknown statement 'latch'")])
+def test_statement_shape_errors_name_their_line(statement, message):
+    with pytest.raises(NetlistError, match=message) as err:
+        parse_netlist(GOOD + "  " + statement + "  # note\n")
+    assert err.value.line == 9
 
 
 @pytest.mark.parametrize("duty", ["1.5", "nan", "0", "1", "-0.5"])

@@ -679,6 +679,28 @@ def test_malformed_placement_numbers_name_their_line(fig_chain, statement,
     assert err.value.line == len(text.splitlines())
 
 
+@pytest.mark.parametrize("in_netlist, in_placement, message", [
+    ("bogus x", "bogus x", "unknown statement 'bogus'"),
+    ("input b zz=1", "edge w z 0 zz=1", r"unknown keys \['zz'\]"),
+    ("gate v fn=buf delay=nan in=a", "size w d=nan",
+     "'nan' is not a finite number")])
+def test_netlist_and_placement_file_give_the_same_errors(
+        fig_chain, in_netlist, in_placement, message):
+    """Both formats go through one statement reader, so the same fault
+    reads the same in both, each naming its own line."""
+    base = netlist.serialize(fig_chain)
+    placement = placement_to_text(sta.as_placed(to_gate_graph(fig_chain)),
+                                  exact_cfg(10.0), base) + in_placement + "\n"
+    with pytest.raises(netlist.NetlistError, match=message) as bad_netlist:
+        netlist.parse_netlist(base + in_netlist + "\n")
+    with pytest.raises(netlist.NetlistError, match=message) as bad_placement:
+        placement_from_text(placement)
+    assert bad_netlist.value.line == len(base.splitlines()) + 1
+    assert bad_placement.value.line == len(placement.splitlines())
+    assert str(bad_netlist.value).split(": ", 1)[1] == \
+        str(bad_placement.value).split(": ", 1)[1]
+
+
 def test_with_period_keeps_big_m_at_least_4_t():
     """big_M * k may round below 4 * T; the scaled config must still be
     one that validate accepts."""

@@ -44,3 +44,8 @@ def test_snapshot_tool_writes_every_output(tmp_path):
     # a later step re-solves the stage-2 and stage-3 models of the one
     # before it
     assert "warm" in later
+    # each malformed input is refused with an error that names its line
+    malformed = [p for n, p in files.items() if n.startswith("cli.malformed.")]
+    assert malformed
+    for p in malformed:
+        assert p.read_text().startswith("exit 2\nerror: line "), p.name

@@ -23,8 +23,10 @@ the root LP of every stage's solves started (cold or warm), the stage-1
 objective in absolute time, and for the flow that stopped the sweep the
 stage that failed.  Then the CLI
 `extract`, `sdc` and `verify` outputs on both netlist pairs, and the
-`analyze` output of every `tests/data/*.net`.  Each CLI file holds the
-exit code, then what the command wrote to stdout and stderr.
+`analyze` output of every `tests/data/*.net`, and the `analyze` or
+`verify` output of each malformed input of MALFORMED, which pins the
+text and line of each error.  Each CLI file holds the exit code, then
+what the command wrote to stdout and stderr.
 """
 
 import contextlib
@@ -43,6 +45,20 @@ from wavetime import (cli, milp, netlist as nl, optimizer,  # noqa: E402
 
 DATA = ROOT / "tests" / "data"
 PAIRS = (("loop_orig", "loop_opt"), ("entangled_orig", "entangled_opt"))
+# name -> (old, new): an edit of fig_c.net's text, or of its placement
+# file with no decisions when old is "placement"
+MALFORMED = {"clock_dutty": ("duty=0.5", "dutty=0.5"),
+             "gate_lbi": ("lib=1,2", "lbi=1,2"),
+             "ffparams_tcq2": ("tcq=3", "tcq2=3"),
+             "ffparams_tsu_inf": ("tsu=1", "tsu=inf"),
+             "ffparams_tcq_negative": ("tcq=3", "tcq=-1"),
+             "gate_delay_negative": ("delay=3", "delay=-2"),
+             "gate_delay_abc": ("delay=3", "delay=abc"),
+             "gate_lib_zero": ("lib=1,2", "lib=1,0"),
+             "gate_lib_nan": ("lib=1,2", "lib=1,nan"),
+             "clock_period_nan": ("period=11", "period=nan"),
+             "unknown_statement": ("input b", "inport b"),
+             "placement_xii": ("placement", "edge g1 g2 0 xii=1.0")}
 
 
 def designs():
@@ -249,6 +265,22 @@ def cli_outputs():
                      "--out-dir", tmp])
     for path in sorted(DATA.glob("*.net")):
         out[f"cli.analyze.{path.stem}"] = run_cli(["analyze", str(path)])
+    orig = DATA / "fig_c.net"
+    text = orig.read_text()
+    circuit = nl.parse_netlist(text)
+    placement = optimizer.placement_to_text(
+        sta.as_placed(nl.to_gate_graph(circuit)), nl.Config(T=circuit.T),
+        nl.serialize(circuit))
+    for name, (old, new) in MALFORMED.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "bad.net"
+            if old == "placement":
+                path.write_text(placement + new + "\n")
+                argv = ["verify", str(orig), str(path), "--out-dir", tmp]
+            else:
+                path.write_text(text.replace(old, new, 1))
+                argv = ["analyze", str(path)]
+            out[f"cli.malformed.{name}"] = run_cli(argv)
     return out
 
 
